@@ -10,6 +10,7 @@ so even-sized panels have half-integer offsets and no center element.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ from .errors import DegenerateGeometryError
 from .units import wavelength
 
 _POSE_RTOL = 1e-9
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,12 +37,14 @@ class ArrayGeometry:
     spacing_y: float = 4.9e-3
 
     def __post_init__(self):
-        if self.num_x < 1 or self.num_y < 1:
-            raise ValueError(f"element counts must be >= 1, got {self.num_x}x{self.num_y}")
-        if self.spacing_x <= 0 or self.spacing_y <= 0:
-            raise ValueError(
-                f"spacings must be positive, got ({self.spacing_x}, {self.spacing_y})"
-            )
+        for name in ("num_x", "num_y"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+        for name in ("spacing_x", "spacing_y"):
+            spacing = getattr(self, name)
+            if not (math.isfinite(spacing) and spacing > 0):
+                raise ValueError(f"{name} must be finite and positive, got {spacing}")
 
     @property
     def num_elements(self) -> int:
@@ -87,8 +96,7 @@ class Pose:
     azimuth: float
 
     def __post_init__(self):
-        if self.range < 0:
-            raise ValueError(f"range must be non-negative, got {self.range}")
+        _require_finite(x=self.x, y=self.y, z=self.z)
         ex, ey, ez = spherical_to_cartesian(self.range, self.polar, self.azimuth)
         tol = _POSE_RTOL * max(self.range, 1e-30)
         if abs(self.x - ex) > tol or abs(self.y - ey) > tol or abs(self.z - ez) > tol:
@@ -111,6 +119,7 @@ class Pose:
 
 def spherical_to_cartesian(range_m: float, polar: float, azimuth: float) -> tuple[float, float, float]:
     """(d, theta, phi) -> (d sin(theta) cos(phi), d sin(theta) sin(phi), d cos(theta))."""
+    _require_finite(range=range_m, polar=polar, azimuth=azimuth)
     if range_m < 0:
         raise ValueError(f"range must be non-negative, got {range_m}")
     st = math.sin(polar)

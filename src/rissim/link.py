@@ -239,32 +239,26 @@ def required_transmit_power(
     tolerance_db: float = 0.1,
     floor_dbm: float = -100.0,
 ) -> float:
-    """Minimum transmit power (dBm, to the given tolerance) reaching the rate.
+    """Minimum transmit power (dBm, on the tolerance grid) reaching the rate.
 
-    Bisects over transmit power between the floor and the +60 dBm cap;
-    raises :class:`InfeasibleTargetError` if even the cap falls short.
+    Received power is linear in transmit power on both link types, so the
+    SNR in dB is exactly ``p + c``. One evaluation at 0 dBm gives ``c``; the
+    answer is ``threshold - c`` rounded up to the next multiple of
+    ``tolerance_db``, and never below ``floor_dbm``. Raises
+    :class:`InfeasibleTargetError` if even the +60 dBm cap falls short.
     """
+    if not tolerance_db > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance_db}")
     threshold = scenario.mcs.threshold_for_rate(target_rate_mbps)
-
-    def snr_at(p_dbm: float) -> float:
-        return evaluate_scenario(
-            scenario.with_power(p_dbm), geom, bits, table=table, mode=mode
-        ).snr_db
-
-    if snr_at(MAX_TRANSMIT_POWER_DBM) < threshold:
+    snr_at_0dbm = evaluate_scenario(
+        scenario.with_power(0.0), geom, bits, table=table, mode=mode
+    ).snr_db
+    minimum = threshold - snr_at_0dbm
+    if minimum > MAX_TRANSMIT_POWER_DBM:  # +inf when the link carries no power
         raise InfeasibleTargetError(
             f"rate {target_rate_mbps} Mbps unreachable at {MAX_TRANSMIT_POWER_DBM} dBm"
         )
-    lo, hi = floor_dbm, MAX_TRANSMIT_POWER_DBM
-    if snr_at(lo) >= threshold:
-        return lo
-    while hi - lo > tolerance_db / 2.0:
-        mid = 0.5 * (lo + hi)
-        if snr_at(mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return round(hi / tolerance_db) * tolerance_db
+    return max(math.ceil(minimum / tolerance_db) * tolerance_db, floor_dbm)
 
 
 def array_gain(

@@ -193,3 +193,56 @@ def test_geometry_validation():
         ArrayGeometry(0, 4)
     with pytest.raises(ValueError):
         ArrayGeometry(4, 4, spacing_x=0.0)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(count=st.floats(allow_nan=True, allow_infinity=True).filter(lambda c: not c.is_integer()))
+def test_geometry_rejects_non_integer_counts(count):
+    with pytest.raises(ValueError, match="num_x"):
+        ArrayGeometry(count, 3)
+    with pytest.raises(ValueError, match="num_y"):
+        ArrayGeometry(3, count)
+
+
+@given(flag=st.booleans())
+def test_geometry_rejects_bool_counts(flag):
+    with pytest.raises(ValueError, match="num_x"):
+        ArrayGeometry(flag, 3)
+    with pytest.raises(ValueError, match="num_y"):
+        ArrayGeometry(3, flag)
+
+
+@given(nx=st.integers(1, 64), ny=st.integers(1, 64))
+def test_geometry_accepts_integer_counts(nx, ny):
+    geom = ArrayGeometry(np.int64(nx), ny)
+    assert geom.num_elements == nx * ny
+    assert geom.offsets_x().size == nx
+
+
+@given(bad=NON_FINITE | st.floats(max_value=0.0))
+def test_geometry_rejects_non_finite_or_non_positive_spacing(bad):
+    with pytest.raises(ValueError, match="spacing_x"):
+        ArrayGeometry(4, 4, spacing_x=bad)
+    with pytest.raises(ValueError, match="spacing_y"):
+        ArrayGeometry(4, 4, spacing_y=bad)
+
+
+@given(
+    field=st.sampled_from(["range", "polar", "azimuth"]),
+    bad=NON_FINITE,
+    good=st.tuples(st.floats(0.0, 10.0), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+)
+def test_pose_from_spherical_rejects_non_finite(field, bad, good):
+    args = dict(zip(("range", "polar", "azimuth"), good))
+    args[field] = bad
+    with pytest.raises(ValueError, match=field):
+        Pose.from_spherical(args["range"], args["polar"], args["azimuth"])
+
+
+def test_pose_rejects_non_finite_cartesian():
+    with pytest.raises(ValueError, match="x must be finite"):
+        Pose(x=math.nan, y=0.0, z=1.0, range=1.0, polar=0.0, azimuth=0.0)
+    with pytest.raises(ValueError, match="z must be finite"):
+        Pose.from_cartesian(0.0, 0.0, math.inf)

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rissim import (
     ArrayGeometry,
@@ -16,13 +19,15 @@ from rissim import (
     Pose,
     array_gain,
     evaluate_scenario,
+    load_bundled_scenarios,
     noise_power,
     quantization_loss,
     required_transmit_power,
     sweep_phase_offset,
     wavelength,
 )
-from rissim.link import direct_received_power_w
+import rissim.link
+from rissim.link import MAX_TRANSMIT_POWER_DBM, direct_received_power_w
 
 from conftest import CARRIER_HZ
 
@@ -168,6 +173,72 @@ def test_required_power_threshold_shift(panel16):
     p0 = required_transmit_power(scenario, panel16, 2, 450.0)
     p1 = required_transmit_power(shifted, panel16, 2, 450.0)
     assert p1 - p0 == pytest.approx(3.0, abs=0.15)
+
+
+BUNDLE = load_bundled_scenarios()
+
+
+def bundle_rate_at(scenario, p_dbm):
+    return evaluate_scenario(
+        scenario.with_power(p_dbm), BUNDLE.geometry, BUNDLE.bits, mode=BUNDLE.mode
+    ).rate_mbps
+
+
+@given(
+    base=st.sampled_from(BUNDLE.scenarios),
+    tx_range=st.floats(0.5, 5.0),
+    tx_polar_deg=st.floats(0.0, 60.0),
+    tx_azimuth_deg=st.floats(0.0, 360.0),
+    rx_range=st.floats(0.03, 0.5),
+    rate=st.sampled_from([row.rate_mbps for row in BUNDLE.scenarios[0].mcs.rows]),
+)
+def test_required_power_reaches_the_rate_and_a_step_lower_misses(
+    base, tx_range, tx_polar_deg, tx_azimuth_deg, rx_range, rate
+):
+    scenario = replace(
+        base,
+        tx_pose=Pose.from_spherical(tx_range, math.radians(tx_polar_deg),
+                                    math.radians(tx_azimuth_deg)),
+        rx_pose=Pose.from_spherical(rx_range, 0.0, 0.0),
+    )
+    try:
+        p = required_transmit_power(scenario, BUNDLE.geometry, BUNDLE.bits, rate,
+                                    mode=BUNDLE.mode)
+    except InfeasibleTargetError:
+        assert bundle_rate_at(scenario, MAX_TRANSMIT_POWER_DBM) < rate
+        return
+    assert bundle_rate_at(scenario, p) >= rate
+    assert bundle_rate_at(scenario, p - 0.1) < rate
+
+
+def test_required_power_rounds_up_not_to_nearest():
+    # the minimum is 3.9027 dBm; rounding to the nearest step gave 3.9 dBm, which misses
+    scenario = next(s for s in BUNDLE.scenarios if s.name == "array_gain_with_panel")
+    p = required_transmit_power(scenario, BUNDLE.geometry, BUNDLE.bits, 1121.0,
+                                mode=BUNDLE.mode)
+    assert p == pytest.approx(4.0, abs=1e-9)
+    assert bundle_rate_at(scenario, p) == 1121.0
+    assert bundle_rate_at(scenario, 3.9) == 1024.0
+
+
+def test_required_power_evaluates_the_link_once(panel16, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].transmit_power_dbm)
+        return evaluate_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(rissim.link, "evaluate_scenario", counting)
+    scenario = make_scenario(ris_present=False, mcs=MCSTable(rows=(MCSRow(50.0, 450.0),)))
+    required_transmit_power(scenario, panel16, 2, 450.0)
+    assert calls == [0.0]
+
+
+def test_required_power_floor_and_tolerance(panel16):
+    scenario = make_scenario(ris_present=False, mcs=MCSTable(rows=(MCSRow(-200.0, 450.0),)))
+    assert required_transmit_power(scenario, panel16, 2, 450.0) == -100.0
+    with pytest.raises(ValueError):
+        required_transmit_power(scenario, panel16, 2, 450.0, tolerance_db=0.0)
 
 
 def test_required_power_unknown_rate(panel16):

@@ -10,9 +10,12 @@ from rissim import (
     Pose,
     RadiationPattern,
     ResolutionError,
+    RISConfiguration,
     aperture_efficiency,
     cut_grid,
+    default_element_table,
     directivity_and_gain,
+    feed_illuminations,
     hemisphere_grid,
     optimal_phases,
     pattern_metrics,
@@ -20,9 +23,12 @@ from rissim import (
     principal_cut,
     radiation_pattern,
     scan_loss,
+    state_coefficients,
     synthesize_codebook,
     wavelength,
 )
+
+from rissim import patterns
 
 from conftest import CARRIER_HZ
 
@@ -109,6 +115,50 @@ def test_h_plane_mirror_symmetry(panel16):
     cut = broadside_tapered_cut(panel16, plane="H")
     power = cut.power[:, 0]
     np.testing.assert_allclose(power, power[::-1], rtol=1e-9)
+
+
+def direct_array_sum(weights, geom, carrier_hz, theta, phi, element_exponent):
+    """Brute-force field: the full element sum, one direction at a time."""
+    k = 2.0 * math.pi / wavelength(carrier_hz)
+    xs = (np.arange(geom.num_x) - (geom.num_x - 1) / 2.0) * geom.spacing_x
+    ys = (np.arange(geom.num_y) - (geom.num_y - 1) / 2.0) * geom.spacing_y
+    xe, ye = np.meshgrid(xs, ys, indexing="ij")
+    field = np.empty((theta.size, phi.size), dtype=complex)
+    for i, th in enumerate(theta):
+        for j, ph in enumerate(phi):
+            u = math.sin(th) * math.cos(ph)
+            v = math.sin(th) * math.sin(ph)
+            field[i, j] = np.sum(weights * np.exp(1j * k * (xe * u + ye * v)))
+            field[i, j] *= math.cos(th) ** element_exponent
+    return field
+
+
+@pytest.mark.parametrize("nx,ny,dx,dy", [(3, 5, 3.1e-3, 4.9e-3), (1, 7, 4.9e-3, 2.7e-3),
+                                         (16, 16, 4.9e-3, 4.9e-3)])
+@pytest.mark.parametrize("excitation", ["phases", "realized_codes"])
+def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, rng):
+    geom = ArrayGeometry(nx, ny, dx, dy)
+    theta = np.linspace(-math.pi / 2, math.pi / 2, 46)
+    phi = np.arange(67) * (2.0 * math.pi / 67)
+    n_dir = theta.size * phi.size  # several blocks, the last one partial
+    assert n_dir > patterns._CHUNK_DIRECTIONS and n_dir % patterns._CHUNK_DIRECTIONS
+    if excitation == "phases":
+        phases = rng.uniform(0.0, 2.0 * math.pi, (nx, ny))
+        gamma = 0.0
+        got = radiation_pattern(phases, geom, CARRIER_HZ, element_exponent=gamma,
+                                theta=theta, phi=phi)
+        weights = np.exp(1j * phases)
+    else:
+        table = default_element_table()
+        config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
+        gamma = 1.0
+        got = radiation_pattern(config, geom, CARRIER_HZ, feed=FEED, feed_exponent=FEED_Q,
+                                element_exponent=gamma, theta=theta, phi=phi,
+                                table=table, mode="realized")
+        weights = (state_coefficients(table, config.codes, "realized")
+                   * feed_illuminations(FEED, geom, CARRIER_HZ, FEED_Q))
+    want = direct_array_sum(weights, geom, CARRIER_HZ, theta, phi, gamma)
+    assert np.abs(got.field - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ------------------------------------------------------------ steering
