@@ -23,6 +23,7 @@ from rissim import (
     exhaustive_oracle,
     quantization_loss,
     sweep_phase_offset,
+    uniform_phase_loss_db,
     unity_gain_profile,
 )
 
@@ -32,11 +33,6 @@ SPEC = BeamSpec(tx=Pose.from_spherical(100.0, 0.0, 0.0),
                 rx=Pose.from_spherical(0.05, 0.0, 0.0))
 
 
-def closed_form_db(bits: int) -> float:
-    half_cell = math.pi / (1 << bits)
-    return -20.0 * math.log10(math.sin(half_cell) / half_cell)
-
-
 def main() -> None:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("quantization_study_out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -44,8 +40,9 @@ def main() -> None:
     rows = []
     for bits in range(1, 7):
         loss = quantization_loss(PANEL, SPEC, CARRIER_HZ, bits)
-        rows.append((bits, loss, closed_form_db(bits)))
-        print(f"b={bits}: loss {loss:.4f} dB (closed form {closed_form_db(bits):.4f} dB)")
+        closed_form = uniform_phase_loss_db(bits)
+        rows.append((bits, loss, closed_form))
+        print(f"b={bits}: loss {loss:.4f} dB (closed form {closed_form:.4f} dB)")
     with open(outdir / "loss_vs_bits.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bits_count", "loss_db", "uniform_phase_closed_form_db"])

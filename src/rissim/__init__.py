@@ -8,20 +8,18 @@ end-to-end link budgets with SNR-to-rate mapping.
 from .beams import (
     BeamSpec,
     exhaustive_oracle,
-    optimal_phase,
     optimal_phases,
     quantization_loss,
     resolve_model,
     sweep_phase_offset,
     synthesize_codebook,
+    uniform_phase_loss_db,
 )
 from .channel import (
     GainProfile,
-    channel_coefficient,
     coherent_power_bound,
     cos_power_pattern,
     exponent_from_gain,
-    feed_illumination,
     feed_illuminations,
     received_power,
     unity_gain_profile,
@@ -32,7 +30,6 @@ from .codebook import (
     decode_bias_bitstream,
     encode_bias_bitstream,
     pack_bitstream,
-    quantize_phase,
     quantize_phases,
     unpack_bitstream,
 )
@@ -40,7 +37,6 @@ from .elements import (
     ElementState,
     ElementStateTable,
     default_element_table,
-    state_coefficient,
     state_coefficients,
 )
 from .errors import (
@@ -57,11 +53,8 @@ from .geometry import (
     ArrayGeometry,
     Pose,
     cartesian_to_spherical,
-    element_position,
-    exact_distance,
     exact_distances,
     fraunhofer_distance,
-    planar_distance,
     planar_distances,
     spherical_to_cartesian,
 )

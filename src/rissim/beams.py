@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import GainProfile, coherent_power_bound, received_power, unity_gain_profile
 from .codebook import RISConfiguration, quantize_phases
-from .elements import ElementStateTable, Mode, nominal_phase_step
+from .elements import ElementStateTable, Mode, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
 from .geometry import (
     ArrayGeometry,
@@ -34,6 +34,8 @@ TWO_PI = 2.0 * math.pi
 _MODELS = ("auto", "spherical", "planar")
 
 ORACLE_SEARCH_CAP = 1 << 20
+
+_LOSS_SWEEP_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,6 @@ def optimal_phases(spec: BeamSpec, geom: ArrayGeometry, carrier_hz: float) -> np
     dt = _relative_distances(spec.tx, spec.tx_model, geom, carrier_hz)
     dr = _relative_distances(spec.rx, spec.rx_model, geom, carrier_hz)
     return (spec.phase_offset + TWO_PI * (dt + dr) / lam) % TWO_PI
-
-
-def optimal_phase(m: int, n: int, spec: BeamSpec, geom: ArrayGeometry, carrier_hz: float) -> float:
-    if not (0 <= m < geom.num_x and 0 <= n < geom.num_y):
-        raise ValueError(f"element index ({m}, {n}) outside {geom.num_x}x{geom.num_y} panel")
-    return float(optimal_phases(spec, geom, carrier_hz)[m, n])
 
 
 def synthesize_codebook(
@@ -156,10 +152,7 @@ def exhaustive_oracle(
     dt = exact_distances(spec.tx, geom).reshape(-1)
     dr = exact_distances(spec.rx, geom).reshape(-1)
     path = np.exp(-2j * math.pi * (dt + dr) / lam) / (dt * dr)
-    if mode == "nominal":
-        lut = np.exp(1j * table.nominal_phases())
-    else:
-        lut = table.magnitudes() * np.exp(1j * table.realized_phases())
+    lut = state_coefficients(table, np.arange(n_states), mode)
     total_configs = n_states**n
     # enumerate all grids: digit i of each config index selects element i's code
     field = np.zeros(total_configs, dtype=complex)
@@ -178,28 +171,29 @@ def exhaustive_oracle(
     return config, power
 
 
-def quantization_loss(
-    geom: ArrayGeometry,
-    spec: BeamSpec,
-    carrier_hz: float,
-    bits: int,
-    *,
-    offset_samples: int = 16,
-) -> float:
+def quantization_loss(geom: ArrayGeometry, spec: BeamSpec, carrier_hz: float, bits: int) -> float:
     """Power lost to b-bit phasing, in dB, best case over the free constant C.
 
     Ratio of the fully coherent (continuous-phase) power to the best
-    quantized power found over a C sweep of at least ``offset_samples``
-    points. Ideal unit element magnitude on both sides, so endpoint gains
-    cancel and the result depends only on geometry and the phase grid.
+    quantized power found over a 16-point C sweep. Ideal unit element
+    magnitude on both sides, so endpoint gains cancel and the result depends
+    only on geometry and the phase grid.
     """
-    if offset_samples < 16:
-        raise ValueError(f"need at least 16 sweep samples, got {offset_samples}")
     profile = unity_gain_profile()
     _, best_power, _ = sweep_phase_offset(
         spec, geom, carrier_hz, bits,
         profile=profile, table=ElementStateTable.ideal(bits), mode="nominal",
-        samples=offset_samples,
+        samples=_LOSS_SWEEP_SAMPLES,
     )
     bound = coherent_power_bound(1.0, carrier_hz, profile, geom, spec.tx, spec.rx)
     return 10.0 * math.log10(bound / best_power)
+
+
+def uniform_phase_loss_db(bits: int) -> float:
+    """Closed-form b-bit loss when phase errors are uniform over one quantizer cell.
+
+    -20 log10(sin(x) / x) with x = pi / 2^b, the half-width of the cell;
+    0.912 dB at b = 2.
+    """
+    x = nominal_phase_step(bits) / 2.0
+    return -20.0 * math.log10(math.sin(x) / x)

@@ -23,10 +23,8 @@ import numpy as np
 
 from .codebook import RISConfiguration
 from .elements import ElementStateTable, Mode, state_coefficients
-from .geometry import ArrayGeometry, Pose, exact_distance, exact_distances, _check_indices
+from .geometry import ArrayGeometry, Pose, exact_distances
 from .units import db_to_linear, wavelength
-
-FOUR_PI = 4.0 * math.pi
 
 
 def exponent_from_gain(gain_dbi: float) -> float:
@@ -111,55 +109,15 @@ def unity_gain_profile() -> GainProfile:
     return GainProfile(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def channel_coefficient(
-    side: str,
-    endpoint: Pose,
-    m: int,
-    n: int,
-    geom: ArrayGeometry,
-    carrier_hz: float,
-    profile: GainProfile,
-) -> complex:
-    """One-hop channel between element (m, n) and an endpoint.
-
-    ``side`` is "toward_tx" for the illuminated face or "toward_rx" for the
-    radiating face; it selects that face's gain and pattern, evaluated at the
-    endpoint's polar angle.
-    """
-    _check_indices(m, n, geom)
-    if side == "toward_tx":
-        gain_db, q = profile.ris_rx_side_gain_dbi, profile.q_ris_rx_side
-    elif side == "toward_rx":
-        gain_db, q = profile.ris_tx_side_gain_dbi, profile.q_ris_tx_side
-    else:
-        raise ValueError(f"side must be 'toward_tx' or 'toward_rx', got {side!r}")
-    lam = wavelength(carrier_hz)
-    d = exact_distance(endpoint, m, n, geom)
-    amp = math.sqrt(lam * db_to_linear(gain_db) * cos_power_pattern(endpoint.polar, q) / FOUR_PI)
-    phase = -2.0 * math.pi * d / lam
-    return amp * complex(math.cos(phase), math.sin(phase)) / d
-
-
-def feed_illumination(
-    feed: Pose, m: int, n: int, geom: ArrayGeometry, carrier_hz: float, exponent: float
-) -> complex:
-    """Per-element excitation from a feed horn boresighted on the panel center.
-
-    Amplitude is cos^q(psi) / d with psi the angle at the feed between its
-    boresight and the element, and the phase is the spherical propagation
-    term exp(-j 2 pi d / lambda).
-    """
-    _check_indices(m, n, geom)
-    if feed.z <= 0:
-        raise ValueError("feed must be in front of the panel (z > 0)")
-    grid = feed_illuminations(feed, geom, carrier_hz, exponent)
-    return complex(grid[m, n])
-
-
 def feed_illuminations(
     feed: Pose, geom: ArrayGeometry, carrier_hz: float, exponent: float
 ) -> np.ndarray:
-    """(Nx, Ny) grid of :func:`feed_illumination` values."""
+    """(Nx, Ny) excitation grid from a feed horn boresighted on the panel center.
+
+    Amplitude is cos^q(psi) / d with psi the angle at the feed between its
+    boresight and the element and d the exact feed-to-element distance; the
+    phase is the spherical propagation term exp(-j 2 pi d / lambda).
+    """
     if feed.z <= 0:
         raise ValueError("feed must be in front of the panel (z > 0)")
     if exponent < 0:

@@ -22,7 +22,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .beams import BeamSpec, exhaustive_oracle, quantization_loss, sweep_phase_offset, synthesize_codebook
+from .beams import (BeamSpec, exhaustive_oracle, quantization_loss, sweep_phase_offset,
+                    synthesize_codebook, uniform_phase_loss_db)
 from .channel import exponent_from_gain, unity_gain_profile
 from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream
 from .elements import ElementStateTable, default_element_table
@@ -39,7 +40,8 @@ from .patterns import (
     radiation_pattern,
     scan_loss,
 )
-from .scenario_io import bundled_scenario_path, load_scenario_bundle
+from .scenario_io import (_check_keys, _parse_geometry, _parse_pose, bundled_scenario_path,
+                          load_scenario_bundle)
 
 OUT_DIR_ENV = "RISSIM_OUT"
 
@@ -62,6 +64,7 @@ _CONFIG_KEYS = {
 }
 _FEED_KEYS = {"range_m", "gain_dbi", "exponent"}
 _BEAM_KEYS = {"tx_pose", "rx_pose", "tx_model", "rx_model", "offset_deg"}
+_GEOMETRY_DEFAULTS = {"num_x": 16, "num_y": 16, "spacing_x_m": 4.9e-3, "spacing_y_m": 4.9e-3}
 
 
 @dataclass
@@ -117,19 +120,6 @@ def parse_bits(text: str) -> tuple[int, ...]:
         raise ConfigError(f"--bits expects an integer or a range like 1..4, got {text!r}") from None
 
 
-def _parse_pose_mapping(raw: dict, context: str) -> Pose:
-    unknown = set(raw) - {"range_m", "polar_deg", "azimuth_deg"}
-    if unknown:
-        raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
-    if "range_m" not in raw:
-        raise ConfigError(f"{context}: missing required key 'range_m'")
-    return Pose.from_spherical(
-        float(raw["range_m"]),
-        math.radians(float(raw.get("polar_deg", 0.0))),
-        math.radians(float(raw.get("azimuth_deg", 0.0))),
-    )
-
-
 def load_run_config(path: str | Path) -> dict:
     """Read and strictly validate a run-config YAML file into plain options."""
     path = Path(path)
@@ -143,17 +133,9 @@ def load_run_config(path: str | Path) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    if "feed" in raw:
-        bad = set(raw["feed"]) - _FEED_KEYS
-        if bad:
-            raise ConfigError(f"{path}: feed: unknown key(s) {sorted(bad)}")
-    if "beam" in raw:
-        bad = set(raw["beam"]) - _BEAM_KEYS
-        if bad:
-            raise ConfigError(f"{path}: beam: unknown key(s) {sorted(bad)}")
+    _check_keys(raw, _CONFIG_KEYS, str(path), lenient=False)
+    _check_keys(raw.get("feed", {}), _FEED_KEYS, f"{path}: feed", lenient=False)
+    _check_keys(raw.get("beam", {}), _BEAM_KEYS, f"{path}: beam", lenient=False)
     return raw
 
 
@@ -165,16 +147,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(output_dir=Path(out))
 
     if "geometry" in file_cfg:
-        g = file_cfg["geometry"]
-        unknown = set(g) - {"num_x", "num_y", "spacing_x_m", "spacing_y_m"}
-        if unknown:
-            raise ConfigError(f"geometry: unknown key(s) {sorted(unknown)}")
-        cfg.geometry = ArrayGeometry(
-            num_x=int(g.get("num_x", 16)),
-            num_y=int(g.get("num_y", 16)),
-            spacing_x=float(g.get("spacing_x_m", 4.9e-3)),
-            spacing_y=float(g.get("spacing_y_m", 4.9e-3)),
-        )
+        geometry = {**_GEOMETRY_DEFAULTS, **file_cfg["geometry"]}
+        cfg.geometry = _parse_geometry(geometry, "geometry", lenient=False)
     if "element_table" in file_cfg:
         cfg.element_table = ElementStateTable.from_csv(file_cfg["element_table"])
         cfg.element_table_path = str(file_cfg["element_table"])
@@ -187,9 +161,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             cfg.feed_exponent = exponent_from_gain(float(feed["gain_dbi"]))
     if "beam" in file_cfg:
         beam = file_cfg["beam"]
+        far = {"range_m": FAR_FIELD_RANGE_M}
         cfg.beam = BeamSpec(
-            tx=_parse_pose_mapping(beam.get("tx_pose", {"range_m": FAR_FIELD_RANGE_M}), "beam.tx_pose"),
-            rx=_parse_pose_mapping(beam.get("rx_pose", {"range_m": FAR_FIELD_RANGE_M}), "beam.rx_pose"),
+            tx=_parse_pose(beam.get("tx_pose", far), "beam.tx_pose", lenient=False),
+            rx=_parse_pose(beam.get("rx_pose", far), "beam.rx_pose", lenient=False),
             tx_model=str(beam.get("tx_model", "auto")),
             rx_model=str(beam.get("rx_model", "auto")),
             phase_offset=math.radians(float(beam.get("offset_deg", 0.0))),
@@ -331,24 +306,47 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- scan
 
 
+def _steer_sweep(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: int,
+                 angles: list[float], element_exponent: float, *,
+                 table: ElementStateTable | None = None,
+                 mode: str = "nominal") -> dict[str, list[tuple[float, float]]]:
+    """Scan loss and array-factor peak per plane for beams steered to -angle.
+
+    Each (plane, angle) gets one codebook and two cuts: one with
+    ``element_exponent`` for the scan loss, taken against the first angle's
+    cut, and one with gamma = 0 whose peak gives the pointing. Returns
+    {plane: [(loss_db, peak_deg) per angle]}.
+    """
+    feed = cfg.feed_pose()
+    sweep = {"E": [], "H": []}
+    for plane, results in sweep.items():
+        reference = None
+        for angle in angles:
+            spec = BeamSpec(tx=feed, rx=_steer_target(-angle, plane))
+            config = synthesize_codebook(spec, geom, carrier_hz, bits)
+            cut, af_cut = (
+                principal_cut(config, geom, carrier_hz, plane=plane, step_deg=cfg.grid_deg,
+                              feed=feed, feed_exponent=cfg.feed_exponent,
+                              element_exponent=gamma, table=table, mode=mode)
+                for gamma in (element_exponent, 0.0)
+            )
+            if reference is None:
+                reference = cut
+            peak_deg = math.degrees(af_cut.theta[int(np.argmax(af_cut.power[:, 0]))])
+            results.append((scan_loss(reference, cut), peak_deg))
+    return sweep
+
+
 def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
-    cfg.single_bits()  # reject bit ranges before any work
+    bits = cfg.single_bits()  # reject bit ranges before any work
     angles = [args.step_deg * i for i in range(int(args.max_deg / args.step_deg) + 1)]
     for line in cfg.header_lines():
         print(line)
+    sweep = _steer_sweep(cfg, cfg.geometry, cfg.carrier_hz, bits, angles, args.element_exponent,
+                         table=cfg.element_table, mode=cfg.mode)
     rows = []
-    reference: dict[str, object] = {}
-    for plane in ("E", "H"):
-        _, cut = _study_cut(cfg, 0.0, plane, args.element_exponent)
-        reference[plane] = cut
-    for angle in angles:
-        row = [f"{angle:.1f}"]
-        for plane in ("E", "H"):
-            _, cut = _study_cut(cfg, -angle, plane, args.element_exponent)
-            _, af_cut = _study_cut(cfg, -angle, plane, 0.0)
-            loss = scan_loss(reference[plane], cut)
-            pointing = af_cut.theta[int(np.argmax(af_cut.power[:, 0]))]
-            row += [f"{loss:.3f}", f"{math.degrees(pointing):.3f}"]
+    for angle, e_plane, h_plane in zip(angles, sweep["E"], sweep["H"]):
+        row = [f"{angle:.1f}"] + [f"{value:.3f}" for value in (*e_plane, *h_plane)]
         rows.append(row)
         print(f"steer {angle:5.1f} deg: E loss {row[1]} dB @ {row[2]} deg, "
               f"H loss {row[3]} dB @ {row[4]} deg")
@@ -374,9 +372,8 @@ def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(line)
     rows = []
     for bits in cfg.bits:
-        loss = quantization_loss(cfg.geometry, spec, cfg.carrier_hz, bits,
-                                 offset_samples=args.offset_samples)
-        closed_form = -20.0 * math.log10(math.sin(math.pi / (1 << bits)) / (math.pi / (1 << bits)))
+        loss = quantization_loss(cfg.geometry, spec, cfg.carrier_hz, bits)
+        closed_form = uniform_phase_loss_db(bits)
         rows.append([str(bits), f"{loss:.4f}", f"{closed_form:.4f}"])
         print(f"b={bits}: loss {loss:.3f} dB (uniform-phase closed form {closed_form:.3f} dB)")
     path = cfg.output_dir / "quantization_loss.csv"
@@ -488,8 +485,7 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     qrows = []
     for bits in (1, 2, 3, 4):
         loss = quantization_loss(bundle.geometry, spec, carrier, bits)
-        closed = -20.0 * math.log10(math.sin(math.pi / (1 << bits)) / (math.pi / (1 << bits)))
-        qrows.append([str(bits), f"{loss:.4f}", f"{closed:.4f}"])
+        qrows.append([str(bits), f"{loss:.4f}", f"{uniform_phase_loss_db(bits):.4f}"])
     _write_csv(cfg.output_dir / "quantization_loss.csv",
                ["bits_count", "loss_db", "uniform_phase_closed_form_db"], qrows)
     loss2 = float(qrows[1][1])
@@ -533,22 +529,10 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     scan_rows = []
     pointing_ok = True
     loss_window_ok = True
+    angles = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+    sweep = _steer_sweep(cfg, bundle.geometry, carrier, bundle.bits, angles, 1.0)
     for plane in ("E", "H"):
-        ref = None
-        for angle in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
-            target = _steer_target(-angle, plane)
-            sspec = BeamSpec(tx=feed, rx=target)
-            sconfig = synthesize_codebook(sspec, bundle.geometry, carrier, bundle.bits)
-            cut_g = principal_cut(sconfig, bundle.geometry, carrier, plane=plane,
-                                  step_deg=cfg.grid_deg, feed=feed,
-                                  feed_exponent=cfg.feed_exponent, element_exponent=1.0)
-            cut_af = principal_cut(sconfig, bundle.geometry, carrier, plane=plane,
-                                   step_deg=cfg.grid_deg, feed=feed,
-                                   feed_exponent=cfg.feed_exponent, element_exponent=0.0)
-            if ref is None:
-                ref = cut_g
-            loss = scan_loss(ref, cut_g)
-            peak_deg = math.degrees(cut_af.theta[int(np.argmax(cut_af.power[:, 0]))])
+        for angle, (loss, peak_deg) in zip(angles, sweep[plane]):
             if angle >= 10.0 and abs(peak_deg - (-angle)) > 1.0:
                 pointing_ok = False
             if angle == 60.0 and not (2.5 <= loss <= 6.0):
@@ -636,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantloss", parents=[common], help="quantization loss vs bit count")
     p.add_argument("--tx-range", type=float, default=FAR_FIELD_RANGE_M)
     p.add_argument("--rx-range", type=float, default=0.05)
-    p.add_argument("--offset-samples", type=int, default=16)
     p.set_defaults(func=cmd_quantloss)
 
     p = sub.add_parser("link", parents=[common], help="evaluate a scenario file")

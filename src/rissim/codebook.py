@@ -22,21 +22,12 @@ from .elements import nominal_phase_step
 TWO_PI = 2.0 * math.pi
 
 
-def quantize_phase(phase: float, bits: int) -> int:
-    """Nearest feasible phase code by circular distance; midpoint ties go down.
+def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
+    """Nearest feasible phase code per entry by circular distance; midpoint ties go down.
 
     The feasible phases are the 2^b multiples of 2 pi / 2^b; the circular
     quantization error therefore never exceeds pi / 2^b.
     """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    step = nominal_phase_step(bits)
-    x = phase % TWO_PI
-    return int(math.ceil(x / step - 0.5)) % (1 << bits)
-
-
-def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
-    """Vectorized :func:`quantize_phase`."""
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     step = nominal_phase_step(bits)

@@ -146,20 +146,12 @@ def default_element_table() -> ElementStateTable:
     )
 
 
-def state_coefficient(table: ElementStateTable, code: int, mode: Mode = "nominal") -> complex:
-    """Complex transmission coefficient Gamma * exp(j phi) for one code."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not (0 <= code < (1 << table.bits)):
-        raise ValueError(f"code {code} outside [0, {1 << table.bits})")
-    st = table.states[code]
-    if mode == "nominal":
-        return complex(math.cos(st.nominal_phase), math.sin(st.nominal_phase))
-    return st.magnitude * complex(math.cos(st.realized_phase), math.sin(st.realized_phase))
-
-
 def state_coefficients(table: ElementStateTable, codes: np.ndarray, mode: Mode = "nominal") -> np.ndarray:
-    """Vectorized :func:`state_coefficient` over an integer code array."""
+    """Complex transmission coefficients Gamma * exp(j phi) of an integer code array.
+
+    ``nominal`` mode gives unit magnitude at the grid phase; ``realized`` mode
+    the table's per-state magnitude and phase.
+    """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     codes = np.asarray(codes)

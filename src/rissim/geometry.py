@@ -139,37 +139,11 @@ def cartesian_to_spherical(x: float, y: float, z: float) -> tuple[float, float, 
     return d, theta, phi
 
 
-def _check_indices(m: int, n: int, geom: ArrayGeometry) -> None:
-    if not (0 <= m < geom.num_x and 0 <= n < geom.num_y):
-        raise ValueError(
-            f"element index ({m}, {n}) outside {geom.num_x}x{geom.num_y} panel"
-        )
-
-
-def element_position(m: int, n: int, geom: ArrayGeometry) -> tuple[float, float, float]:
-    """Position of element (m, n) in meters: (delta_m dx, delta_n dy, 0)."""
-    _check_indices(m, n, geom)
-    return (
-        (m - (geom.num_x - 1) / 2.0) * geom.spacing_x,
-        (n - (geom.num_y - 1) / 2.0) * geom.spacing_y,
-        0.0,
-    )
-
-
-def exact_distance(point: Pose, m: int, n: int, geom: ArrayGeometry) -> float:
-    """Spherical-wave distance from element (m, n) to the point."""
-    _check_indices(m, n, geom)
-    ex, ey, _ = element_position(m, n, geom)
-    d = math.sqrt((point.x - ex) ** 2 + (point.y - ey) ** 2 + point.z**2)
-    if d == 0.0:
-        raise DegenerateGeometryError(
-            f"point coincides with element ({m}, {n}); distances are undefined"
-        )
-    return d
-
-
 def exact_distances(point: Pose, geom: ArrayGeometry) -> np.ndarray:
-    """(Nx, Ny) array of spherical-wave distances from every element to the point."""
+    """(Nx, Ny) array of spherical-wave distances from every element to the point.
+
+    Raises :class:`DegenerateGeometryError` if the point coincides with an element.
+    """
     xe, ye = geom.element_grid()
     d = np.sqrt((point.x - xe) ** 2 + (point.y - ye) ** 2 + point.z**2)
     if np.any(d == 0.0):
@@ -177,22 +151,13 @@ def exact_distances(point: Pose, geom: ArrayGeometry) -> np.ndarray:
     return d
 
 
-def planar_distance(source: Pose, m: int, n: int, geom: ArrayGeometry) -> float:
-    """Planar-wave (far-field) distance approximation for element (m, n).
-
-    Returns r - delta_m dx sin(theta) cos(phi) - delta_n dy sin(theta) sin(phi);
-    the first-order expansion of :func:`exact_distance` in element offset.
-    """
-    _check_indices(m, n, geom)
-    if source.range <= 0:
-        raise ValueError("planar model requires a source with positive range")
-    ex, ey, _ = element_position(m, n, geom)
-    st = math.sin(source.polar)
-    return source.range - ex * st * math.cos(source.azimuth) - ey * st * math.sin(source.azimuth)
-
-
 def planar_distances(source: Pose, geom: ArrayGeometry) -> np.ndarray:
-    """(Nx, Ny) array of planar-model distances (see :func:`planar_distance`)."""
+    """(Nx, Ny) array of planar-wave (far-field) distance approximations.
+
+    Entry [m, n] is r - delta_m dx sin(theta) cos(phi) - delta_n dy sin(theta)
+    sin(phi): the first-order expansion of :func:`exact_distances` in element
+    offset, with (r, theta, phi) the source's spherical coordinates.
+    """
     if source.range <= 0:
         raise ValueError("planar model requires a source with positive range")
     xe, ye = geom.element_grid()

@@ -27,7 +27,7 @@ from .channel import GainProfile, coherent_power_bound, cos_power_pattern, recei
 from .codebook import RISConfiguration
 from .elements import ElementStateTable, Mode, default_element_table
 from .errors import InfeasibleTargetError
-from .geometry import ArrayGeometry, Pose
+from .geometry import ArrayGeometry, Pose, _require_finite
 from .units import dbm_to_watts, watts_to_dbm, wavelength
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -45,8 +45,8 @@ class Obstacle:
     position: str = "tx_side"
 
     def __post_init__(self):
-        if self.attenuation_db < 0:
-            raise ValueError(f"attenuation must be >= 0 dB, got {self.attenuation_db}")
+        if not (math.isfinite(self.attenuation_db) and self.attenuation_db >= 0):
+            raise ValueError(f"attenuation_db must be finite and >= 0, got {self.attenuation_db}")
         if self.position not in _OBSTACLE_POSITIONS:
             raise ValueError(f"position must be one of {_OBSTACLE_POSITIONS}")
 
@@ -56,6 +56,9 @@ class MCSRow:
     min_snr_db: float
     rate_mbps: float
     label: str = ""
+
+    def __post_init__(self):
+        _require_finite(min_snr_db=self.min_snr_db, rate_mbps=self.rate_mbps)
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,11 @@ class LinkScenario:
     expected_rate_mbps: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if not math.isfinite(self.transmit_power_dbm):
-            raise ValueError("transmit power must be finite")
+        _require_finite(transmit_power_dbm=self.transmit_power_dbm, carrier_hz=self.carrier_hz,
+                        bandwidth_hz=self.bandwidth_hz, noise_figure_db=self.noise_figure_db)
+        for name in ("carrier_hz", "bandwidth_hz"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.tx_pose.range <= 0 or self.rx_pose.range <= 0:
             raise ValueError("endpoint poses must have positive range")
 

@@ -88,11 +88,17 @@ def _parse_number(value, key: str, context: str) -> float:
     raise ConfigError(f"{context}: key '{key}' must be a number, got {value!r}")
 
 
+def _parse_count(value, key: str, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context}: key '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def _parse_geometry(raw: dict, context: str, lenient: bool) -> ArrayGeometry:
     _check_keys(raw, _GEOMETRY_KEYS, context, lenient)
     return ArrayGeometry(
-        num_x=int(_require(raw, "num_x", context)),
-        num_y=int(_require(raw, "num_y", context)),
+        num_x=_parse_count(_require(raw, "num_x", context), "num_x", context),
+        num_y=_parse_count(_require(raw, "num_y", context), "num_y", context),
         spacing_x=_parse_number(_require(raw, "spacing_x_m", context), "spacing_x_m", context),
         spacing_y=_parse_number(_require(raw, "spacing_y_m", context), "spacing_y_m", context),
     )
@@ -164,7 +170,7 @@ def load_scenario_bundle(path: str | Path, lenient: bool = False) -> ScenarioBun
     ctx = str(path)
     _check_keys(raw, _TOP_KEYS, ctx, lenient)
     geometry = _parse_geometry(_require(raw, "geometry", ctx), f"{ctx}: geometry", lenient)
-    bits = int(_require(raw, "bits", ctx))
+    bits = _parse_count(_require(raw, "bits", ctx), "bits", ctx)
     mode = str(raw.get("mode", "realized"))
     if mode not in ("nominal", "realized"):
         raise ConfigError(f"{ctx}: mode must be 'nominal' or 'realized', got {mode!r}")

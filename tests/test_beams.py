@@ -10,13 +10,13 @@ from rissim import (
     Pose,
     SearchSpaceError,
     exhaustive_oracle,
-    optimal_phase,
     optimal_phases,
     quantization_loss,
     received_power,
     resolve_model,
     sweep_phase_offset,
     synthesize_codebook,
+    uniform_phase_loss_db,
     unity_gain_profile,
 )
 
@@ -35,7 +35,7 @@ def test_broadside_far_field_phases_equal_offset(panel16):
     spec = BeamSpec(tx=FAR, rx=FAR, phase_offset=0.7)
     phases = optimal_phases(spec, panel16, CARRIER_HZ)
     np.testing.assert_allclose(phases, 0.7, rtol=0, atol=1e-9)
-    assert optimal_phase(3, 5, spec, panel16, CARRIER_HZ) == pytest.approx(0.7)
+    assert phases[3, 5] == pytest.approx(0.7)
 
 
 def test_offset_shifts_phase_map_and_preserves_power(panel16, rx_near, desk_gains):
@@ -110,11 +110,6 @@ def test_auto_model_selection(panel16):
         BeamSpec(tx=FAR, rx=FAR, tx_model="exact")
 
 
-def test_optimal_phase_index_validation(panel16):
-    with pytest.raises(ValueError):
-        optimal_phase(16, 0, BeamSpec(tx=FAR, rx=FAR), panel16, CARRIER_HZ)
-
-
 def test_oracle_single_element(table):
     geom = ArrayGeometry(1, 1)
     spec = BeamSpec(tx=Pose.from_spherical(1.0, 0.1, 0.0), rx=Pose.from_spherical(0.06, 0, 0))
@@ -179,10 +174,12 @@ def test_quantization_loss_monotone_in_bits(panel16, rx_near):
     assert all(a >= b for a, b in zip(losses, losses[1:]))
 
 
-def test_quantization_loss_sample_floor(panel16, rx_near):
+def test_uniform_phase_loss_closed_form():
+    assert uniform_phase_loss_db(2) == pytest.approx(0.912, abs=5e-4)
+    for bits in range(1, 9):
+        assert uniform_phase_loss_db(bits) == pytest.approx(closed_form_loss_db(bits), rel=1e-12)
     with pytest.raises(ValueError):
-        quantization_loss(panel16, BeamSpec(tx=FAR, rx=rx_near), CARRIER_HZ, 2,
-                          offset_samples=8)
+        uniform_phase_loss_db(0)
 
 
 def test_sweep_returns_winning_offset(panel16, rx_near):

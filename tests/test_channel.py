@@ -12,12 +12,9 @@ from rissim import (
     GainProfile,
     Pose,
     RISConfiguration,
-    SPEED_OF_LIGHT,
-    channel_coefficient,
     coherent_power_bound,
     cos_power_pattern,
     exponent_from_gain,
-    feed_illumination,
     feed_illuminations,
     optimal_phases,
     received_power,
@@ -54,45 +51,27 @@ def test_gain_profile_validation():
         GainProfile(0, 0, 0, 0, -0.1, 0, 0, 0)
 
 
-def test_channel_coefficient_prefactor():
-    lam = 0.0111
-    geom = ArrayGeometry(1, 1)
-    endpoint = Pose.from_spherical(1.0, 0.0, 0.0)
-    c = channel_coefficient("toward_rx", endpoint, 0, 0, geom, SPEED_OF_LIGHT / lam,
-                            unity_gain_profile())
-    assert abs(c) == pytest.approx(math.sqrt(lam / (4 * math.pi)), rel=1e-12)
-    assert abs(c) == pytest.approx(0.02973, abs=1e-5)
+def hop(distance: float) -> complex:
+    """One-hop channel exp(-j 2 pi d / lambda) / d of a 1x1 panel, without its prefactor.
+
+    The sqrt(lambda / 4 pi) prefactor is pinned by the single-element
+    received-power hand value below.
+    """
+    endpoint = Pose.from_spherical(distance, 0.0, 0.0)
+    grid = feed_illuminations(endpoint, ArrayGeometry(1, 1), CARRIER_HZ, exponent=0.0)
+    return complex(grid[0, 0])
 
 
 def test_channel_coefficient_inverse_distance():
-    geom = ArrayGeometry(1, 1)
-    profile = unity_gain_profile()
-    near = channel_coefficient("toward_tx", Pose.from_spherical(1.0, 0.0, 0.0), 0, 0,
-                               geom, CARRIER_HZ, profile)
-    far = channel_coefficient("toward_tx", Pose.from_spherical(2.0, 0.0, 0.0), 0, 0,
-                              geom, CARRIER_HZ, profile)
-    assert abs(far) == pytest.approx(abs(near) / 2, rel=1e-12)
+    assert abs(hop(2.0)) == pytest.approx(abs(hop(1.0)) / 2, rel=1e-12)
 
 
 def test_channel_coefficient_phase():
     lam = wavelength(CARRIER_HZ)
-    geom = ArrayGeometry(1, 1)
-    profile = unity_gain_profile()
     d = 0.7133
-    c = channel_coefficient("toward_rx", Pose.from_spherical(d, 0.0, 0.0), 0, 0,
-                            geom, CARRIER_HZ, profile)
     expected = (-2 * math.pi * d / lam) % (2 * math.pi)
-    assert np.angle(c) % (2 * math.pi) == pytest.approx(expected, abs=1e-9)
-    at_lam = channel_coefficient("toward_rx", Pose.from_spherical(lam, 0.0, 0.0), 0, 0,
-                                 geom, CARRIER_HZ, profile)
-    assert np.angle(at_lam) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_channel_coefficient_side_validation():
-    geom = ArrayGeometry(1, 1)
-    with pytest.raises(ValueError):
-        channel_coefficient("sideways", Pose.from_spherical(1, 0, 0), 0, 0, geom,
-                            CARRIER_HZ, unity_gain_profile())
+    assert np.angle(hop(d)) % (2 * math.pi) == pytest.approx(expected, abs=1e-9)
+    assert np.angle(hop(lam)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_received_power_single_element_hand_value():
@@ -208,7 +187,7 @@ def test_received_power_dimension_mismatch(panel16, table):
 def test_feed_illumination_center():
     geom = ArrayGeometry(17, 17)
     feed = Pose.from_spherical(0.05, 0.0, 0.0)
-    a = feed_illumination(feed, 8, 8, geom, CARRIER_HZ, exponent=8.31)
+    a = feed_illuminations(feed, geom, CARRIER_HZ, exponent=8.31)[8, 8]
     assert abs(a) == pytest.approx(1 / 0.05, rel=1e-12)
 
 
@@ -216,7 +195,7 @@ def test_feed_illumination_corner_taper(panel16):
     feed = Pose.from_spherical(0.05, 0.0, 0.0)
     d = math.sqrt(0.05**2 + 2 * 0.03675**2)
     expected = (0.05 / d) ** 8.31 / d
-    a = feed_illumination(feed, 0, 0, panel16, CARRIER_HZ, exponent=8.31)
+    a = feed_illuminations(feed, panel16, CARRIER_HZ, exponent=8.31)[0, 0]
     assert abs(a) == pytest.approx(expected, rel=1e-12)
     assert (0.05 / d) ** 8.31 == pytest.approx(0.0476, abs=2e-4)  # taper alone
 
@@ -245,14 +224,14 @@ def test_received_power_rejects_negative_power(panel16, table, tx_far, rx_near):
                        tx_far, rx_near, table=None)
 
 
-def test_channel_coefficient_degenerate_geometry(panel16):
-    from rissim import DegenerateGeometryError, element_position
+def test_channel_coefficient_degenerate_geometry(panel16, tx_far):
+    from rissim import DegenerateGeometryError
 
-    x, y, _ = element_position(2, 2, panel16)
-    on_panel = Pose.from_cartesian(x, y, 0.0)
+    xe, ye = panel16.element_grid()
+    on_panel = Pose.from_cartesian(xe[2, 2], ye[2, 2], 0.0)
     with pytest.raises(DegenerateGeometryError):
-        channel_coefficient("toward_rx", on_panel, 2, 2, panel16, CARRIER_HZ,
-                            unity_gain_profile())
+        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16, np.zeros((16, 16)),
+                       tx_far, on_panel)
 
 
 @given(exponent=st.floats(0.0, 200.0))

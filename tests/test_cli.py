@@ -102,6 +102,15 @@ def test_reproduce_small(tmp_path):
     for name in ("link_report.csv", "quantization_loss.csv", "pattern_metrics.csv",
                  "scan_loss.csv"):
         assert (tmp_path / name).exists()
+    # reproduce's steer sweep is nominal-mode, so it matches `rissim scan` at its defaults
+    assert run("scan", "--out", str(tmp_path / "scan")) == 0
+    scan_rows = read_csv(tmp_path / "scan" / "scan_loss.csv")
+    expected = [
+        [plane, row["steer_deg"], row[f"{plane.lower()}_plane_loss_db"],
+         row[f"{plane.lower()}_plane_peak_deg"]]
+        for plane in ("E", "H") for row in scan_rows
+    ]
+    assert [list(row.values()) for row in read_csv(tmp_path / "scan_loss.csv")] == expected
 
 
 def test_unknown_subcommand_usage_error():
@@ -129,6 +138,19 @@ def test_config_file_round_trip(tmp_path):
     assert run("codebook", "--config", str(cfg)) == 0
     rows = read_csv(tmp_path / "results" / "codes.csv")
     assert len(rows) == 8
+
+
+@pytest.mark.parametrize("geometry,field", [
+    ("{num_x: 2.5, num_y: 3.9}", "num_x"),
+    ("{num_x: 16.7}", "num_x"),
+    ("{num_y: true}", "num_y"),
+])
+def test_config_rejects_non_integer_counts(tmp_path, capsys, geometry, field):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"output_dir: {tmp_path / 'results'}\ngeometry: {geometry}\n")
+    assert run("codebook", "--config", str(cfg)) == 1
+    assert f"'{field}' must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "codes.csv").exists()
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from rissim import ElementState, ElementStateTable, state_coefficient, state_coefficients
+from rissim import ElementState, ElementStateTable, state_coefficients
 
 
 def test_default_table_values(table):
@@ -26,33 +27,35 @@ def test_default_table_steps_near_quarter_turn(table):
 
 
 def test_state_coefficient_realized(table):
-    c = state_coefficient(table, 0, "realized")
+    c = state_coefficients(table, np.array([0]), "realized")[0]
     assert abs(c) == pytest.approx(10 ** (-1.1 / 20), rel=1e-12)
     assert math.degrees(np.angle(c)) == pytest.approx(-141.2)
 
 
 def test_state_coefficient_nominal_identity(table):
-    assert state_coefficient(table, 0, "nominal") == pytest.approx(1.0 + 0.0j)
-    for code in range(4):
-        c = state_coefficient(table, code, "nominal")
+    coefficients = state_coefficients(table, np.arange(4), "nominal")
+    assert coefficients[0] == pytest.approx(1.0 + 0.0j)
+    for code, c in enumerate(coefficients):
         assert abs(c) == pytest.approx(1.0)
         assert np.angle(c) % (2 * math.pi) == pytest.approx(code * math.pi / 2, abs=1e-12)
 
 
 def test_state_coefficient_code_range(table):
     with pytest.raises(ValueError):
-        state_coefficient(table, 4, "nominal")
+        state_coefficients(table, np.array([4]), "nominal")
     with pytest.raises(ValueError):
-        state_coefficient(table, -1, "realized")
+        state_coefficients(table, np.array([-1]), "realized")
     with pytest.raises(ValueError):
-        state_coefficient(table, 0, "measured")
+        state_coefficients(table, np.array([0]), "measured")
 
 
 def test_state_coefficients_vectorized(table):
     codes = np.array([[0, 1], [2, 3]])
     got = state_coefficients(table, codes, "realized")
+    # per-code reference straight from the state records
     expected = np.array(
-        [[state_coefficient(table, c, "realized") for c in row] for row in codes]
+        [[table.states[c].magnitude * cmath.exp(1j * table.states[c].realized_phase) for c in row]
+         for row in codes]
     )
     np.testing.assert_allclose(got, expected)
     with pytest.raises(ValueError):

@@ -10,11 +10,8 @@ from rissim import (
     DegenerateGeometryError,
     Pose,
     cartesian_to_spherical,
-    element_position,
-    exact_distance,
     exact_distances,
     fraunhofer_distance,
-    planar_distance,
     planar_distances,
     spherical_to_cartesian,
     wavelength,
@@ -71,19 +68,20 @@ def test_pose_consistency_enforced():
 
 
 def test_element_position_corner(panel16):
-    assert element_position(0, 0, panel16) == pytest.approx((-36.75e-3, -36.75e-3, 0.0))
+    xe, ye = panel16.element_grid()
+    assert (xe[0, 0], ye[0, 0]) == pytest.approx((-36.75e-3, -36.75e-3))
 
 
 def test_element_position_center_odd():
-    geom = ArrayGeometry(17, 17)
-    assert element_position(8, 8, geom) == (0.0, 0.0, 0.0)
+    xe, ye = ArrayGeometry(17, 17).element_grid()
+    assert (xe[8, 8], ye[8, 8]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("m,n", [(0, 0), (3, 7), (15, 1)])
 def test_element_position_mirror_symmetry(panel16, m, n):
-    x1, y1, _ = element_position(m, n, panel16)
-    x2, y2, _ = element_position(panel16.num_x - 1 - m, panel16.num_y - 1 - n, panel16)
-    assert (x1, y1) == pytest.approx((-x2, -y2))
+    xe, ye = panel16.element_grid()
+    mirror = (panel16.num_x - 1 - m, panel16.num_y - 1 - n)
+    assert (xe[m, n], ye[m, n]) == pytest.approx((-xe[mirror], -ye[mirror]))
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (16, 16), (17, 5)])
@@ -95,24 +93,16 @@ def test_positions_sum_to_origin(nx, ny):
     assert geom.offsets_x().sum() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_element_position_index_errors(panel16):
-    for m, n in [(-1, 0), (16, 0), (0, 16)]:
-        with pytest.raises(ValueError):
-            element_position(m, n, panel16)
-        with pytest.raises(ValueError):
-            exact_distance(Pose.from_spherical(1.0, 0.0, 0.0), m, n, panel16)
-
-
 def test_exact_distance_center_element():
     geom = ArrayGeometry(17, 17)
     rx = Pose.from_spherical(0.05, 0.0, 0.0)
-    assert exact_distance(rx, 8, 8, geom) == pytest.approx(0.05, rel=1e-12)
+    assert exact_distances(rx, geom)[8, 8] == pytest.approx(0.05, rel=1e-12)
 
 
 def test_exact_distance_corner(panel16):
     rx = Pose.from_spherical(0.05, 0.0, 0.0)
     expected = math.sqrt(0.05**2 + 2 * 0.03675**2)
-    assert exact_distance(rx, 15, 15, panel16) == pytest.approx(expected, rel=1e-12)
+    assert exact_distances(rx, panel16)[15, 15] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.07212, abs=5e-6)
 
 
@@ -122,9 +112,8 @@ def test_exact_distances_never_below_z(panel16):
 
 
 def test_exact_distance_degenerate(panel16):
-    x, y, _ = element_position(4, 9, panel16)
-    with pytest.raises(DegenerateGeometryError):
-        exact_distance(Pose.from_cartesian(x, y, 0.0), 4, 9, panel16)
+    xe, ye = panel16.element_grid()
+    x, y = xe[4, 9], ye[4, 9]
     with pytest.raises(DegenerateGeometryError):
         exact_distances(Pose.from_cartesian(x, y, 0.0), panel16)
 
@@ -144,13 +133,13 @@ def test_planar_distance_broadside(panel16):
 def test_planar_distance_hand_value(panel16):
     src = Pose.from_spherical(2.6, math.radians(30.0), 0.0)
     # element m=15 has offset +7.5 -> 7.5 * 4.9 mm = 36.75 mm along x
-    assert planar_distance(src, 15, 0, panel16) == pytest.approx(2.6 - 0.03675 * 0.5, rel=1e-12)
+    assert planar_distances(src, panel16)[15, 0] == pytest.approx(2.6 - 0.03675 * 0.5, rel=1e-12)
 
 
 def test_planar_distance_requires_positive_range(panel16):
     origin = Pose.from_cartesian(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        planar_distance(origin, 0, 0, panel16)
+        planar_distances(origin, panel16)
 
 
 def test_fresnel_remainder_bound(panel16):

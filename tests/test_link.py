@@ -98,6 +98,31 @@ def test_obstacle_validation():
     assert Obstacle().attenuation_db == 25.0
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "field", ["carrier_hz", "bandwidth_hz", "noise_figure_db", "transmit_power_dbm"]
+)
+def test_scenario_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        make_scenario(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_obstacle_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="attenuation_db"):
+        Obstacle(attenuation_db=bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["min_snr_db", "rate_mbps"])
+def test_mcs_row_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        MCSRow(**{"min_snr_db": 10.0, "rate_mbps": 450.0, field: bad})
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         make_scenario(bandwidth_hz=0.0)

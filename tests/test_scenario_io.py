@@ -70,6 +70,19 @@ def test_missing_top_level_key(tmp_path):
         load_scenario_bundle(path)
 
 
+@pytest.mark.parametrize("old,new,key", [
+    ("num_x: 4, num_y: 4", "num_x: 2.5, num_y: 3.9", "num_x"),
+    ("num_x: 4", "num_x: 16.7", "num_x"),
+    ("num_y: 4", "num_y: true", "num_y"),
+    ("bits: 2", "bits: 2.5", "bits"),
+])
+def test_non_integer_counts_rejected(tmp_path, old, new, key):
+    path = tmp_path / "counts.scenario"
+    path.write_text(MINIMAL.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
+        load_scenario_bundle(path)
+
+
 def test_unknown_key_strict_vs_lenient(tmp_path):
     path = tmp_path / "extra.scenario"
     path.write_text(MINIMAL + "    mystery_knob: 3\n")
