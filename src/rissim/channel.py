@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import RISConfiguration
-from .elements import ElementStateTable, Mode, state_coefficients
+from .codebook import RISConfiguration, _excitation_coefficients
+from .elements import ElementStateTable, Mode
 from .geometry import ArrayGeometry, Pose, exact_distances
 from .units import db_to_linear, wavelength
 
@@ -134,19 +134,6 @@ def feed_illuminations(
     return cos_psi**exponent * np.exp(-2j * math.pi * d / lam) / d
 
 
-def _element_coefficients(
-    excitation: RISConfiguration | np.ndarray,
-    table: ElementStateTable | None,
-    mode: Mode,
-) -> np.ndarray:
-    """Gamma * exp(j phi) per element, from codes or from continuous phases."""
-    if isinstance(excitation, RISConfiguration):
-        assert table is not None
-        return state_coefficients(table, excitation.codes, mode)
-    phases = np.asarray(excitation, dtype=float)
-    return np.exp(1j * phases)  # continuous surrogate: ideal magnitude
-
-
 def received_power(
     tx_power_w: float,
     carrier_hz: float,
@@ -168,22 +155,12 @@ def received_power(
     """
     if tx_power_w < 0:
         raise ValueError(f"transmit power must be >= 0, got {tx_power_w}")
-    if isinstance(excitation, RISConfiguration):
-        if excitation.geom != geom:
-            raise ValueError("configuration geometry does not match the panel")
-        if table is None:
-            raise ValueError("a state table is required to evaluate a code grid")
-    else:
-        phases = np.asarray(excitation, dtype=float)
-        if phases.shape != (geom.num_x, geom.num_y):
-            raise ValueError(
-                f"phase grid shape {phases.shape} does not match panel "
-                f"({geom.num_x}, {geom.num_y})"
-            )
+    if isinstance(excitation, RISConfiguration) and table is None:
+        raise ValueError("a state table is required to evaluate a code grid")
+    coeff = _excitation_coefficients(excitation, geom, table, mode)
     lam = wavelength(carrier_hz)
     dt = exact_distances(tx, geom)
     dr = exact_distances(rx, geom)
-    coeff = _element_coefficients(excitation, table, mode)
     total = np.sum(coeff * np.exp(-2j * math.pi * (dt + dr) / lam) / (dt * dr))
     g = profile.total_gain_linear()
     f = profile.panel_pattern_factor(tx, rx)

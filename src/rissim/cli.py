@@ -31,6 +31,7 @@ from .errors import ConfigError, RisSimError
 from .geometry import ArrayGeometry, Pose
 from .link import required_transmit_power, evaluate_scenario
 from .patterns import (
+    PatternMetrics,
     directivity_and_gain,
     aperture_efficiency,
     hemisphere_grid,
@@ -40,8 +41,8 @@ from .patterns import (
     radiation_pattern,
     scan_loss,
 )
-from .scenario_io import (_check_keys, _parse_geometry, _parse_pose, bundled_scenario_path,
-                          load_scenario_bundle)
+from .scenario_io import (_GEOMETRY_KEYS, _check_keys, _parse_count, _parse_geometry,
+                          _parse_number, _parse_pose, bundled_scenario_path, load_scenario_bundle)
 
 OUT_DIR_ENV = "RISSIM_OUT"
 
@@ -134,6 +135,7 @@ def load_run_config(path: str | Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     _check_keys(raw, _CONFIG_KEYS, str(path), lenient=False)
+    _check_keys(raw.get("geometry", {}), _GEOMETRY_KEYS, f"{path}: geometry", lenient=False)
     _check_keys(raw.get("feed", {}), _FEED_KEYS, f"{path}: feed", lenient=False)
     _check_keys(raw.get("beam", {}), _BEAM_KEYS, f"{path}: beam", lenient=False)
     return raw
@@ -154,11 +156,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         cfg.element_table_path = str(file_cfg["element_table"])
     if "feed" in file_cfg:
         feed = file_cfg["feed"]
-        cfg.feed_range_m = float(feed.get("range_m", cfg.feed_range_m))
+        cfg.feed_range_m = _parse_number(feed.get("range_m", cfg.feed_range_m), "range_m", "feed")
         if "exponent" in feed:
-            cfg.feed_exponent = float(feed["exponent"])
+            cfg.feed_exponent = _parse_number(feed["exponent"], "exponent", "feed")
         elif "gain_dbi" in feed:
-            cfg.feed_exponent = exponent_from_gain(float(feed["gain_dbi"]))
+            cfg.feed_exponent = exponent_from_gain(
+                _parse_number(feed["gain_dbi"], "gain_dbi", "feed"))
     if "beam" in file_cfg:
         beam = file_cfg["beam"]
         far = {"range_m": FAR_FIELD_RANGE_M}
@@ -167,13 +170,17 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             rx=_parse_pose(beam.get("rx_pose", far), "beam.rx_pose", lenient=False),
             tx_model=str(beam.get("tx_model", "auto")),
             rx_model=str(beam.get("rx_model", "auto")),
-            phase_offset=math.radians(float(beam.get("offset_deg", 0.0))),
+            phase_offset=math.radians(
+                _parse_number(beam.get("offset_deg", 0.0), "offset_deg", "beam")),
         )
     if "scenario" in file_cfg:
         cfg.scenario_path = Path(file_cfg["scenario"])
 
-    cfg.grid_deg = args.grid_deg if args.grid_deg is not None else float(file_cfg.get("grid_deg", cfg.grid_deg))
-    cfg.hemisphere_grid_deg = float(file_cfg.get("hemisphere_grid_deg", cfg.hemisphere_grid_deg))
+    cfg.grid_deg = args.grid_deg if args.grid_deg is not None else _parse_number(
+        file_cfg.get("grid_deg", cfg.grid_deg), "grid_deg", "run config")
+    cfg.hemisphere_grid_deg = _parse_number(
+        file_cfg.get("hemisphere_grid_deg", cfg.hemisphere_grid_deg), "hemisphere_grid_deg",
+        "run config")
     if args.bits is not None:
         cfg.bits = parse_bits(args.bits)
     elif "bits" in file_cfg:
@@ -185,7 +192,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if mode not in ("nominal", "realized"):
             raise ConfigError(f"mode must be 'nominal' or 'realized', got {mode!r}")
         cfg.mode = mode
-    cfg.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    cfg.seed = args.seed if args.seed is not None else _parse_count(
+        file_cfg.get("seed", 0), "seed", "run config")
     if cfg.grid_deg <= 0:
         raise ConfigError(f"grid resolution must be positive, got {cfg.grid_deg}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -312,10 +320,10 @@ def _steer_sweep(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: i
                  mode: str = "nominal") -> dict[str, list[tuple[float, float]]]:
     """Scan loss and array-factor peak per plane for beams steered to -angle.
 
-    Each (plane, angle) gets one codebook and two cuts: one with
-    ``element_exponent`` for the scan loss, taken against the first angle's
-    cut, and one with gamma = 0 whose peak gives the pointing. Returns
-    {plane: [(loss_db, peak_deg) per angle]}.
+    Each (plane, angle) gets one codebook and one array-factor cut
+    (gamma = 0), whose peak gives the pointing. The same cut times the
+    element factor cos^gamma(theta) gives the scan loss, taken against the
+    first angle's. Returns {plane: [(loss_db, peak_deg) per angle]}.
     """
     feed = cfg.feed_pose()
     sweep = {"E": [], "H": []}
@@ -324,12 +332,10 @@ def _steer_sweep(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: i
         for angle in angles:
             spec = BeamSpec(tx=feed, rx=_steer_target(-angle, plane))
             config = synthesize_codebook(spec, geom, carrier_hz, bits)
-            cut, af_cut = (
-                principal_cut(config, geom, carrier_hz, plane=plane, step_deg=cfg.grid_deg,
-                              feed=feed, feed_exponent=cfg.feed_exponent,
-                              element_exponent=gamma, table=table, mode=mode)
-                for gamma in (element_exponent, 0.0)
-            )
+            af_cut = principal_cut(config, geom, carrier_hz, plane=plane, step_deg=cfg.grid_deg,
+                                   feed=feed, feed_exponent=cfg.feed_exponent,
+                                   element_exponent=0.0, table=table, mode=mode)
+            cut = af_cut.with_element_factor(element_exponent)
             if reference is None:
                 reference = cut
             peak_deg = math.degrees(af_cut.theta[int(np.argmax(af_cut.power[:, 0]))])
@@ -339,6 +345,10 @@ def _steer_sweep(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: i
 
 def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     bits = cfg.single_bits()  # reject bit ranges before any work
+    if not (math.isfinite(args.step_deg) and args.step_deg > 0):
+        raise ConfigError(f"--step-deg must be positive, got {args.step_deg}")
+    if not (math.isfinite(args.max_deg) and args.max_deg >= 0):
+        raise ConfigError(f"--max-deg must be >= 0, got {args.max_deg}")
     angles = [args.step_deg * i for i in range(int(args.max_deg / args.step_deg) + 1)]
     for line in cfg.header_lines():
         print(line)
@@ -446,24 +456,77 @@ def cmd_link(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- reproduce
 
+# The release criteria: each of the paper's measured claims and the closed
+# window [low, high] its measured value must fall in. `rissim reproduce` and
+# tests/test_acceptance.py both judge them through measure_campaign.
+RELEASE_CRITERIA: dict[str, tuple[float, float]] = {
+    "scenario rates": (0.0, 0.0),  # rows off the campaign's rate column
+    "transmit-power reduction": (7.0, 10.5),  # dB
+    "2-bit quantization loss": (uniform_phase_loss_db(2) - 0.3, 1.0),  # dB
+    "1-bit quantization loss": (3.0, 4.5),  # dB
+    "broadside sidelobes": (-math.inf, -18.0),  # dB
+    "broadside beamwidth": (6.0, 10.0),  # deg
+    "broadside gain": (20.0, 24.0),  # dBi
+    "aperture-efficiency identity": (25.3 - 0.1, 25.3 + 0.1),  # percent
+    "steered pointing": (-math.inf, 1.0),  # worst error, deg
+    "60-deg scan loss": (2.5, 6.0),  # dB, each plane
+    "codebook-vs-oracle gap": (-math.inf, 0.05),  # worst gap, dB
+}
 
-def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
-    checks: list[tuple[str, bool]] = []
+_QUANTIZATION_BITS = (1, 2, 3, 4)
+_STEER_ANGLES_DEG = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
 
-    def check(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, ok))
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
-    for line in cfg.header_lines():
-        print(line)
+@dataclass(frozen=True)
+class Verdict:
+    """One release criterion judged: its measured value against its window."""
+
+    name: str
+    value: float | tuple[float, ...]  # a tuple when every entry must lie in the window
+    window: tuple[float, float]
+    passed: bool
+    detail: str
+
+    def line(self) -> str:
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """The measured release campaign and one verdict per release criterion."""
+
+    link_results: list
+    losses_db: list[float]  # per bit count in _QUANTIZATION_BITS
+    broadside: PatternMetrics
+    directivity_dbi: float
+    gain_dbi: float
+    aperture_efficiency: float
+    sweep: dict[str, list[tuple[float, float]]]  # _steer_sweep over _STEER_ANGLES_DEG
+    verdicts: list[Verdict]
+
+
+def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
+    """Measure the release campaign once and judge every release criterion.
+
+    Measurements are shared between criteria: the 2-bit loss as written to
+    ``quantization_loss.csv`` enters the gain budget, and one steer sweep
+    gives both the pointing and the scan loss. The oracle trials draw their
+    random 2x2 poses from ``cfg.seed``.
+    """
+    verdicts: list[Verdict] = []
+
+    def judge(name: str, value, detail: str, holds: bool = True) -> None:
+        low, high = RELEASE_CRITERIA[name]
+        values = value if isinstance(value, tuple) else (value,)
+        passed = bool(holds and all(low <= v <= high for v in values))
+        verdicts.append(Verdict(name, value, (low, high), passed, detail))
 
     # scenario bundle
     path = cfg.scenario_path or bundled_scenario_path()
     bundle, results = _evaluate_bundle(cfg, path)
-    _write_csv(cfg.output_dir / "link_report.csv", _LINK_HEADER, _link_rows(results))
     bad = [s.name for s, r in results
            if s.expected_rate_mbps is not None and r.rate_mbps != s.expected_rate_mbps]
-    check("scenario rates", not bad,
+    judge("scenario rates", len(bad),
           f"{len(results)} rows from {path.name}" + (f"; mismatches: {bad}" if bad else ""))
 
     # required-power reduction for the back-to-back rate pair
@@ -474,25 +537,20 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     p_panel = required_transmit_power(with_panel, bundle.geometry, bundle.bits,
                                       1121.0, table=cfg.element_table, mode=bundle.mode)
     delta = p_direct - p_panel
-    check("transmit-power reduction", 7.0 <= delta <= 10.5,
+    judge("transmit-power reduction", delta,
           f"{p_direct:.1f} dBm for 1024 Mbps direct vs {p_panel:.1f} dBm for 1121 Mbps "
           f"with panel: {delta:.2f} dB saved")
 
-    # quantization loss ladder
+    # quantization loss ladder, judged at the 4 decimals the CSV holds
     carrier = bundle.scenarios[0].carrier_hz
     spec = BeamSpec(tx=Pose.from_spherical(FAR_FIELD_RANGE_M, 0.0, 0.0),
                     rx=Pose.from_spherical(0.05, 0.0, 0.0))
-    qrows = []
-    for bits in (1, 2, 3, 4):
-        loss = quantization_loss(bundle.geometry, spec, carrier, bits)
-        qrows.append([str(bits), f"{loss:.4f}", f"{uniform_phase_loss_db(bits):.4f}"])
-    _write_csv(cfg.output_dir / "quantization_loss.csv",
-               ["bits_count", "loss_db", "uniform_phase_closed_form_db"], qrows)
-    loss2 = float(qrows[1][1])
-    loss1 = float(qrows[0][1])
-    check("2-bit quantization loss", loss2 <= 1.0 and abs(loss2 - 0.912) <= 0.3,
-          f"{loss2:.3f} dB (closed form 0.912 dB)")
-    check("1-bit quantization loss", 3.0 <= loss1 <= 4.5, f"{loss1:.3f} dB")
+    losses = [quantization_loss(bundle.geometry, spec, carrier, bits)
+              for bits in _QUANTIZATION_BITS]
+    loss1, loss2 = round(losses[0], 4), round(losses[1], 4)
+    judge("2-bit quantization loss", loss2,
+          f"{loss2:.3f} dB (closed form {uniform_phase_loss_db(2):.3f} dB)")
+    judge("1-bit quantization loss", loss1, f"{loss1:.3f} dB")
 
     # broadside pattern metrics and gain estimate
     feed = cfg.feed_pose()
@@ -501,8 +559,8 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     cut = principal_cut(config, bundle.geometry, carrier, plane="E", step_deg=cfg.grid_deg,
                         feed=feed, feed_exponent=cfg.feed_exponent, element_exponent=1.0)
     m = pattern_metrics(cut)
-    check("broadside sidelobes", m.sidelobe_level_db <= -18.0, f"SLL {m.sidelobe_level_db:.2f} dB")
-    check("broadside beamwidth", 6.0 <= m.hpbw_deg <= 10.0, f"HPBW {m.hpbw_deg:.2f} deg")
+    judge("broadside sidelobes", m.sidelobe_level_db, f"SLL {m.sidelobe_level_db:.2f} dB")
+    judge("broadside beamwidth", m.hpbw_deg, f"HPBW {m.hpbw_deg:.2f} deg")
     theta, phi = hemisphere_grid(cfg.hemisphere_grid_deg)
     full = radiation_pattern(config, bundle.geometry, carrier, feed=feed,
                              feed_exponent=cfg.feed_exponent, element_exponent=1.0,
@@ -510,61 +568,75 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     budget = cfg.element_table.mean_insertion_loss_db() + loss2
     directivity_dbi, gain_dbi = directivity_and_gain(full, budget)
     eff = aperture_efficiency(gain_dbi, bundle.geometry.aperture_area, carrier)
-    check("broadside gain", 20.0 <= gain_dbi <= 24.0,
+    judge("broadside gain", gain_dbi,
           f"directivity {directivity_dbi:.2f} dBi - {budget:.2f} dB budget = {gain_dbi:.2f} dBi "
           f"(aperture efficiency {100 * eff:.1f}%)")
-    _write_csv(cfg.output_dir / "pattern_metrics.csv",
-               ["plane", "peak_direction_deg", "sidelobe_level_db", "hpbw_deg",
-                "directivity_dbi", "gain_dbi", "aperture_efficiency_pct"],
-               [["E", f"{m.peak_direction_deg:.3f}", f"{m.sidelobe_level_db:.3f}",
-                 f"{m.hpbw_deg:.3f}", f"{directivity_dbi:.3f}", f"{gain_dbi:.3f}",
-                 f"{100 * eff:.3f}"]])
 
     # aperture-efficiency identity at the measured panel gain
-    eff_meas = aperture_efficiency(22.0, 0.0784 * 0.0784, 27.0e9)
-    check("aperture-efficiency identity", abs(100 * eff_meas - 25.3) <= 0.1,
-          f"22.0 dBi over 78.4x78.4 mm at 27 GHz -> {100 * eff_meas:.2f}%")
+    eff_meas = 100 * aperture_efficiency(22.0, 0.0784 * 0.0784, 27.0e9)
+    judge("aperture-efficiency identity", eff_meas,
+          f"22.0 dBi over 78.4x78.4 mm at 27 GHz -> {eff_meas:.2f}%")
 
     # steering: pointing on array-factor cuts, scan loss with the element factor
-    scan_rows = []
-    pointing_ok = True
-    loss_window_ok = True
-    angles = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-    sweep = _steer_sweep(cfg, bundle.geometry, carrier, bundle.bits, angles, 1.0)
-    for plane in ("E", "H"):
-        for angle, (loss, peak_deg) in zip(angles, sweep[plane]):
-            if angle >= 10.0 and abs(peak_deg - (-angle)) > 1.0:
-                pointing_ok = False
-            if angle == 60.0 and not (2.5 <= loss <= 6.0):
-                loss_window_ok = False
-            scan_rows.append([plane, f"{angle:.1f}", f"{loss:.3f}", f"{peak_deg:.3f}"])
-    _write_csv(cfg.output_dir / "scan_loss.csv",
-               ["plane", "steer_deg", "scan_loss_db", "af_peak_deg"], scan_rows)
-    check("steered pointing", pointing_ok, "array-factor peaks within 1 deg of target, both planes")
-    sixty = {r[0]: r[2] for r in scan_rows if r[1] == "60.0"}
-    check("60-deg scan loss", loss_window_ok,
-          f"E {sixty['E']} dB, H {sixty['H']} dB (window 2.5..6.0)")
+    sweep = _steer_sweep(cfg, bundle.geometry, carrier, bundle.bits, _STEER_ANGLES_DEG, 1.0)
+    pointing_error = max(abs(peak_deg + angle)
+                         for plane in ("E", "H")
+                         for angle, (_, peak_deg) in zip(_STEER_ANGLES_DEG, sweep[plane])
+                         if angle >= 10.0)
+    judge("steered pointing", pointing_error,
+          "array-factor peaks within 1 deg of target, both planes")
+    sixty = (sweep["E"][-1][0], sweep["H"][-1][0])
+    judge("60-deg scan loss", sixty,
+          f"E {sixty[0]:.3f} dB, H {sixty[1]:.3f} dB (window 2.5..6.0)")
 
-    # small-panel oracle agreement
+    # small-panel oracle agreement; the sweep may never beat the optimum
     rng = np.random.default_rng(cfg.seed)
     small = ArrayGeometry(2, 2, bundle.geometry.spacing_x, bundle.geometry.spacing_y)
+    profile = unity_gain_profile()
     worst = 0.0
-    trials = args.oracle_trials
-    for _ in range(trials):
+    dominated = True
+    for _ in range(oracle_trials):
         tx = Pose.from_spherical(rng.uniform(0.5, 3.0), rng.uniform(0, math.pi / 3),
                                  rng.uniform(0, 2 * math.pi))
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, math.pi / 3),
                                  rng.uniform(0, 2 * math.pi))
         ospec = BeamSpec(tx=tx, rx=rx)
-        profile = unity_gain_profile()
         _, p_sweep, _ = sweep_phase_offset(ospec, small, carrier, 2, profile=profile, samples=64)
         _, p_oracle = exhaustive_oracle(ospec, small, carrier, 2, profile=profile)
+        dominated &= p_oracle >= p_sweep * (1 - 1e-12)
         worst = max(worst, 10.0 * math.log10(p_oracle / p_sweep))
-    check("codebook-vs-oracle gap", worst <= 0.05,
-          f"worst gap {worst:.4f} dB over {trials} random 2x2 poses (seed {cfg.seed})")
+    judge("codebook-vs-oracle gap", worst,
+          f"worst gap {worst:.4f} dB over {oracle_trials} random 2x2 poses (seed {cfg.seed})",
+          holds=dominated)
 
-    failed = [name for name, ok in checks if not ok]
-    print(f"\n{len(checks) - len(failed)}/{len(checks)} checks passed"
+    return Campaign(results, losses, m, directivity_dbi, gain_dbi, eff, sweep, verdicts)
+
+
+def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
+    for line in cfg.header_lines():
+        print(line)
+    campaign = measure_campaign(cfg, args.oracle_trials)
+    _write_csv(cfg.output_dir / "link_report.csv", _LINK_HEADER, _link_rows(campaign.link_results))
+    _write_csv(cfg.output_dir / "quantization_loss.csv",
+               ["bits_count", "loss_db", "uniform_phase_closed_form_db"],
+               [[str(bits), f"{loss:.4f}", f"{uniform_phase_loss_db(bits):.4f}"]
+                for bits, loss in zip(_QUANTIZATION_BITS, campaign.losses_db)])
+    m = campaign.broadside
+    _write_csv(cfg.output_dir / "pattern_metrics.csv",
+               ["plane", "peak_direction_deg", "sidelobe_level_db", "hpbw_deg",
+                "directivity_dbi", "gain_dbi", "aperture_efficiency_pct"],
+               [["E", f"{m.peak_direction_deg:.3f}", f"{m.sidelobe_level_db:.3f}",
+                 f"{m.hpbw_deg:.3f}", f"{campaign.directivity_dbi:.3f}",
+                 f"{campaign.gain_dbi:.3f}", f"{100 * campaign.aperture_efficiency:.3f}"]])
+    _write_csv(cfg.output_dir / "scan_loss.csv",
+               ["plane", "steer_deg", "scan_loss_db", "af_peak_deg"],
+               [[plane, f"{angle:.1f}", f"{loss:.3f}", f"{peak_deg:.3f}"]
+                for plane in ("E", "H")
+                for angle, (loss, peak_deg) in zip(_STEER_ANGLES_DEG, campaign.sweep[plane])])
+    for verdict in campaign.verdicts:
+        print(verdict.line())
+    failed = [v.name for v in campaign.verdicts if not v.passed]
+    print(f"\n{len(campaign.verdicts) - len(failed)}/{len(campaign.verdicts)} checks passed"
           + (f"; failed: {failed}" if failed else ""))
     return 1 if failed else 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedConfigurationError
 from .geometry import ArrayGeometry
-from .elements import nominal_phase_step
+from .elements import ElementStateTable, Mode, nominal_phase_step, state_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,6 +87,39 @@ class RISConfiguration:
             next(reader)  # header
             rows = [[int(v) for v in row] for row in reader if row]
         return cls(geom=geom, bits=bits, codes=np.array(rows))
+
+
+def _excitation_coefficients(
+    excitation: RISConfiguration | np.ndarray,
+    geom: ArrayGeometry,
+    table: ElementStateTable | None,
+    mode: Mode,
+) -> np.ndarray:
+    """Gamma * exp(j phi) per element, from a code grid or from continuous phases.
+
+    A code grid is read against ``table``; in nominal mode a table of another
+    bit depth (or none) is replaced by the ideal table of the grid's own
+    2^b phases, while realized mode needs a table of the grid's bit depth.
+    Continuous phases have ideal unit magnitude.
+    """
+    if isinstance(excitation, RISConfiguration):
+        if excitation.geom != geom:
+            raise ValueError("configuration geometry does not match the panel")
+        if table is None or table.bits != excitation.bits:
+            if mode == "realized" and table is not None:
+                raise ValueError(
+                    f"{excitation.bits}-bit codes cannot be read against a "
+                    f"{table.bits}-bit state table in realized mode"
+                )
+            table = ElementStateTable.ideal(excitation.bits)
+        return state_coefficients(table, excitation.codes, mode)
+    phases = np.asarray(excitation, dtype=float)
+    if phases.shape != (geom.num_x, geom.num_y):
+        raise ValueError(
+            f"phase grid shape {phases.shape} does not match panel "
+            f"({geom.num_x}, {geom.num_y})"
+        )
+    return np.exp(1j * phases)
 
 
 # Bias-line bit assignment for the 2-bit element, per element in code order:

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import feed_illuminations
-from .codebook import RISConfiguration
-from .elements import ElementStateTable, Mode, state_coefficients
+from .codebook import RISConfiguration, _excitation_coefficients
+from .elements import ElementStateTable, Mode
 from .errors import MetricUndefinedError, ResolutionError
 from .geometry import ArrayGeometry, Pose
 from .units import db_to_linear, wavelength
@@ -96,25 +96,24 @@ class RadiationPattern:
     def is_cut(self) -> bool:
         return self.phi.size == 1
 
+    def with_element_factor(self, element_exponent: float) -> "RadiationPattern":
+        """This field times the single-element factor cos^gamma(theta).
 
-def _excitation_weights(
-    excitation: RISConfiguration | np.ndarray,
-    geom: ArrayGeometry,
-    table: ElementStateTable | None,
-    mode: Mode,
-) -> np.ndarray:
-    if isinstance(excitation, RISConfiguration):
-        if excitation.geom != geom:
-            raise ValueError("configuration geometry does not match the panel")
-        tab = table if table is not None else ElementStateTable.ideal(excitation.bits)
-        return state_coefficients(tab, excitation.codes, mode)
-    phases = np.asarray(excitation, dtype=float)
-    if phases.shape != (geom.num_x, geom.num_y):
-        raise ValueError(
-            f"phase grid shape {phases.shape} does not match panel "
-            f"({geom.num_x}, {geom.num_y})"
+        On an array-factor pattern (gamma = 0) this gives the same field as
+        evaluating the pattern again with ``element_exponent``.
+        """
+        return RadiationPattern(
+            theta=self.theta, phi=self.phi,
+            field=self.field * _element_factor(self.theta, element_exponent),
+            carrier_hz=self.carrier_hz, normalization=self.normalization,
         )
-    return np.exp(1j * phases)
+
+
+def _element_factor(theta: np.ndarray, element_exponent: float) -> np.ndarray:
+    """The (len(theta), 1) column cos^gamma(theta) of the single-element field."""
+    if element_exponent < 0:
+        raise ValueError(f"element exponent must be >= 0, got {element_exponent}")
+    return np.cos(theta)[:, None] ** element_exponent
 
 
 def radiation_pattern(
@@ -140,9 +139,8 @@ def radiation_pattern(
     phi = np.asarray(phi, dtype=float)
     if theta.size == 0 or phi.size == 0:
         raise ValueError("direction grid must be non-empty")
-    if element_exponent < 0:
-        raise ValueError(f"element exponent must be >= 0, got {element_exponent}")
-    weights = _excitation_weights(excitation, geom, table, mode)
+    element_factor = _element_factor(theta, element_exponent)
+    weights = _excitation_coefficients(excitation, geom, table, mode)
     if feed is not None:
         weights = weights * feed_illuminations(feed, geom, carrier_hz, feed_exponent)
     k = 2.0 * math.pi / wavelength(carrier_hz)
@@ -159,7 +157,7 @@ def radiation_pattern(
         a = np.exp(1j * np.outer(s * cos_phi[i_phi], kx))  # a(u), (chunk, Nx)
         b = np.exp(1j * np.outer(s * sin_phi[i_phi], ky))  # b(v), (chunk, Ny)
         field[start:stop] = ((a @ weights) * b).sum(axis=1)
-    field = field.reshape(theta.size, phi.size) * np.cos(theta)[:, None] ** element_exponent
+    field = field.reshape(theta.size, phi.size) * element_factor
     return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
 
 

@@ -67,6 +67,8 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str, lenient: bool) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         msg = f"{context}: unknown key(s) {sorted(unknown)}"
@@ -177,8 +179,6 @@ def load_scenario_bundle(path: str | Path, lenient: bool = False) -> ScenarioBun
     mcs = _parse_mcs(_require(raw, "mcs", ctx), ctx, lenient)
 
     defaults = raw.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise ConfigError(f"{ctx}: 'defaults' must be a mapping")
     _check_keys(defaults, _SCENARIO_KEYS - {"name", "expected_rate_mbps"}, f"{ctx}: defaults", lenient)
 
     entries = _require(raw, "scenarios", ctx)

@@ -1,4 +1,12 @@
-"""Acceptance suite: one test per release criterion, each printing a verdict.
+"""Acceptance suite: every release criterion, judged by the one registry.
+
+The criteria, their windows and their measurement live in
+``rissim.cli`` (``RELEASE_CRITERIA`` and ``measure_campaign``), which
+``rissim reproduce`` runs too. Here the campaign is measured once, with
+100 oracle trials at a fixed seed, and each test asserts the verdicts of
+one criterion. ``WINDOWS`` pins every window, so loosening one in the
+package fails this suite. Criterion 8 and the closed-form pins are
+independent references computed here.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
 and the measured value for every criterion.
@@ -13,41 +21,22 @@ from rissim import (
     ArrayGeometry,
     BeamSpec,
     Pose,
-    aperture_efficiency,
     cartesian_to_spherical,
     coherent_power_bound,
-    directivity_and_gain,
-    evaluate_scenario,
-    exhaustive_oracle,
-    hemisphere_grid,
-    load_bundled_scenarios,
     optimal_phases,
-    pattern_metrics,
-    principal_cut,
-    quantization_loss,
     quantize_phases,
-    radiation_pattern,
     received_power,
-    required_transmit_power,
-    scan_loss,
     spherical_to_cartesian,
-    sweep_phase_offset,
-    synthesize_codebook,
     unity_gain_profile,
-    default_element_table,
 )
+from rissim.cli import RELEASE_CRITERIA, RunConfig, build_parser, measure_campaign
 
 CARRIER_HZ = 27.0e9
 PANEL = ArrayGeometry(16, 16)
-FEED = Pose.from_spherical(0.05, 0.0, 0.0)
-FEED_EXPONENT = 8.31
-FAR = Pose.from_spherical(100.0, 0.0, 0.0)
 RX_NEAR = Pose.from_spherical(0.05, 0.0, 0.0)
 
-
-def report(criterion: int, ok: bool, detail: str) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] acceptance {criterion}: {detail}")
-    assert ok, f"acceptance criterion {criterion} failed: {detail}"
+ORACLE_TRIALS = 100
+SEED = 20260810
 
 
 def closed_form_loss_db(bits: int) -> float:
@@ -55,127 +44,73 @@ def closed_form_loss_db(bits: int) -> float:
     return -20.0 * math.log10(math.sin(half_cell) / half_cell)
 
 
-def steer_target(theta_deg: float, plane: str) -> Pose:
-    base = 0.0 if plane == "E" else math.pi / 2
-    azimuth = base if theta_deg >= 0 else base + math.pi
-    return Pose.from_spherical(100.0, math.radians(abs(theta_deg)), azimuth)
+WINDOWS = {
+    "scenario rates": (0.0, 0.0),
+    "transmit-power reduction": (7.0, 10.5),
+    "2-bit quantization loss": (closed_form_loss_db(2) - 0.3, 1.0),
+    "1-bit quantization loss": (3.0, 4.5),
+    "broadside sidelobes": (-math.inf, -18.0),
+    "broadside beamwidth": (6.0, 10.0),
+    "broadside gain": (22.0 - 2.0, 22.0 + 2.0),
+    "aperture-efficiency identity": (25.3 - 0.1, 25.3 + 0.1),
+    "steered pointing": (-math.inf, 1.0),
+    "60-deg scan loss": (2.5, 6.0),
+    "codebook-vs-oracle gap": (-math.inf, 0.05),
+}
 
 
-def test_criterion_1_aperture_efficiency_identity():
-    eff_pct = 100.0 * aperture_efficiency(22.0, 0.0784 * 0.0784, 27.0e9)
-    report(1, abs(eff_pct - 25.3) <= 0.1,
-           f"22.0 dBi over the 78.4 mm square aperture -> {eff_pct:.3f}% (want 25.3 +/- 0.1)")
+@pytest.fixture(scope="module")
+def verdicts(tmp_path_factory):
+    cfg = RunConfig(output_dir=tmp_path_factory.mktemp("campaign"), seed=SEED)
+    return {v.name: v for v in measure_campaign(cfg, ORACLE_TRIALS).verdicts}
 
 
-def test_criterion_2_quantization_loss():
-    spec = BeamSpec(tx=FAR, rx=RX_NEAR)
-    loss2 = quantization_loss(PANEL, spec, CARRIER_HZ, 2)
-    loss1 = quantization_loss(PANEL, spec, CARRIER_HZ, 1)
-    oracle2 = closed_form_loss_db(2)
-    ok = loss2 <= 1.0 and abs(loss2 - oracle2) <= 0.3 and 3.0 <= loss1 <= 4.5
-    report(2, ok, f"b=2 loss {loss2:.3f} dB (oracle {oracle2:.3f}, cap 1.0); "
-                  f"b=1 loss {loss1:.3f} dB (window 3.0..4.5)")
-    assert oracle2 == pytest.approx(0.912, abs=1e-3)
+def report(verdicts, *names: str) -> None:
+    for name in names:
+        print(verdicts[name].line())
+    failed = [verdicts[name].line() for name in names if not verdicts[name].passed]
+    assert not failed, f"release criteria failed: {failed}"
+
+
+def test_windows_trials_and_seed_pinned(verdicts):
+    assert list(RELEASE_CRITERIA) == list(WINDOWS) == list(verdicts)
+    for name, (low, high) in WINDOWS.items():
+        assert RELEASE_CRITERIA[name] == pytest.approx((low, high), rel=1e-12, abs=0.0), name
+        assert verdicts[name].window == RELEASE_CRITERIA[name]
+    assert verdicts["codebook-vs-oracle gap"].detail.endswith(
+        f"over {ORACLE_TRIALS} random 2x2 poses (seed {SEED})")
+    assert build_parser().parse_args(["reproduce"]).oracle_trials == 20
+
+
+def test_criterion_1_aperture_efficiency_identity(verdicts):
+    report(verdicts, "aperture-efficiency identity")
+
+
+def test_criterion_2_quantization_loss(verdicts):
+    report(verdicts, "2-bit quantization loss", "1-bit quantization loss")
+    assert closed_form_loss_db(2) == pytest.approx(0.912, abs=1e-3)
     assert closed_form_loss_db(1) == pytest.approx(3.92, abs=5e-3)
 
 
-def broadside_config():
-    return synthesize_codebook(BeamSpec(tx=FEED, rx=FAR), PANEL, CARRIER_HZ, 2)
+def test_criterion_3_pattern_suite(verdicts):
+    report(verdicts, "broadside sidelobes", "broadside beamwidth", "steered pointing",
+           "60-deg scan loss")
 
 
-def test_criterion_3_pattern_suite():
-    config = broadside_config()
-    cut = principal_cut(config, PANEL, CARRIER_HZ, plane="E", step_deg=0.25,
-                        feed=FEED, feed_exponent=FEED_EXPONENT, element_exponent=1.0)
-    metrics = pattern_metrics(cut)
-    sll_ok = metrics.sidelobe_level_db <= -18.0
-    hpbw_ok = 6.0 <= metrics.hpbw_deg <= 10.0
-
-    pointing_errors = []
-    losses_60 = []
-    for plane in ("E", "H"):
-        reference = principal_cut(config, PANEL, CARRIER_HZ, plane=plane, step_deg=0.25,
-                                  feed=FEED, feed_exponent=FEED_EXPONENT, element_exponent=1.0)
-        for angle in (-10.0, -20.0, -30.0, -40.0, -50.0, -60.0):
-            sconfig = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(angle, plane)),
-                                          PANEL, CARRIER_HZ, 2)
-            af = principal_cut(sconfig, PANEL, CARRIER_HZ, plane=plane, step_deg=0.25,
-                               feed=FEED, feed_exponent=FEED_EXPONENT, element_exponent=0.0)
-            peak_deg = math.degrees(af.theta[int(np.argmax(af.power[:, 0]))])
-            pointing_errors.append(abs(peak_deg - angle))
-            if angle == -60.0:
-                steered = principal_cut(sconfig, PANEL, CARRIER_HZ, plane=plane,
-                                        step_deg=0.25, feed=FEED,
-                                        feed_exponent=FEED_EXPONENT, element_exponent=1.0)
-                losses_60.append(scan_loss(reference, steered))
-    pointing_ok = max(pointing_errors) <= 1.0
-    loss_ok = all(2.5 <= loss <= 6.0 for loss in losses_60)
-    report(3, sll_ok and hpbw_ok and pointing_ok and loss_ok,
-           f"SLL {metrics.sidelobe_level_db:.2f} dB (cap -18), HPBW {metrics.hpbw_deg:.2f} deg "
-           f"(window 6..10), worst pointing error {max(pointing_errors):.2f} deg (cap 1.0), "
-           f"60-deg scan loss E/H {losses_60[0]:.2f}/{losses_60[1]:.2f} dB (window 2.5..6.0)")
+def test_criterion_4_gain_estimate(verdicts):
+    report(verdicts, "broadside gain")
 
 
-def test_criterion_4_gain_estimate():
-    config = broadside_config()
-    theta, phi = hemisphere_grid(1.0)
-    pattern = radiation_pattern(config, PANEL, CARRIER_HZ, feed=FEED,
-                                feed_exponent=FEED_EXPONENT, element_exponent=1.0,
-                                theta=theta, phi=phi)
-    budget = (default_element_table().mean_insertion_loss_db()
-              + quantization_loss(PANEL, BeamSpec(tx=FEED, rx=FAR), CARRIER_HZ, 2))
-    directivity_dbi, gain_dbi = directivity_and_gain(pattern, budget)
-    report(4, abs(gain_dbi - 22.0) <= 2.0,
-           f"directivity {directivity_dbi:.2f} dBi - {budget:.2f} dB losses = "
-           f"{gain_dbi:.2f} dBi (want 22.0 +/- 2.0)")
+def test_criterion_5_power_reduction_matches_array_gain(verdicts):
+    report(verdicts, "transmit-power reduction")
 
 
-def test_criterion_5_power_reduction_matches_array_gain():
-    bundle = load_bundled_scenarios()
-    by_name = {s.name: s for s in bundle.scenarios}
-    p_direct = required_transmit_power(by_name["array_gain_without_panel"], bundle.geometry,
-                                       bundle.bits, 1024.0, mode=bundle.mode)
-    p_panel = required_transmit_power(by_name["array_gain_with_panel"], bundle.geometry,
-                                      bundle.bits, 1121.0, mode=bundle.mode)
-    delta = p_direct - p_panel
-    report(5, 7.0 <= delta <= 10.5,
-           f"required power {p_direct:.1f} dBm (direct, 1024 Mbps) vs {p_panel:.1f} dBm "
-           f"(panel, 1121 Mbps): reduction {delta:.2f} dB (window 7.0..10.5)")
+def test_criterion_6_scenario_reproduction(verdicts):
+    report(verdicts, "scenario rates")
 
 
-def test_criterion_6_scenario_reproduction():
-    bundle = load_bundled_scenarios()
-    outcomes = []
-    for scenario in bundle.scenarios:
-        result = evaluate_scenario(scenario, bundle.geometry, bundle.bits, mode=bundle.mode)
-        outcomes.append((scenario.name, result.rate_mbps, scenario.expected_rate_mbps))
-    bad = [name for name, got, want in outcomes if got != want]
-    rates = [int(got) for _, got, _ in outcomes]
-    report(6, not bad,
-           f"rates {rates} across {len(outcomes)} rows"
-           + (f"; mismatched: {bad}" if bad else " (all match the campaign tables)"))
-
-
-def test_criterion_7_oracle_equivalence():
-    rng = np.random.default_rng(20260810)
-    small = ArrayGeometry(2, 2)
-    profile = unity_gain_profile()
-    worst = 0.0
-    for _ in range(100):
-        tx = Pose.from_spherical(rng.uniform(0.5, 3.0), rng.uniform(0.0, math.pi / 3),
-                                 rng.uniform(0.0, 2 * math.pi))
-        rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0.0, math.pi / 3),
-                                 rng.uniform(0.0, 2 * math.pi))
-        spec = BeamSpec(tx=tx, rx=rx)
-        _, p_sweep, _ = sweep_phase_offset(spec, small, CARRIER_HZ, 2,
-                                           profile=profile, samples=64)
-        _, p_oracle = exhaustive_oracle(spec, small, CARRIER_HZ, 2, profile=profile)
-        assert p_oracle >= p_sweep * (1 - 1e-12)
-        worst = max(worst, 10.0 * math.log10(p_oracle / p_sweep))
-    report(7, worst <= 0.05,
-           f"worst offset-swept codebook gap to the exhaustive optimum over 100 random "
-           f"2x2 poses: {worst:.4f} dB (caps 0.5 and 0.05)")
-    assert worst <= 0.5
+def test_criterion_7_oracle_equivalence(verdicts):
+    report(verdicts, "codebook-vs-oracle gap")
 
 
 def test_criterion_8_numerical_identities():
@@ -208,6 +143,8 @@ def test_criterion_8_numerical_identities():
         err = np.abs((phases_rand - grid + math.pi) % (2 * math.pi) - math.pi)
         quant_ok &= bool(np.all(err <= math.pi / (1 << bits) + 1e-9))
 
-    report(8, coherent_ok and round_trip_ok and quant_ok,
-           f"coherent-sum agreement {coherent_rel:.2e} (cap 1e-9), coordinate round-trip "
-           f"{worst_rt:.2e} (cap 1e-12), quantizer bound held on 4x10^6 trials: {quant_ok}")
+    ok = coherent_ok and round_trip_ok and quant_ok
+    detail = (f"coherent-sum agreement {coherent_rel:.2e} (cap 1e-9), coordinate round-trip "
+              f"{worst_rt:.2e} (cap 1e-12), quantizer bound held on 4x10^6 trials: {quant_ok}")
+    print(f"[{'PASS' if ok else 'FAIL'}] acceptance 8: {detail}")
+    assert ok, f"acceptance criterion 8 failed: {detail}"

@@ -186,3 +186,76 @@ def test_element_table_override(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(f"output_dir: {tmp_path / 'r'}\nelement_table: {states}\n")
     assert run("link", "--config", str(cfg)) == 0
+
+
+def test_pattern_one_bit_reads_its_own_phases(tmp_path):
+    assert run("pattern", "--out", str(tmp_path), "--bits", "1", "--steer-deg", "30",
+               "--plane", "E") == 0
+    metrics = read_csv(tmp_path / "pattern_metrics.csv")
+    assert float(metrics[0]["peak_direction_deg"]) == pytest.approx(29.75, abs=1e-9)
+
+
+def test_realized_scan_rejects_table_of_other_bit_depth(tmp_path, capsys):
+    assert run("scan", "--out", str(tmp_path), "--bits", "3", "--mode", "realized") == 1
+    err = capsys.readouterr().err
+    assert "3-bit codes" in err and "2-bit state table" in err
+    assert not (tmp_path / "scan_loss.csv").exists()
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--step-deg", "0"], "--step-deg"),
+    (["--step-deg", "-10"], "--step-deg"),
+    (["--step-deg", "nan"], "--step-deg"),
+    (["--max-deg", "-10"], "--max-deg"),
+    (["--max-deg", "inf"], "--max-deg"),
+])
+def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
+    assert run("scan", "--out", str(tmp_path), *flags) == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "scan_loss.csv").exists()
+
+
+@pytest.mark.parametrize("section", ["geometry", "feed", "beam"])
+def test_config_section_must_be_a_mapping(tmp_path, capsys, section):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"output_dir: {tmp_path / 'results'}\n{section}: 5\n")
+    assert run("codebook", "--config", str(cfg)) == 1
+    assert f"{section} must be a mapping" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "codes.csv").exists()
+
+
+@pytest.mark.parametrize("entry,key", [
+    ("feed: {range_m: true}", "range_m"),
+    ("feed: {exponent: true}", "exponent"),
+    ("feed: {gain_dbi: twelve}", "gain_dbi"),
+    ("beam: {offset_deg: true}", "offset_deg"),
+    ("grid_deg: true", "grid_deg"),
+    ("hemisphere_grid_deg: true", "hemisphere_grid_deg"),
+])
+def test_config_numbers_are_not_booleans(tmp_path, capsys, entry, key):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"output_dir: {tmp_path / 'results'}\n{entry}\n")
+    assert run("codebook", "--config", str(cfg)) == 1
+    assert f"'{key}' must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "codes.csv").exists()
+
+
+def test_config_seed_must_be_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"output_dir: {tmp_path / 'results'}\nseed: 2.7\n")
+    assert run("codebook", "--config", str(cfg)) == 1
+    assert "'seed' must be an integer" in capsys.readouterr().err
+
+
+def test_oracle_verdict_fails_when_sweep_beats_the_oracle(tmp_path, monkeypatch):
+    import rissim.cli as cli
+
+    def weak_oracle(*args, **kwargs):
+        config, power = cli.sweep_phase_offset(*args, **kwargs, samples=64)[:2]
+        return config, power / 2.0  # the sweep beats it by 3 dB
+
+    monkeypatch.setattr(cli, "exhaustive_oracle", weak_oracle)
+    campaign = cli.measure_campaign(cli.RunConfig(output_dir=tmp_path), oracle_trials=2)
+    verdict = {v.name: v for v in campaign.verdicts}["codebook-vs-oracle gap"]
+    low, high = verdict.window
+    assert low <= verdict.value <= high and not verdict.passed

@@ -161,6 +161,35 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
     assert np.abs(got.field - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("gamma", [1.0, 2.5])
+@pytest.mark.parametrize("plane,steer_deg", [("E", -60.0), ("H", 30.0)])
+@pytest.mark.parametrize("mode", ["nominal", "realized"])
+def test_element_factor_of_array_factor_cut_is_exact(panel16, table, gamma, plane, steer_deg,
+                                                     mode):
+    config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(steer_deg, plane)),
+                                 panel16, CARRIER_HZ, 2)
+    kwargs = dict(plane=plane, feed=FEED, feed_exponent=FEED_Q, table=table, mode=mode)
+    af = principal_cut(config, panel16, CARRIER_HZ, element_exponent=0.0, **kwargs)
+    want = principal_cut(config, panel16, CARRIER_HZ, element_exponent=gamma, **kwargs)
+    got = af.with_element_factor(gamma)
+    assert np.array_equal(got.field, want.field)
+    assert np.array_equal(got.theta, want.theta) and np.array_equal(got.phi, want.phi)
+    with pytest.raises(ValueError, match="element exponent"):
+        af.with_element_factor(-1.0)
+
+
+def test_code_grid_bit_depth_against_state_table(panel16, table):
+    """Nominal mode reads a code grid at its own 2^b phases; realized mode needs its table."""
+    codes = np.arange(16 * 16).reshape(16, 16) % 2
+    one_bit = RISConfiguration(geom=panel16, bits=1, codes=codes)
+    grid = dict(theta=cut_grid(1.0), phi=np.array([0.0]), element_exponent=0.0)
+    got = radiation_pattern(one_bit, panel16, CARRIER_HZ, table=table, mode="nominal", **grid)
+    want = radiation_pattern(np.pi * codes, panel16, CARRIER_HZ, **grid)
+    np.testing.assert_allclose(got.field, want.field, rtol=0.0, atol=1e-12 * panel16.num_elements)
+    with pytest.raises(ValueError, match="1-bit codes .* 2-bit state table"):
+        radiation_pattern(one_bit, panel16, CARRIER_HZ, table=table, mode="realized", **grid)
+
+
 # ------------------------------------------------------------ steering
 
 

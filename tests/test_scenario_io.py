@@ -83,6 +83,20 @@ def test_non_integer_counts_rejected(tmp_path, old, new, key):
         load_scenario_bundle(path)
 
 
+@pytest.mark.parametrize("old,new,section", [
+    ("geometry: {num_x: 4, num_y: 4, spacing_x_m: 0.0049, spacing_y_m: 0.0049}",
+     "geometry: 5", "geometry"),
+    ("  gains: {tx_dbi: 20.0, rx_dbi: 9.0, ris_rx_side_dbi: 5.0, ris_tx_side_dbi: 5.0}",
+     "  gains: 5", "gains"),
+    ("  tx_pose: {range_m: 2.6}", "  tx_pose: 5", "tx_pose"),
+])
+def test_section_must_be_a_mapping(tmp_path, old, new, section):
+    path = tmp_path / "sections.scenario"
+    path.write_text(MINIMAL.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=f"{section} must be a mapping"):
+        load_scenario_bundle(path)
+
+
 def test_unknown_key_strict_vs_lenient(tmp_path):
     path = tmp_path / "extra.scenario"
     path.write_text(MINIMAL + "    mystery_knob: 3\n")
