@@ -8,10 +8,10 @@ end-to-end link budgets with SNR-to-rate mapping.
 from .beams import (
     BeamSpec,
     exhaustive_oracle,
+    optimal_codebook,
     optimal_phases,
     quantization_loss,
     resolve_model,
-    sweep_phase_offset,
     synthesize_codebook,
     uniform_phase_loss_db,
 )

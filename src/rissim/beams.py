@@ -1,4 +1,4 @@
-"""Codebook synthesis: continuous-optimal phases, quantization, and oracles.
+"""Codebook synthesis: continuous-optimal phases, quantization, the exact optimiser, the oracle.
 
 The power-maximizing element phase is C + 2 pi (d^t + d^r) / lambda (mod
 2 pi) for an arbitrary constant C. Each side's distance model is selectable:
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainProfile, coherent_power_bound, received_power, unity_gain_profile
-from .codebook import RISConfiguration, quantize_phases
+from .channel import (GainProfile, _cascade_prefactor, _path_vector, coherent_power_bound,
+                      unity_gain_profile)
+from .codebook import RISConfiguration, _code_table, quantize_phases
 from .elements import ElementStateTable, Mode, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
 from .geometry import (
@@ -35,8 +36,6 @@ _MODELS = ("auto", "spherical", "planar")
 
 ORACLE_SEARCH_CAP = 1 << 20
 
-_LOSS_SWEEP_SAMPLES = 16
-
 
 @dataclass(frozen=True)
 class BeamSpec:
@@ -52,9 +51,6 @@ class BeamSpec:
         if self.tx_model not in _MODELS or self.rx_model not in _MODELS:
             raise ValueError(f"wavefront models must be one of {_MODELS}")
         object.__setattr__(self, "phase_offset", self.phase_offset % TWO_PI)
-
-    def with_offset(self, phase_offset: float) -> "BeamSpec":
-        return BeamSpec(self.tx, self.rx, self.tx_model, self.rx_model, phase_offset)
 
 
 def resolve_model(pose: Pose, model: str, geom: ArrayGeometry, carrier_hz: float) -> str:
@@ -90,7 +86,29 @@ def synthesize_codebook(
     return RISConfiguration(geom=geom, bits=bits, codes=codes)
 
 
-def sweep_phase_offset(
+def _hull_codes(lut: np.ndarray) -> np.ndarray:
+    """Codes of the convex-hull vertices of the state coefficients, counter-clockwise.
+
+    Andrew's monotone chain. States inside the hull or on one of its edges
+    are dropped, and of equal coefficients the lowest code is kept.
+    """
+    distinct: dict[complex, int] = {}
+    for code, value in enumerate(lut):
+        distinct.setdefault(complex(value), code)
+    points = sorted(distinct, key=lambda z: (z.real, z.imag))
+
+    def chain(ordered: list[complex]) -> list[complex]:
+        kept: list[complex] = []
+        for z in ordered:
+            while len(kept) >= 2 and ((kept[-1] - kept[-2]).conjugate() * (z - kept[-2])).imag <= 0:
+                kept.pop()
+            kept.append(z)
+        return kept[:-1]
+
+    return np.array([distinct[z] for z in chain(points) + chain(points[::-1]) or points])
+
+
+def optimal_codebook(
     spec: BeamSpec,
     geom: ArrayGeometry,
     carrier_hz: float,
@@ -100,28 +118,45 @@ def sweep_phase_offset(
     table: ElementStateTable | None = None,
     mode: Mode = "nominal",
     tx_power_w: float = 1.0,
-    samples: int = 16,
-) -> tuple[RISConfiguration, float, float]:
-    """Best quantized codebook over a sweep of the phase constant C.
+) -> tuple[RISConfiguration, float]:
+    """Exact argmax of received power over every code grid, and that power.
 
-    Sweeps C over one quantizer period [0, 2 pi / 2^b) and returns the
-    configuration with maximum received power, that power, and the winning C.
+    Maximizes |sum_i a_i lut[c_i]| with a_i the cascade path term of element
+    i, as :func:`exhaustive_oracle` does, in O(N H log NH) for H convex-hull
+    vertices of the state table (Sanchez, Bjornson and Larsson, ICASSP 2022;
+    Zhang, Shen, Ren et al., IEEE JSTSP 2022). For a direction psi of the
+    sum, each element takes the hull vertex that projects furthest onto psi;
+    as psi turns once round, element i moves to the next vertex at arg(a_i)
+    plus each hull edge's outward-normal angle. The optimal grid is the grid
+    of one of the arcs between these events. Events at equal angles fire
+    together: a grid between two of them lies on no arc. Like the oracle it
+    uses exact distances, so the spec's wavefront models and phase constant
+    play no part.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sweep sample, got {samples}")
     profile = profile or unity_gain_profile()
-    table = table or ElementStateTable.ideal(bits)
-    best: tuple[RISConfiguration, float, float] | None = None
-    for offset in np.linspace(0.0, nominal_phase_step(bits), samples, endpoint=False):
-        config = synthesize_codebook(spec.with_offset(spec.phase_offset + offset), geom, carrier_hz, bits)
-        p = received_power(
-            tx_power_w, carrier_hz, profile, geom, config, spec.tx, spec.rx,
-            table=table, mode=mode,
-        )
-        if best is None or p > best[1]:
-            best = (config, p, float(offset))
-    assert best is not None
-    return best
+    table = _code_table(bits, table, mode)
+    lut = state_coefficients(table, np.arange(1 << bits), mode)
+    path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
+    hull = _hull_codes(lut)
+    vertex = np.zeros(path.size, dtype=np.int64)  # hull index per element
+    if hull.size > 1:
+        corners = lut[hull]
+        edges = np.roll(corners, -1) - corners  # edge h runs from vertex h to h + 1
+        events = np.mod(np.angle(path)[:, None] + np.angle(edges) - math.pi / 2, TWO_PI)
+        # at psi = 0 each element sits where its last event of the turn left it
+        vertex = (np.argmax(events, axis=1) + 1) % hull.size
+        order = np.argsort(events, axis=None, kind="stable")
+        angles = events.reshape(-1)[order]
+        sums = path @ corners[vertex] + np.cumsum((path[:, None] * edges).reshape(-1)[order])
+        arcs = np.flatnonzero(np.append(angles[1:] != angles[:-1], True))
+        best = arcs[np.argmax(np.abs(sums[arcs]))]
+        element, edge = np.divmod(order[: best + 1], hull.size)
+        vertex[element] = (edge + 1) % hull.size  # in event order, so the last event wins
+    codes = hull[vertex]
+    total = np.sum(lut[codes] * path)
+    power = _cascade_prefactor(tx_power_w, carrier_hz, profile, spec.tx, spec.rx) * abs(total) ** 2
+    config = RISConfiguration(geom=geom, bits=bits, codes=codes.reshape(geom.num_x, geom.num_y))
+    return config, power
 
 
 def exhaustive_oracle(
@@ -147,11 +182,8 @@ def exhaustive_oracle(
             f"{n_states}^{n} code grids exceed the {ORACLE_SEARCH_CAP} search cap"
         )
     profile = profile or unity_gain_profile()
-    table = table or ElementStateTable.ideal(bits)
-    lam = wavelength(carrier_hz)
-    dt = exact_distances(spec.tx, geom).reshape(-1)
-    dr = exact_distances(spec.rx, geom).reshape(-1)
-    path = np.exp(-2j * math.pi * (dt + dr) / lam) / (dt * dr)
+    table = _code_table(bits, table, mode)
+    path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
     lut = state_coefficients(table, np.arange(n_states), mode)
     total_configs = n_states**n
     # enumerate all grids: digit i of each config index selects element i's code
@@ -165,26 +197,21 @@ def exhaustive_oracle(
         [(best // (n_states ** (n - 1 - i))) % n_states for i in range(n)]
     ).reshape(geom.num_x, geom.num_y)
     config = RISConfiguration(geom=geom, bits=bits, codes=codes)
-    g = profile.total_gain_linear()
-    f = profile.panel_pattern_factor(spec.tx, spec.rx)
-    power = tx_power_w * g * f * lam**2 / (16.0 * math.pi**2) * float(np.abs(field[best])) ** 2
+    power = _cascade_prefactor(tx_power_w, carrier_hz, profile, spec.tx, spec.rx) * float(
+        np.abs(field[best])) ** 2
     return config, power
 
 
 def quantization_loss(geom: ArrayGeometry, spec: BeamSpec, carrier_hz: float, bits: int) -> float:
-    """Power lost to b-bit phasing, in dB, best case over the free constant C.
+    """Power lost to b-bit phasing, in dB, for the best b-bit code grid.
 
-    Ratio of the fully coherent (continuous-phase) power to the best
-    quantized power found over a 16-point C sweep. Ideal unit element
-    magnitude on both sides, so endpoint gains cancel and the result depends
-    only on geometry and the phase grid.
+    Ratio of the fully coherent (continuous-phase) power to the power of the
+    :func:`optimal_codebook` grid. Ideal unit element magnitude on both
+    sides, so endpoint gains cancel and the result depends only on geometry
+    and the phase grid.
     """
     profile = unity_gain_profile()
-    _, best_power, _ = sweep_phase_offset(
-        spec, geom, carrier_hz, bits,
-        profile=profile, table=ElementStateTable.ideal(bits), mode="nominal",
-        samples=_LOSS_SWEEP_SAMPLES,
-    )
+    _, best_power = optimal_codebook(spec, geom, carrier_hz, bits, profile=profile)
     bound = coherent_power_bound(1.0, carrier_hz, profile, geom, spec.tx, spec.rx)
     return 10.0 * math.log10(bound / best_power)
 

@@ -109,6 +109,23 @@ def unity_gain_profile() -> GainProfile:
     return GainProfile(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def _cascade_prefactor(
+    tx_power_w: float, carrier_hz: float, profile: GainProfile, tx: Pose, rx: Pose
+) -> float:
+    """P_t G F lambda^2 / (16 pi^2): the power scale of the cascaded panel link."""
+    g = profile.total_gain_linear()
+    f = profile.panel_pattern_factor(tx, rx)
+    return tx_power_w * g * f * wavelength(carrier_hz) ** 2 / (16.0 * math.pi**2)
+
+
+def _path_vector(carrier_hz: float, geom: ArrayGeometry, tx: Pose, rx: Pose) -> np.ndarray:
+    """(Nx, Ny) cascade path terms exp(-j 2 pi (d^t + d^r) / lambda) / (d^t d^r)."""
+    lam = wavelength(carrier_hz)
+    dt = exact_distances(tx, geom)
+    dr = exact_distances(rx, geom)
+    return np.exp(-2j * math.pi * (dt + dr) / lam) / (dt * dr)
+
+
 def feed_illuminations(
     feed: Pose, geom: ArrayGeometry, carrier_hz: float, exponent: float
 ) -> np.ndarray:
@@ -158,13 +175,8 @@ def received_power(
     if isinstance(excitation, RISConfiguration) and table is None:
         raise ValueError("a state table is required to evaluate a code grid")
     coeff = _excitation_coefficients(excitation, geom, table, mode)
-    lam = wavelength(carrier_hz)
-    dt = exact_distances(tx, geom)
-    dr = exact_distances(rx, geom)
-    total = np.sum(coeff * np.exp(-2j * math.pi * (dt + dr) / lam) / (dt * dr))
-    g = profile.total_gain_linear()
-    f = profile.panel_pattern_factor(tx, rx)
-    return tx_power_w * g * f * lam**2 / (16.0 * math.pi**2) * abs(total) ** 2
+    total = np.sum(coeff * _path_vector(carrier_hz, geom, tx, rx))
+    return _cascade_prefactor(tx_power_w, carrier_hz, profile, tx, rx) * abs(total) ** 2
 
 
 def coherent_power_bound(
@@ -182,10 +194,6 @@ def coherent_power_bound(
     Equals :func:`received_power` with the continuous-optimal phase grid;
     closed form P_t G F lambda^2 / (16 pi^2) (sum Gamma / (d^t d^r))^2.
     """
-    lam = wavelength(carrier_hz)
-    dt = exact_distances(tx, geom)
-    dr = exact_distances(rx, geom)
-    total = np.sum(np.asarray(magnitudes, dtype=float) / (dt * dr))
-    g = profile.total_gain_linear()
-    f = profile.panel_pattern_factor(tx, rx)
-    return tx_power_w * g * f * lam**2 / (16.0 * math.pi**2) * float(total) ** 2
+    path = _path_vector(carrier_hz, geom, tx, rx)
+    total = np.sum(np.asarray(magnitudes, dtype=float) * np.abs(path))
+    return _cascade_prefactor(tx_power_w, carrier_hz, profile, tx, rx) * float(total) ** 2

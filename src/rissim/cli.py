@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .beams import (BeamSpec, exhaustive_oracle, quantization_loss, sweep_phase_offset,
+from .beams import (BeamSpec, exhaustive_oracle, optimal_codebook, quantization_loss,
                     synthesize_codebook, uniform_phase_loss_db)
 from .channel import exponent_from_gain, unity_gain_profile
 from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream
@@ -41,7 +40,7 @@ from .patterns import (
     radiation_pattern,
     scan_loss,
 )
-from .scenario_io import (_GEOMETRY_KEYS, _check_keys, _parse_count, _parse_geometry,
+from .scenario_io import (_GEOMETRY_KEYS, _check_keys, _load_yaml, _parse_count, _parse_geometry,
                           _parse_number, _parse_pose, bundled_scenario_path, load_scenario_bundle)
 
 OUT_DIR_ENV = "RISSIM_OUT"
@@ -125,11 +124,9 @@ def load_run_config(path: str | Path) -> dict:
     """Read and strictly validate a run-config YAML file into plain options."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = _load_yaml(path)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if raw is None:
         return {}
     if not isinstance(raw, dict):
@@ -194,8 +191,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         cfg.mode = mode
     cfg.seed = args.seed if args.seed is not None else _parse_count(
         file_cfg.get("seed", 0), "seed", "run config")
-    if cfg.grid_deg <= 0:
-        raise ConfigError(f"grid resolution must be positive, got {cfg.grid_deg}")
+    for name in ("grid_deg", "hemisphere_grid_deg"):
+        step = getattr(cfg, name)
+        if not (math.isfinite(step) and step > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {step}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
@@ -347,8 +346,8 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     bits = cfg.single_bits()  # reject bit ranges before any work
     if not (math.isfinite(args.step_deg) and args.step_deg > 0):
         raise ConfigError(f"--step-deg must be positive, got {args.step_deg}")
-    if not (math.isfinite(args.max_deg) and args.max_deg >= 0):
-        raise ConfigError(f"--max-deg must be >= 0, got {args.max_deg}")
+    if not 0 <= args.max_deg <= 90:  # beyond 90 deg the target lies behind the panel
+        raise ConfigError(f"--max-deg must lie in [0, 90], got {args.max_deg}")
     angles = [args.step_deg * i for i in range(int(args.max_deg / args.step_deg) + 1)]
     for line in cfg.header_lines():
         print(line)
@@ -487,6 +486,19 @@ class Verdict:
     passed: bool
     detail: str
 
+    @classmethod
+    def judged(cls, name: str, value: float | tuple[float, ...], detail: str,
+               holds: bool = True) -> "Verdict":
+        """Judge a value against the window of release criterion ``name``.
+
+        It passes when ``holds`` and every entry lies in the window; an empty
+        value fails.
+        """
+        low, high = RELEASE_CRITERIA[name]
+        values = value if isinstance(value, tuple) else (value,)
+        passed = bool(holds and values and all(low <= v <= high for v in values))
+        return cls(name, value, (low, high), passed, detail)
+
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
@@ -511,15 +523,14 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     Measurements are shared between criteria: the 2-bit loss as written to
     ``quantization_loss.csv`` enters the gain budget, and one steer sweep
     gives both the pointing and the scan loss. The oracle trials draw their
-    random 2x2 poses from ``cfg.seed``.
+    random 2x2 poses from ``cfg.seed``; there must be at least one.
     """
+    if oracle_trials < 1:
+        raise ConfigError(f"oracle trials must be at least 1, got {oracle_trials}")
     verdicts: list[Verdict] = []
 
     def judge(name: str, value, detail: str, holds: bool = True) -> None:
-        low, high = RELEASE_CRITERIA[name]
-        values = value if isinstance(value, tuple) else (value,)
-        passed = bool(holds and all(low <= v <= high for v in values))
-        verdicts.append(Verdict(name, value, (low, high), passed, detail))
+        verdicts.append(Verdict.judged(name, value, detail, holds))
 
     # scenario bundle
     path = cfg.scenario_path or bundled_scenario_path()
@@ -589,7 +600,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     judge("60-deg scan loss", sixty,
           f"E {sixty[0]:.3f} dB, H {sixty[1]:.3f} dB (window 2.5..6.0)")
 
-    # small-panel oracle agreement; the sweep may never beat the optimum
+    # small-panel oracle agreement; the solver may never beat the brute-force optimum
     rng = np.random.default_rng(cfg.seed)
     small = ArrayGeometry(2, 2, bundle.geometry.spacing_x, bundle.geometry.spacing_y)
     profile = unity_gain_profile()
@@ -601,10 +612,10 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, math.pi / 3),
                                  rng.uniform(0, 2 * math.pi))
         ospec = BeamSpec(tx=tx, rx=rx)
-        _, p_sweep, _ = sweep_phase_offset(ospec, small, carrier, 2, profile=profile, samples=64)
+        _, p_solver = optimal_codebook(ospec, small, carrier, 2, profile=profile)
         _, p_oracle = exhaustive_oracle(ospec, small, carrier, 2, profile=profile)
-        dominated &= p_oracle >= p_sweep * (1 - 1e-12)
-        worst = max(worst, 10.0 * math.log10(p_oracle / p_sweep))
+        dominated &= p_oracle >= p_solver * (1 - 1e-12)
+        worst = max(worst, 10.0 * math.log10(p_oracle / p_solver))
     judge("codebook-vs-oracle gap", worst,
           f"worst gap {worst:.4f} dB over {oracle_trials} random 2x2 poses (seed {cfg.seed})",
           holds=dominated)

@@ -89,6 +89,23 @@ class RISConfiguration:
         return cls(geom=geom, bits=bits, codes=np.array(rows))
 
 
+def _code_table(bits: int, table: ElementStateTable | None, mode: Mode) -> ElementStateTable:
+    """The state table that b-bit codes are read against.
+
+    ``table`` itself when it has b bits; in nominal mode a table of another
+    bit depth (or none) is replaced by the ideal table of the codes' own 2^b
+    phases, while realized mode needs a table of the codes' bit depth.
+    """
+    if table is None or table.bits != bits:
+        if mode == "realized" and table is not None:
+            raise ValueError(
+                f"{bits}-bit codes cannot be read against a "
+                f"{table.bits}-bit state table in realized mode"
+            )
+        table = ElementStateTable.ideal(bits)
+    return table
+
+
 def _excitation_coefficients(
     excitation: RISConfiguration | np.ndarray,
     geom: ArrayGeometry,
@@ -97,21 +114,13 @@ def _excitation_coefficients(
 ) -> np.ndarray:
     """Gamma * exp(j phi) per element, from a code grid or from continuous phases.
 
-    A code grid is read against ``table``; in nominal mode a table of another
-    bit depth (or none) is replaced by the ideal table of the grid's own
-    2^b phases, while realized mode needs a table of the grid's bit depth.
+    A code grid is read against :func:`_code_table` of ``table``.
     Continuous phases have ideal unit magnitude.
     """
     if isinstance(excitation, RISConfiguration):
         if excitation.geom != geom:
             raise ValueError("configuration geometry does not match the panel")
-        if table is None or table.bits != excitation.bits:
-            if mode == "realized" and table is not None:
-                raise ValueError(
-                    f"{excitation.bits}-bit codes cannot be read against a "
-                    f"{table.bits}-bit state table in realized mode"
-                )
-            table = ElementStateTable.ideal(excitation.bits)
+        table = _code_table(excitation.bits, table, mode)
         return state_coefficients(table, excitation.codes, mode)
     phases = np.asarray(excitation, dtype=float)
     if phases.shape != (geom.num_x, geom.num_y):

@@ -45,6 +45,11 @@ class ArrayGeometry:
             spacing = getattr(self, name)
             if not (math.isfinite(spacing) and spacing > 0):
                 raise ValueError(f"{name} must be finite and positive, got {spacing}")
+        grid = np.meshgrid(self.offsets_x() * self.spacing_x, self.offsets_y() * self.spacing_y,
+                           indexing="ij")
+        for coordinates in grid:
+            coordinates.flags.writeable = False
+        object.__setattr__(self, "_grid", tuple(grid))
 
     @property
     def num_elements(self) -> int:
@@ -58,10 +63,11 @@ class ArrayGeometry:
         return np.arange(self.num_y) - (self.num_y - 1) / 2.0
 
     def element_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Nx, Ny) meshgrids of element x and y coordinates in meters."""
-        xs = self.offsets_x() * self.spacing_x
-        ys = self.offsets_y() * self.spacing_y
-        return np.meshgrid(xs, ys, indexing="ij")
+        """(Nx, Ny) meshgrids of element x and y coordinates in meters.
+
+        Built once with the geometry and shared by every caller, so read-only.
+        """
+        return self._grid
 
     @property
     def aperture_width(self) -> float:

@@ -161,8 +161,14 @@ def radiation_pattern(
     return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
 
 
+def _check_step(step_deg: float) -> None:
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValueError(f"grid step must be finite and positive, got {step_deg} deg")
+
+
 def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG, span_deg: float = 90.0) -> np.ndarray:
     """Signed theta grid for a principal cut, inclusive of both ends."""
+    _check_step(step_deg)
     n = int(round(2 * span_deg / step_deg))
     return np.radians(np.linspace(-span_deg, span_deg, n + 1))
 
@@ -173,6 +179,7 @@ def hemisphere_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> tuple[np.ndarray
     phi omits the 2 pi endpoint so the azimuth integral is a clean periodic
     sum; theta includes both poles of the range [0, pi/2].
     """
+    _check_step(step_deg)
     n_t = int(round(90.0 / step_deg))
     n_p = int(round(360.0 / step_deg))
     theta = np.radians(np.linspace(0.0, 90.0, n_t + 1))

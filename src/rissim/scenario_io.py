@@ -49,6 +49,9 @@ _SCENARIO_KEYS = {
 }
 _TOP_KEYS = {"description", "geometry", "bits", "mode", "mcs", "defaults", "scenarios"}
 
+# libyaml's C parser when PyYAML was built with it; same documents, same errors
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class ScenarioBundle:
@@ -64,6 +67,14 @@ def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key '{key}'")
     return mapping[key]
+
+
+def _load_yaml(path: Path):
+    """Parse a YAML file safely; malformed YAML raises :class:`ConfigError`."""
+    try:
+        return yaml.load(path.read_text(), Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str, lenient: bool) -> None:
@@ -163,10 +174,7 @@ def _parse_mcs(raw, context: str, lenient: bool) -> MCSTable:
 def load_scenario_bundle(path: str | Path, lenient: bool = False) -> ScenarioBundle:
     """Parse and validate a scenario bundle file."""
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+    raw = _load_yaml(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     ctx = str(path)

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rissim import (
     ArrayGeometry,
@@ -9,12 +12,13 @@ from rissim import (
     ElementStateTable,
     Pose,
     SearchSpaceError,
+    default_element_table,
     exhaustive_oracle,
+    optimal_codebook,
     optimal_phases,
     quantization_loss,
     received_power,
     resolve_model,
-    sweep_phase_offset,
     synthesize_codebook,
     uniform_phase_loss_db,
     unity_gain_profile,
@@ -40,7 +44,7 @@ def test_broadside_far_field_phases_equal_offset(panel16):
 
 def test_offset_shifts_phase_map_and_preserves_power(panel16, rx_near, desk_gains):
     spec1 = BeamSpec(tx=FAR, rx=rx_near, phase_offset=0.0)
-    spec2 = spec1.with_offset(1.234)
+    spec2 = replace(spec1, phase_offset=1.234)
     p1 = optimal_phases(spec1, panel16, CARRIER_HZ)
     p2 = optimal_phases(spec2, panel16, CARRIER_HZ)
     np.testing.assert_allclose((p2 - p1) % (2 * math.pi), 1.234, atol=1e-9)
@@ -117,14 +121,14 @@ def test_oracle_single_element(table):
     for code in range(4):
         p = received_power(
             1.0, CARRIER_HZ, unity_gain_profile(), geom,
-            synthesize_codebook(spec.with_offset(code * math.pi / 2), geom, CARRIER_HZ, 2),
+            synthesize_codebook(replace(spec, phase_offset=code * math.pi / 2), geom, CARRIER_HZ, 2),
             spec.tx, spec.rx, table=ElementStateTable.ideal(2), mode="nominal",
         )
         assert power == pytest.approx(p, rel=1e-12)
     assert config.codes.shape == (1, 1)
 
 
-def test_oracle_dominates_and_sweep_closes_gap(rng):
+def test_oracle_dominates_and_solver_closes_gap(rng):
     geom = ArrayGeometry(2, 2)
     profile = unity_gain_profile()
     table = ElementStateTable.ideal(2)
@@ -133,10 +137,9 @@ def test_oracle_dominates_and_sweep_closes_gap(rng):
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, 1.0), rng.uniform(0, 6.28))
         spec = BeamSpec(tx=tx, rx=rx)
         _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, 2, profile=profile, table=table)
-        _, p_sweep, _ = sweep_phase_offset(spec, geom, CARRIER_HZ, 2, profile=profile,
-                                           table=table, samples=64)
-        assert p_oracle >= p_sweep * (1 - 1e-12)
-        assert 10 * math.log10(p_oracle / p_sweep) <= 0.05
+        _, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, 2, profile=profile, table=table)
+        assert p_oracle >= p_solver * (1 - 1e-12)
+        assert 10 * math.log10(p_oracle / p_solver) <= 0.05
 
 
 def test_oracle_tie_break_lexicographic():
@@ -182,14 +185,92 @@ def test_uniform_phase_loss_closed_form():
         uniform_phase_loss_db(0)
 
 
-def test_sweep_returns_winning_offset(panel16, rx_near):
+def test_solver_returns_the_power_of_its_codebook(panel16, rx_near):
     spec = BeamSpec(tx=FAR, rx=rx_near)
-    config, power, offset = sweep_phase_offset(spec, panel16, CARRIER_HZ, 2, samples=32)
-    assert 0 <= offset < math.pi / 2
-    again = synthesize_codebook(spec.with_offset(offset), panel16, CARRIER_HZ, 2)
-    assert again.codes.tolist() == config.codes.tolist()
+    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, 2)
+    profile, table = unity_gain_profile(), ElementStateTable.ideal(2)
+    assert power == pytest.approx(received_power(
+        1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near, table=table, mode="nominal",
+    ), rel=1e-12)
     assert power >= received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+        1.0, CARRIER_HZ, profile, panel16,
         synthesize_codebook(spec, panel16, CARRIER_HZ, 2), FAR, rx_near,
-        table=ElementStateTable.ideal(2), mode="nominal",
+        table=table, mode="nominal",
     ) * (1 - 1e-12)
+
+
+# (panel shape, bits, mode): every case small enough for the exhaustive oracle
+SOLVER_CASES = [((2, 2), 1, "nominal"), ((2, 2), 2, "nominal"), ((2, 2), 3, "nominal"),
+                ((3, 3), 1, "nominal"), ((3, 3), 2, "nominal"),
+                ((2, 2), 2, "realized"), ((3, 3), 2, "realized")]
+
+poses = st.builds(
+    Pose.from_spherical,
+    st.floats(0.03, 3.0), st.floats(0.0, 1.4), st.floats(0.0, 2 * math.pi),
+)
+
+
+@pytest.mark.parametrize("shape,bits,mode", SOLVER_CASES)
+@settings(max_examples=25)
+@given(tx=poses, rx=poses)
+def test_solver_matches_the_exhaustive_oracle(shape, bits, mode, tx, rx):
+    geom = ArrayGeometry(*shape)
+    table = default_element_table() if mode == "realized" else ElementStateTable.ideal(bits)
+    spec = BeamSpec(tx=tx, rx=rx)
+    _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, bits, table=table, mode=mode)
+    config, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, bits, table=table, mode=mode)
+    assert p_solver == pytest.approx(p_oracle, rel=1e-12)
+    assert p_solver == pytest.approx(received_power(
+        1.0, CARRIER_HZ, unity_gain_profile(), geom, config, tx, rx, table=table, mode=mode,
+    ), rel=1e-12)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_solver_never_worse_than_a_phase_constant_sweep(panel16, rx_near, bits):
+    # symmetric broadside pose: many elements share a path length, so switch events tie
+    spec = BeamSpec(tx=FAR, rx=rx_near)
+    profile, table = unity_gain_profile(), ElementStateTable.ideal(bits)
+    step = 2 * math.pi / (1 << bits)
+    swept = max(
+        received_power(1.0, CARRIER_HZ, profile, panel16,
+                       synthesize_codebook(replace(spec, phase_offset=step * k / 16),
+                                           panel16, CARRIER_HZ, bits),
+                       FAR, rx_near, table=table, mode="nominal")
+        for k in range(16)
+    )
+    _, power = optimal_codebook(spec, panel16, CARRIER_HZ, bits, profile=profile, table=table)
+    assert power >= swept * (1 - 1e-12)
+
+
+def test_solver_fires_tied_events_together(panel16, rx_near):
+    # many switch events coincide at this symmetric pose; they must fire together,
+    # and the optimum is the 3.493 dB the phase-constant sweep also finds here
+    loss = quantization_loss(panel16, BeamSpec(tx=FAR, rx=rx_near), CARRIER_HZ, 1)
+    assert loss == pytest.approx(3.493, abs=5e-4)
+
+
+def test_solver_on_a_degenerate_state_table(panel16, rx_near):
+    # every state the same coefficient: one hull vertex, the lowest code everywhere
+    flat = ElementStateTable.from_states([(10.0, 1.0)] * 4)
+    spec = BeamSpec(tx=FAR, rx=rx_near)
+    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, 2, table=flat, mode="realized")
+    assert not config.codes.any()
+    assert power == pytest.approx(received_power(
+        1.0, CARRIER_HZ, unity_gain_profile(), panel16, config, FAR, rx_near,
+        table=flat, mode="realized",
+    ), rel=1e-12)
+
+
+@pytest.mark.parametrize("optimiser", [exhaustive_oracle, optimal_codebook])
+def test_optimisers_read_codes_as_received_power_does(optimiser, table):
+    geom = ArrayGeometry(2, 2)
+    spec = BeamSpec(tx=Pose.from_spherical(1.0, 0.3, 0.2), rx=Pose.from_spherical(0.1, 0.2, 1.0))
+    # 1-bit codes in nominal mode read the ideal 1-bit phases, whatever table is given
+    config, power = optimiser(spec, geom, CARRIER_HZ, 1, table=ElementStateTable.ideal(2))
+    assert power == pytest.approx(optimiser(spec, geom, CARRIER_HZ, 1)[1], rel=1e-12)
+    assert power == pytest.approx(received_power(
+        1.0, CARRIER_HZ, unity_gain_profile(), geom, config, spec.tx, spec.rx,
+        table=ElementStateTable.ideal(2), mode="nominal",
+    ), rel=1e-12)
+    with pytest.raises(ValueError, match="3-bit codes"):
+        optimiser(spec, geom, CARRIER_HZ, 3, table=table, mode="realized")

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from rissim.cli import main, parse_bits
+from rissim.cli import Verdict, main, parse_bits
 from rissim.errors import ConfigError
 
 
@@ -208,6 +208,7 @@ def test_realized_scan_rejects_table_of_other_bit_depth(tmp_path, capsys):
     (["--step-deg", "nan"], "--step-deg"),
     (["--max-deg", "-10"], "--max-deg"),
     (["--max-deg", "inf"], "--max-deg"),
+    (["--max-deg", "100", "--step-deg", "50"], "--max-deg"),  # steers behind the panel
 ])
 def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     assert run("scan", "--out", str(tmp_path), *flags) == 1
@@ -247,15 +248,39 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys):
     assert "'seed' must be an integer" in capsys.readouterr().err
 
 
-def test_oracle_verdict_fails_when_sweep_beats_the_oracle(tmp_path, monkeypatch):
+def test_oracle_verdict_fails_when_solver_beats_the_oracle(tmp_path, monkeypatch):
     import rissim.cli as cli
 
     def weak_oracle(*args, **kwargs):
-        config, power = cli.sweep_phase_offset(*args, **kwargs, samples=64)[:2]
-        return config, power / 2.0  # the sweep beats it by 3 dB
+        config, power = cli.optimal_codebook(*args, **kwargs)
+        return config, power / 2.0  # the solver beats it by 3 dB
 
     monkeypatch.setattr(cli, "exhaustive_oracle", weak_oracle)
     campaign = cli.measure_campaign(cli.RunConfig(output_dir=tmp_path), oracle_trials=2)
     verdict = {v.name: v for v in campaign.verdicts}["codebook-vs-oracle gap"]
     low, high = verdict.window
     assert low <= verdict.value <= high and not verdict.passed
+
+
+@pytest.mark.parametrize("entry", [
+    "hemisphere_grid_deg: 0", "hemisphere_grid_deg: -1", "hemisphere_grid_deg: .nan",
+    "grid_deg: 0", "grid_deg: .inf",
+])
+def test_config_grid_steps_must_be_positive(tmp_path, capsys, entry):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"output_dir: {tmp_path / 'results'}\n{entry}\n")
+    assert run("pattern", "--config", str(cfg)) == 1
+    assert f"{entry.split(':')[0]} must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "pattern_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_reproduce_needs_an_oracle_trial(tmp_path, capsys, trials):
+    assert run("reproduce", "--out", str(tmp_path), "--oracle-trials", trials) == 1
+    assert f"oracle trials must be at least 1, got {trials}" in capsys.readouterr().err
+    assert not (tmp_path / "link_report.csv").exists()
+
+
+def test_a_verdict_over_no_values_fails():
+    assert not Verdict.judged("60-deg scan loss", (), "no planes").passed
+    assert Verdict.judged("60-deg scan loss", (5.5, 5.5), "both planes").passed

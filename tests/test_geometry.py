@@ -67,6 +67,22 @@ def test_pose_consistency_enforced():
     assert p.polar == pytest.approx(math.pi / 2)
 
 
+@pytest.mark.parametrize("nx,ny,dx,dy", [(1, 1, 4.9e-3, 4.9e-3), (3, 5, 3.1e-3, 4.9e-3),
+                                         (16, 16, 4.9e-3, 4.9e-3)])
+def test_element_grid_is_cached_read_only(nx, ny, dx, dy):
+    geom = ArrayGeometry(nx, ny, dx, dy)
+    xe, ye = geom.element_grid()
+    fresh = np.meshgrid((np.arange(nx) - (nx - 1) / 2) * dx, (np.arange(ny) - (ny - 1) / 2) * dy,
+                        indexing="ij")
+    np.testing.assert_array_equal(xe, fresh[0])
+    np.testing.assert_array_equal(ye, fresh[1])
+    assert geom.element_grid()[0] is xe
+    with pytest.raises(ValueError):
+        xe[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ye[-1, -1] = 1.0
+
+
 def test_element_position_corner(panel16):
     xe, ye = panel16.element_grid()
     assert (xe[0, 0], ye[0, 0]) == pytest.approx((-36.75e-3, -36.75e-3))

@@ -372,6 +372,14 @@ def test_radiation_pattern_validation(panel16):
                           theta=np.array([]), phi=np.array([0.0]))
 
 
+@pytest.mark.parametrize("step_deg", [0.0, -1.0, math.nan, math.inf])
+def test_grids_reject_bad_steps(step_deg):
+    with pytest.raises(ValueError, match="grid step"):
+        cut_grid(step_deg)
+    with pytest.raises(ValueError, match="grid step"):
+        hemisphere_grid(step_deg)
+
+
 # -------------------------------------------------------------- efficiency
 
 

@@ -1,6 +1,8 @@
 import pytest
+import yaml
 
-from rissim import ConfigError, default_mcs_table, load_bundled_scenarios, load_scenario_bundle
+from rissim import (ConfigError, bundled_scenario_path, default_mcs_table, load_bundled_scenarios,
+                    load_scenario_bundle)
 
 MINIMAL = """\
 geometry: {num_x: 4, num_y: 4, spacing_x_m: 0.0049, spacing_y_m: 0.0049}
@@ -129,6 +131,13 @@ def test_bad_yaml_and_bad_shape(tmp_path):
     flat.write_text("- 1\n- 2\n")
     with pytest.raises(ConfigError, match="mapping"):
         load_scenario_bundle(flat)
+
+
+def test_c_and_python_yaml_loaders_agree_on_the_bundle():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    text = bundled_scenario_path().read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_mode_validation(tmp_path):
