@@ -20,12 +20,6 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    if value <= 0:
-        raise ValueError(f"cannot express non-positive ratio {value} in dB")
-    return 10.0 * math.log10(value)
-
-
 def dbm_to_watts(power_dbm: float) -> float:
     return 10.0 ** ((power_dbm - 30.0) / 10.0)
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -133,8 +134,19 @@ def direct_array_sum(weights, geom, carrier_hz, theta, phi, element_exponent):
     return field
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 256])
+@pytest.mark.parametrize("spacing", [4.9e-3, 11e-3])
+def test_steering_rows_match_per_element_exponentials(n, spacing):
+    k = 2.0 * math.pi / wavelength(CARRIER_HZ)
+    k_offsets = k * ((np.arange(n) - (n - 1) / 2.0) * spacing)
+    u = np.linspace(-1.0, 1.0, 2001)
+    got = patterns._steering_rows(u, k_offsets[0], k * spacing, n)
+    assert got.shape == (u.size, n)
+    assert np.abs(got - np.exp(1j * np.outer(u, k_offsets))).max() <= 1e-12
+
+
 @pytest.mark.parametrize("nx,ny,dx,dy", [(3, 5, 3.1e-3, 4.9e-3), (1, 7, 4.9e-3, 2.7e-3),
-                                         (16, 16, 4.9e-3, 4.9e-3)])
+                                         (16, 16, 4.9e-3, 4.9e-3), (64, 2, 4.9e-3, 11e-3)])
 @pytest.mark.parametrize("excitation", ["phases", "realized_codes"])
 def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, rng):
     geom = ArrayGeometry(nx, ny, dx, dy)
@@ -372,6 +384,18 @@ def test_radiation_pattern_validation(panel16):
                           theta=np.array([]), phi=np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["theta", "phi"])
+def test_direction_grids_must_be_finite(panel16, name, bad):
+    grids = {"theta": np.array([0.0, 0.1]), "phi": np.array([0.0])}
+    grids[name] = np.append(grids[name][:-1], bad)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RadiationPattern(field=np.zeros((grids["theta"].size, grids["phi"].size), dtype=complex),
+                         carrier_hz=CARRIER_HZ, **grids)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ, **grids)
+
+
 @pytest.mark.parametrize("step_deg", [0.0, -1.0, math.nan, math.inf])
 def test_grids_reject_bad_steps(step_deg):
     with pytest.raises(ValueError, match="grid step"):
@@ -411,3 +435,39 @@ def test_pattern_csv_deterministic(tmp_path, panel16):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "theta_deg,phi_deg,power_db_normalized"
+
+
+def reference_pattern_to_csv(pattern, path):
+    """The per-sample writer that pattern_to_csv replaced, kept as its reference."""
+    power = pattern.power
+    peak = power.max()
+    if peak <= 0:
+        raise ValueError("pattern has no power")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta_deg", "phi_deg", "power_db_normalized"])
+        for i, th in enumerate(np.degrees(pattern.theta)):
+            for j, ph in enumerate(np.degrees(pattern.phi)):
+                writer.writerow([f"{th:.4f}", f"{ph:.4f}", f"{10.0 * math.log10(max(power[i, j] / peak, 1e-30)):.6f}"])
+
+
+def _random_field(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("kind", ["random_cut", "cut_with_zeros", "hemisphere"])
+def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
+    if kind == "hemisphere":
+        theta, phi = hemisphere_grid(10.0)
+    else:
+        theta, phi = cut_grid(1.0), np.array([patterns.PLANE_AZIMUTHS["H"]])
+    field = _random_field(rng, (theta.size, phi.size))
+    if kind == "cut_with_zeros":
+        field[::7] = 0.0  # below the 1e-30 floor
+    pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    pattern_to_csv(pattern, got)
+    reference_pattern_to_csv(pattern, want)
+    assert got.read_bytes() == want.read_bytes()
+    if kind == "cut_with_zeros":
+        assert "-300.000000" in got.read_text()
