@@ -14,6 +14,7 @@ import argparse
 import csv
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,10 +35,10 @@ from .patterns import (
     directivity_and_gain,
     aperture_efficiency,
     hemisphere_grid,
+    hemisphere_pattern,
     pattern_metrics,
     pattern_to_csv,
     principal_cut,
-    radiation_pattern,
     scan_loss,
 )
 from .scenario_io import (_GEOMETRY_KEYS, _check_keys, _load_yaml, _parse_count, _parse_geometry,
@@ -195,6 +196,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         step = getattr(cfg, name)
         if not (math.isfinite(step) and step > 0):
             raise ConfigError(f"{name} must be finite and positive, got {step}")
+    try:
+        hemisphere_grid(cfg.hemisphere_grid_deg)
+    except ValueError:
+        raise ConfigError("hemisphere_grid_deg must divide 90 deg, "
+                          f"got {cfg.hemisphere_grid_deg}") from None
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
@@ -281,8 +287,10 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
     for line in cfg.header_lines():
         print(line)
     rows = []
+    configs = []
     for plane in planes:
         config, cut = _study_cut(cfg, args.steer_deg, plane, args.element_exponent)
+        configs.append(config)
         path = cfg.output_dir / f"pattern_cut_{plane.lower()}.csv"
         pattern_to_csv(cut, path)
         m = pattern_metrics(cut)
@@ -295,14 +303,10 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
         ["plane", "peak_direction_deg", "sidelobe_level_db", "hpbw_deg"],
         rows,
     )
-    theta, phi = hemisphere_grid(cfg.hemisphere_grid_deg)
-    spec = BeamSpec(tx=cfg.feed_pose(), rx=_steer_target(args.steer_deg, planes[0]))
-    config = synthesize_codebook(spec, cfg.geometry, cfg.carrier_hz, cfg.single_bits())
-    full = radiation_pattern(
-        config, cfg.geometry, cfg.carrier_hz,
+    full = hemisphere_pattern(
+        configs[0], cfg.geometry, cfg.carrier_hz, step_deg=cfg.hemisphere_grid_deg,
         feed=cfg.feed_pose(), feed_exponent=cfg.feed_exponent,
-        element_exponent=args.element_exponent,
-        theta=theta, phi=phi, table=cfg.element_table, mode=cfg.mode,
+        element_exponent=args.element_exponent, table=cfg.element_table, mode=cfg.mode,
     )
     directivity_dbi, gain_dbi = directivity_and_gain(full, args.loss_budget_db)
     print(f"directivity {directivity_dbi:.2f} dBi, gain {gain_dbi:.2f} dBi "
@@ -572,10 +576,9 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     m = pattern_metrics(cut)
     judge("broadside sidelobes", m.sidelobe_level_db, f"SLL {m.sidelobe_level_db:.2f} dB")
     judge("broadside beamwidth", m.hpbw_deg, f"HPBW {m.hpbw_deg:.2f} deg")
-    theta, phi = hemisphere_grid(cfg.hemisphere_grid_deg)
-    full = radiation_pattern(config, bundle.geometry, carrier, feed=feed,
-                             feed_exponent=cfg.feed_exponent, element_exponent=1.0,
-                             theta=theta, phi=phi)
+    full = hemisphere_pattern(config, bundle.geometry, carrier,
+                              step_deg=cfg.hemisphere_grid_deg, feed=feed,
+                              feed_exponent=cfg.feed_exponent, element_exponent=1.0)
     budget = cfg.element_table.mean_insertion_loss_db() + loss2
     directivity_dbi, gain_dbi = directivity_and_gain(full, budget)
     eff = aperture_efficiency(gain_dbi, bundle.geometry.aperture_area, carrier)
@@ -601,7 +604,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
           f"E {sixty[0]:.3f} dB, H {sixty[1]:.3f} dB (window 2.5..6.0)")
 
     # small-panel oracle agreement; the solver may never beat the brute-force optimum
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     small = ArrayGeometry(2, 2, bundle.geometry.spacing_x, bundle.geometry.spacing_y)
     profile = unity_gain_profile()
     worst = 0.0

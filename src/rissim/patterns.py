@@ -18,11 +18,17 @@ z = exp(j k dx u), so it is filled by doubling from two exponentials: each
 direction needs four exponentials in all, instead of Nx + Ny (or Nx Ny for
 the direct sum). Directions are evaluated in fixed-size blocks, so no
 temporary grows with the grid.
+
+The element offsets are symmetric about the panel centre, so a_m(-u) =
+a_{Nx-1-m}(u) and b_n(-v) = b_{Ny-1-n}(v). The hemisphere pattern therefore
+evaluates only the azimuths of one quadrant, phi in [0, 90] deg: one
+product of a(u) with [W | W flipped in x] gives the fields at (u, v) and
+(-u, v), and reversing b(v) gives (u, -v) and (-u, -v), the directions at
+the mirror azimuths 180 - phi, 180 + phi and 360 - phi.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,6 +157,40 @@ def _steering_rows(proj: np.ndarray, first: float, step: float, n: int) -> np.nd
     return cols.T
 
 
+def _weights(excitation: RISConfiguration | np.ndarray, geom: ArrayGeometry, carrier_hz: float,
+             feed: Pose | None, feed_exponent: float, table: ElementStateTable | None,
+             mode: Mode) -> np.ndarray:
+    """The element weights W_mn = A_mn Gamma_mn exp(j phi_mn) of the array sum."""
+    weights = _excitation_coefficients(excitation, geom, table, mode)
+    if feed is not None:
+        weights = weights * feed_illuminations(feed, geom, carrier_hz, feed_exponent)
+    return weights
+
+
+def _blocks(weights: np.ndarray, geom: ArrayGeometry, carrier_hz: float,
+            theta: np.ndarray, phi: np.ndarray):
+    """The separable sum over the theta-major grid theta x phi, block by block.
+
+    Yields (i_theta, i_phi, a(u)^T weights, b(v)) for each block of at most
+    ``_CHUNK_DIRECTIONS`` directions; the field of a direction is the row sum
+    of the product of its two rows.
+    """
+    k = 2.0 * math.pi / wavelength(carrier_hz)
+    kx0 = k * (geom.offsets_x()[0] * geom.spacing_x)
+    ky0 = k * (geom.offsets_y()[0] * geom.spacing_y)
+    sin_theta = np.sin(theta)
+    cos_phi = np.cos(phi)
+    sin_phi = np.sin(phi)
+    size = theta.size * phi.size
+    for start in range(0, size, _CHUNK_DIRECTIONS):
+        i_theta, i_phi = np.divmod(np.arange(start, min(start + _CHUNK_DIRECTIONS, size)),
+                                   phi.size)
+        s = sin_theta[i_theta]
+        a = _steering_rows(s * cos_phi[i_phi], kx0, k * geom.spacing_x, geom.num_x)  # a(u)
+        b = _steering_rows(s * sin_phi[i_phi], ky0, k * geom.spacing_y, geom.num_y)  # b(v)
+        yield i_theta, i_phi, a @ weights, b
+
+
 def radiation_pattern(
     excitation: RISConfiguration | np.ndarray,
     geom: ArrayGeometry,
@@ -172,24 +212,53 @@ def radiation_pattern(
     """
     theta, phi = _direction_grids(theta, phi)
     element_factor = _element_factor(theta, element_exponent)
-    weights = _excitation_coefficients(excitation, geom, table, mode)
-    if feed is not None:
-        weights = weights * feed_illuminations(feed, geom, carrier_hz, feed_exponent)
-    k = 2.0 * math.pi / wavelength(carrier_hz)
-    kx0 = k * (geom.offsets_x()[0] * geom.spacing_x)
-    ky0 = k * (geom.offsets_y()[0] * geom.spacing_y)
-    sin_theta = np.sin(theta)
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    field = np.empty(theta.size * phi.size, dtype=complex)
-    for start in range(0, field.size, _CHUNK_DIRECTIONS):
-        stop = min(start + _CHUNK_DIRECTIONS, field.size)
-        i_theta, i_phi = np.divmod(np.arange(start, stop), phi.size)  # theta-major
-        s = sin_theta[i_theta]
-        a = _steering_rows(s * cos_phi[i_phi], kx0, k * geom.spacing_x, geom.num_x)  # a(u)
-        b = _steering_rows(s * sin_phi[i_phi], ky0, k * geom.spacing_y, geom.num_y)  # b(v)
-        field[start:stop] = ((a @ weights) * b).sum(axis=1)
-    field = field.reshape(theta.size, phi.size) * element_factor
+    weights = _weights(excitation, geom, carrier_hz, feed, feed_exponent, table, mode)
+    field = np.empty((theta.size, phi.size), dtype=complex)
+    for i_theta, i_phi, p, b in _blocks(weights, geom, carrier_hz, theta, phi):
+        field[i_theta, i_phi] = np.einsum("ij,ij->i", p, b)
+    field *= element_factor
+    return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
+
+
+def hemisphere_pattern(
+    excitation: RISConfiguration | np.ndarray,
+    geom: ArrayGeometry,
+    carrier_hz: float,
+    *,
+    step_deg: float = DEFAULT_GRID_STEP_DEG,
+    feed: Pose | None = None,
+    feed_exponent: float = 0.0,
+    element_exponent: float = 1.0,
+    table: ElementStateTable | None = None,
+    mode: Mode = "nominal",
+) -> RadiationPattern:
+    """:func:`radiation_pattern` on ``hemisphere_grid(step_deg)``, from one quadrant.
+
+    Only the q + 1 azimuths in [0, 90] deg of the 4q grid azimuths are
+    evaluated. Their rows against [W | W flipped in x] give P = a(u)^T W
+    and P' = a(-u)^T W, and the field at azimuth index j and its mirrors is
+
+        j:      (u, v)   = rowsum(P b(v))
+        2q - j: (-u, v)  = rowsum(P' b(v))
+        2q + j: (-u, -v) = rowsum(P' b(-v))
+        4q - j: (u, -v)  = rowsum(P b(-v)),   with b(-v) = b(v) reversed.
+    """
+    theta, phi = hemisphere_grid(step_deg)
+    element_factor = _element_factor(theta, element_exponent)
+    weights = _weights(excitation, geom, carrier_hz, feed, feed_exponent, table, mode)
+    quarter = phi.size // 4
+    ny = geom.num_y
+    field = np.empty((theta.size, phi.size), dtype=complex)
+    stacked = np.concatenate([weights, weights[::-1]], axis=1)
+    for i_theta, j, p, b in _blocks(stacked, geom, carrier_hz, theta, phi[: quarter + 1]):
+        direct, mirror = p[:, :ny], p[:, ny:]
+        b_mirror = b[:, ::-1]
+        field[i_theta, j] = np.einsum("ij,ij->i", direct, b)
+        field[i_theta, 2 * quarter - j] = np.einsum("ij,ij->i", mirror, b)
+        field[i_theta, 2 * quarter + j] = np.einsum("ij,ij->i", mirror, b_mirror)
+        field[i_theta, (4 * quarter - j) % phi.size] = np.einsum("ij,ij->i", direct, b_mirror)
+        del p, b, direct, mirror, b_mirror  # free this block before the next one is built
+    field *= element_factor
     return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
 
 
@@ -209,13 +278,15 @@ def hemisphere_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> tuple[np.ndarray
     """(theta, phi) grids covering the forward hemisphere.
 
     phi omits the 2 pi endpoint so the azimuth integral is a clean periodic
-    sum; theta includes both poles of the range [0, pi/2].
+    sum; theta includes both poles of the range [0, pi/2]. The step must
+    divide 90 deg, so that both grids keep it and phi closes the circle.
     """
     _check_step(step_deg)
-    n_t = int(round(90.0 / step_deg))
-    n_p = int(round(360.0 / step_deg))
-    theta = np.radians(np.linspace(0.0, 90.0, n_t + 1))
-    phi = np.radians(np.arange(n_p) * step_deg)
+    quarter = round(90.0 / step_deg)
+    if quarter < 1 or not math.isclose(quarter * step_deg, 90.0, rel_tol=1e-9):
+        raise ValueError(f"hemisphere grid step must divide 90 deg, got {step_deg} deg")
+    theta = np.radians(np.linspace(0.0, 90.0, quarter + 1))
+    phi = np.radians(np.arange(4 * quarter) * step_deg)
     return theta, phi
 
 
@@ -368,10 +439,11 @@ def pattern_to_csv(pattern: RadiationPattern, path: str | Path) -> None:
     peak = power.max()
     if peak <= 0:
         raise ValueError("pattern has no power")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta_deg", "phi_deg", "power_db_normalized"])
-        phi_deg = np.degrees(pattern.phi).tolist()
-        for th, ratios in zip(np.degrees(pattern.theta).tolist(), (power / peak).tolist()):
-            for ph, ratio in zip(phi_deg, ratios):
-                writer.writerow([f"{th:.4f}", f"{ph:.4f}", f"{10.0 * math.log10(max(ratio, 1e-30)):.6f}"])
+    phi_deg = np.degrees(pattern.phi).tolist()
+    rows = "".join([
+        f"{th:.4f},{ph:.4f},{10.0 * math.log10(max(ratio, 1e-30)):.6f}\r\n"
+        for th, ratios in zip(np.degrees(pattern.theta).tolist(), (power / peak).tolist())
+        for ph, ratio in zip(phi_deg, ratios)
+    ])
+    with open(path, "w", newline="") as fh:  # the csv module's \r\n rows, in one write
+        fh.write("theta_deg,phi_deg,power_db_normalized\r\n" + rows)

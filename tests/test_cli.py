@@ -274,6 +274,14 @@ def test_config_grid_steps_must_be_positive(tmp_path, capsys, entry):
     assert not (tmp_path / "results" / "pattern_metrics.csv").exists()
 
 
+def test_config_hemisphere_step_must_divide_a_right_angle(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"output_dir: {tmp_path / 'results'}\nhemisphere_grid_deg: 0.7\n")
+    assert run("pattern", "--config", str(cfg)) == 1
+    assert "hemisphere_grid_deg must divide 90 deg, got 0.7" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "pattern_metrics.csv").exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_reproduce_needs_an_oracle_trial(tmp_path, capsys, trials):
     assert run("reproduce", "--out", str(tmp_path), "--oracle-trials", trials) == 1

@@ -18,6 +18,7 @@ from rissim import (
     directivity_and_gain,
     feed_illuminations,
     hemisphere_grid,
+    hemisphere_pattern,
     optimal_phases,
     pattern_metrics,
     pattern_to_csv,
@@ -171,6 +172,42 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
                    * feed_illuminations(FEED, geom, CARRIER_HZ, FEED_Q))
     want = direct_array_sum(weights, geom, CARRIER_HZ, theta, phi, gamma)
     assert np.abs(got.field - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _directivity_estimates(pattern):
+    """(fine, coarse) directivity in dBi; coarse is None when the grid resolves it."""
+    try:
+        return directivity_and_gain(pattern)[0], None
+    except ResolutionError as err:
+        return err.fine_estimate_db, err.coarse_estimate_db
+
+
+@pytest.mark.parametrize("nx,ny,dx,dy", [(1, 1, 4.9e-3, 4.9e-3), (1, 7, 4.9e-3, 2.7e-3),
+                                         (3, 5, 3.1e-3, 4.9e-3), (16, 16, 4.9e-3, 4.9e-3)])
+@pytest.mark.parametrize("step_deg", [1.0, 2.0, 6.0, 10.0])
+@pytest.mark.parametrize("excitation", ["phases", "realized_codes"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, excitation,
+                                                      gamma, rng):
+    geom = ArrayGeometry(nx, ny, dx, dy)
+    if excitation == "phases":
+        args = (rng.uniform(0.0, 2.0 * math.pi, (nx, ny)), geom, CARRIER_HZ)
+        kwargs = dict(element_exponent=gamma)
+    else:
+        config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
+        args = (config, geom, CARRIER_HZ)
+        kwargs = dict(feed=FEED, feed_exponent=FEED_Q, element_exponent=gamma,
+                      table=default_element_table(), mode="realized")
+    theta, phi = hemisphere_grid(step_deg)
+    want = radiation_pattern(*args, theta=theta, phi=phi, **kwargs)
+    got = hemisphere_pattern(*args, step_deg=step_deg, **kwargs)
+    assert np.array_equal(got.theta, want.theta) and np.array_equal(got.phi, want.phi)
+    assert np.abs(got.field - want.field).max() <= 1e-12 * np.abs(want.field).max()
+    got_db, want_db = _directivity_estimates(got), _directivity_estimates(want)
+    assert got_db[0] == pytest.approx(want_db[0], abs=1e-12)
+    assert (got_db[1] is None) == (want_db[1] is None)
+    if want_db[1] is not None:
+        assert got_db[1] == pytest.approx(want_db[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.5])
@@ -396,12 +433,13 @@ def test_direction_grids_must_be_finite(panel16, name, bad):
         radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ, **grids)
 
 
-@pytest.mark.parametrize("step_deg", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("step_deg", [0.0, -1.0, math.nan, math.inf, 0.7, 100.0])
 def test_grids_reject_bad_steps(step_deg):
-    with pytest.raises(ValueError, match="grid step"):
-        cut_grid(step_deg)
-    with pytest.raises(ValueError, match="grid step"):
-        hemisphere_grid(step_deg)
+    if not 0.0 < step_deg < math.inf:
+        with pytest.raises(ValueError, match="grid step"):
+            cut_grid(step_deg)
+    with pytest.raises(ValueError, match=f"grid step .*got {step_deg} deg"):
+        hemisphere_grid(step_deg)  # 0.7 and 100 do not divide 90 deg
 
 
 # -------------------------------------------------------------- efficiency
