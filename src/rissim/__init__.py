@@ -86,8 +86,6 @@ from .patterns import (
 from .scenario_io import (
     ScenarioBundle,
     bundled_scenario_path,
-    default_mcs_table,
-    load_bundled_scenarios,
     load_scenario_bundle,
 )
 from .units import SPEED_OF_LIGHT, wavelength

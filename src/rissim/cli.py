@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import random
@@ -34,6 +35,7 @@ from .patterns import (
     PatternMetrics,
     directivity_and_gain,
     aperture_efficiency,
+    cut_grid,
     hemisphere_grid,
     hemisphere_pattern,
     pattern_metrics,
@@ -192,15 +194,15 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         cfg.mode = mode
     cfg.seed = args.seed if args.seed is not None else _parse_count(
         file_cfg.get("seed", 0), "seed", "run config")
-    for name in ("grid_deg", "hemisphere_grid_deg"):
+    for name, grid, span_deg in (("grid_deg", cut_grid, 180),
+                                 ("hemisphere_grid_deg", hemisphere_grid, 90)):
         step = getattr(cfg, name)
         if not (math.isfinite(step) and step > 0):
             raise ConfigError(f"{name} must be finite and positive, got {step}")
-    try:
-        hemisphere_grid(cfg.hemisphere_grid_deg)
-    except ValueError:
-        raise ConfigError("hemisphere_grid_deg must divide 90 deg, "
-                          f"got {cfg.hemisphere_grid_deg}") from None
+        try:
+            grid(step)
+        except ValueError:
+            raise ConfigError(f"{name} must divide {span_deg} deg, got {step}") from None
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
@@ -658,7 +660,9 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rissim",
         description="Transmissive-panel mmWave link simulator",
@@ -720,8 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)
         cfg.carrier_hz = args.carrier_hz

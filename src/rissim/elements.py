@@ -11,6 +11,7 @@ across the element's 3-dB band).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,8 +135,9 @@ class ElementStateTable:
         return cls.from_states([rows[i] for i in range(len(rows))], reference_freq)
 
 
+@functools.cache
 def default_element_table() -> ElementStateTable:
-    """Bundled 2-bit element behavior: per-state insertion loss and phase at 26.5 GHz."""
+    """Bundled 2-bit element behavior (insertion loss, phase at 26.5 GHz); one frozen table."""
     return ElementStateTable.from_states(
         [
             (-141.2, 1.1),  # state 0deg

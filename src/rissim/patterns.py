@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,11 @@ class RadiationPattern:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
+    @cached_property
     def power(self) -> np.ndarray:
-        return np.abs(self.field) ** 2
+        power = np.abs(self.field) ** 2
+        power.flags.writeable = False
+        return power
 
     def peak_normalized(self) -> "RadiationPattern":
         peak = np.abs(self.field).max()
@@ -262,15 +265,19 @@ def hemisphere_pattern(
     return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
 
 
-def _check_step(step_deg: float) -> None:
+def _step_count(step_deg: float, span_deg: float, grid: str) -> int:
+    """How many grid steps make up the span; the step must divide it exactly."""
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"grid step must be finite and positive, got {step_deg} deg")
+    n = round(span_deg / step_deg)
+    if n < 1 or not math.isclose(n * step_deg, span_deg, rel_tol=1e-9):
+        raise ValueError(f"{grid} grid step must divide {span_deg:g} deg, got {step_deg} deg")
+    return n
 
 
 def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG, span_deg: float = 90.0) -> np.ndarray:
-    """Signed theta grid for a principal cut, inclusive of both ends."""
-    _check_step(step_deg)
-    n = int(round(2 * span_deg / step_deg))
+    """Signed theta grid of a principal cut over [-span, span]; the step must divide 2 span."""
+    n = _step_count(step_deg, 2 * span_deg, "cut")
     return np.radians(np.linspace(-span_deg, span_deg, n + 1))
 
 
@@ -281,10 +288,7 @@ def hemisphere_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> tuple[np.ndarray
     sum; theta includes both poles of the range [0, pi/2]. The step must
     divide 90 deg, so that both grids keep it and phi closes the circle.
     """
-    _check_step(step_deg)
-    quarter = round(90.0 / step_deg)
-    if quarter < 1 or not math.isclose(quarter * step_deg, 90.0, rel_tol=1e-9):
-        raise ValueError(f"hemisphere grid step must divide 90 deg, got {step_deg} deg")
+    quarter = _step_count(step_deg, 90.0, "hemisphere")
     theta = np.radians(np.linspace(0.0, 90.0, quarter + 1))
     phi = np.radians(np.arange(4 * quarter) * step_deg)
     return theta, phi
@@ -439,11 +443,12 @@ def pattern_to_csv(pattern: RadiationPattern, path: str | Path) -> None:
     peak = power.max()
     if peak <= 0:
         raise ValueError("pattern has no power")
-    phi_deg = np.degrees(pattern.phi).tolist()
-    rows = "".join([
-        f"{th:.4f},{ph:.4f},{10.0 * math.log10(max(ratio, 1e-30)):.6f}\r\n"
-        for th, ratios in zip(np.degrees(pattern.theta).tolist(), (power / peak).tolist())
-        for ph, ratio in zip(phi_deg, ratios)
-    ])
+    theta_deg = [f"{th:.4f}," for th in np.degrees(pattern.theta).tolist()]
+    phi_deg = [f"{ph:.4f}," for ph in np.degrees(pattern.phi).tolist()]
+    leads = [th + ph for th in theta_deg for ph in phi_deg]
+    ratios = np.maximum(power / peak, 1e-30).ravel().tolist()
+    # math.log10 per sample: numpy's vector log10 may differ in the last ulp.
+    rows = "".join([f"{lead}{10.0 * math.log10(ratio):.6f}\r\n"
+                    for lead, ratio in zip(leads, ratios)])
     with open(path, "w", newline="") as fh:  # the csv module's \r\n rows, in one write
         fh.write("theta_deg,phi_deg,power_db_normalized\r\n" + rows)

@@ -242,12 +242,3 @@ def load_scenario_bundle(path: str | Path, lenient: bool = False) -> ScenarioBun
 def bundled_scenario_path() -> Path:
     """Filesystem path of the packaged calibration bundle."""
     return Path(resources.files("rissim").joinpath("data", BUNDLED_SCENARIO_NAME))
-
-
-def load_bundled_scenarios() -> ScenarioBundle:
-    return load_scenario_bundle(bundled_scenario_path())
-
-
-def default_mcs_table() -> MCSTable:
-    """The calibrated MCS table shipped with the package."""
-    return load_bundled_scenarios().mcs

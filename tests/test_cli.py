@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from rissim.cli import Verdict, main, parse_bits
+from rissim.cli import Verdict, build_parser, main, parse_bits
 from rissim.errors import ConfigError
 
 
@@ -280,6 +280,38 @@ def test_config_hemisphere_step_must_divide_a_right_angle(tmp_path, capsys):
     assert run("pattern", "--config", str(cfg)) == 1
     assert "hemisphere_grid_deg must divide 90 deg, got 0.7" in capsys.readouterr().err
     assert not (tmp_path / "results" / "pattern_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("step", ["0.7", "100"])
+def test_cut_step_must_divide_a_half_turn(tmp_path, capsys, source, step):
+    if source == "flag":
+        argv = ["--grid-deg", step, "--out", str(tmp_path / "results")]
+    else:
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"output_dir: {tmp_path / 'results'}\ngrid_deg: {step}\n")
+        argv = ["--config", str(cfg)]
+    assert run("pattern", *argv) == 1
+    assert f"grid_deg must divide 180 deg, got {float(step)}" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_parser_is_reused_across_calls(tmp_path):
+    parser = build_parser()
+    steer = ["pattern", "--steer-deg", "23.4", "--plane", "both"]
+    assert run(*steer, "--out", str(tmp_path / "first")) == 0
+    with pytest.raises(SystemExit) as rejected:
+        run("pattern", "--grid-deg", "1.0", "--plane", "X")
+    assert rejected.value.code == 2
+    assert run("scan", "--max-deg", "20", "--step-deg", "10", "--grid-deg", "1.0",
+               "--out", str(tmp_path / "scan")) == 0
+    assert run(*steer, "--out", str(tmp_path / "again")) == 0
+    assert build_parser() is parser
+    names = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "again").iterdir())
+    assert len(names) == 3
+    for name in names:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rissim import ElementState, ElementStateTable, state_coefficients
+from rissim import ElementState, ElementStateTable, default_element_table, state_coefficients
 
 
 def test_default_table_values(table):
@@ -67,6 +68,17 @@ def test_ideal_table():
     assert t.bits == 3
     np.testing.assert_allclose(t.magnitudes(), 1.0)
     np.testing.assert_allclose(t.realized_phases(), t.nominal_phases())
+    with pytest.raises(TypeError):
+        ElementStateTable.ideal(2.0)  # a bit count is an integer
+
+
+def test_default_table_is_one_frozen_object():
+    table = default_element_table()
+    assert default_element_table() is table
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.bits = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.states[0].insertion_loss_db = 0.0
 
 
 def test_table_validation_state_count():

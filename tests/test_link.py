@@ -18,8 +18,9 @@ from rissim import (
     Obstacle,
     Pose,
     array_gain,
+    bundled_scenario_path,
     evaluate_scenario,
-    load_bundled_scenarios,
+    load_scenario_bundle,
     noise_power,
     quantization_loss,
     required_transmit_power,
@@ -199,7 +200,7 @@ def test_required_power_threshold_shift(panel16):
     assert p1 - p0 == pytest.approx(3.0, abs=0.15)
 
 
-BUNDLE = load_bundled_scenarios()
+BUNDLE = load_scenario_bundle(bundled_scenario_path())
 
 
 def bundle_rate_at(scenario, p_dbm):

@@ -435,11 +435,18 @@ def test_direction_grids_must_be_finite(panel16, name, bad):
 
 @pytest.mark.parametrize("step_deg", [0.0, -1.0, math.nan, math.inf, 0.7, 100.0])
 def test_grids_reject_bad_steps(step_deg):
-    if not 0.0 < step_deg < math.inf:
-        with pytest.raises(ValueError, match="grid step"):
-            cut_grid(step_deg)
     with pytest.raises(ValueError, match=f"grid step .*got {step_deg} deg"):
-        hemisphere_grid(step_deg)  # 0.7 and 100 do not divide 90 deg
+        cut_grid(step_deg)  # 0.7 and 100 do not divide 180 deg
+    with pytest.raises(ValueError, match=f"grid step .*got {step_deg} deg"):
+        hemisphere_grid(step_deg)  # nor 90 deg
+
+
+def test_cut_grid_keeps_its_step():
+    theta_deg = np.degrees(cut_grid())
+    assert theta_deg.size == 721 and theta_deg[0] == -90.0 and theta_deg[-1] == 90.0
+    np.testing.assert_allclose(np.diff(theta_deg), 0.25, rtol=1e-12)
+    with pytest.raises(ValueError, match="cut grid step must divide 180 deg, got 0.7 deg"):
+        cut_grid(0.7)  # 258 samples 0.70039 deg apart, if it were accepted
 
 
 # -------------------------------------------------------------- efficiency
@@ -509,3 +516,14 @@ def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
     assert got.read_bytes() == want.read_bytes()
     if kind == "cut_with_zeros":
         assert "-300.000000" in got.read_text()
+
+
+def test_power_is_computed_once_and_read_only(rng):
+    theta, phi = hemisphere_grid(10.0)
+    field = _random_field(rng, (theta.size, phi.size))
+    pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
+    power = pattern.power
+    np.testing.assert_array_equal(power, np.abs(pattern.field) ** 2)  # bit for bit
+    assert pattern.power is power
+    with pytest.raises(ValueError, match="read-only"):
+        power[0, 0] = 1.0

@@ -1,8 +1,7 @@
 import pytest
 import yaml
 
-from rissim import (ConfigError, bundled_scenario_path, default_mcs_table, load_bundled_scenarios,
-                    load_scenario_bundle)
+from rissim import ConfigError, bundled_scenario_path, load_scenario_bundle
 
 MINIMAL = """\
 geometry: {num_x: 4, num_y: 4, spacing_x_m: 0.0049, spacing_y_m: 0.0049}
@@ -22,7 +21,7 @@ scenarios:
 
 
 def test_bundled_scenarios_load():
-    bundle = load_bundled_scenarios()
+    bundle = load_scenario_bundle(bundled_scenario_path())
     assert bundle.bits == 2
     assert bundle.mode == "realized"
     assert bundle.geometry.num_x == 16 and bundle.geometry.num_y == 16
@@ -30,10 +29,6 @@ def test_bundled_scenarios_load():
     assert all(s.expected_rate_mbps is not None for s in bundle.scenarios)
     rates = sorted({row.rate_mbps for row in bundle.mcs.rows})
     assert rates == [450.0, 1024.0, 1121.0, 1683.0]
-
-
-def test_default_mcs_table_matches_bundle():
-    assert default_mcs_table() == load_bundled_scenarios().mcs
 
 
 def test_defaults_merge(tmp_path):
