@@ -64,7 +64,6 @@ from .link import (
     MCSRow,
     MCSTable,
     Obstacle,
-    array_gain,
     evaluate_scenario,
     noise_power,
     required_transmit_power,

@@ -50,6 +50,8 @@ class BeamSpec:
     def __post_init__(self):
         if self.tx_model not in _MODELS or self.rx_model not in _MODELS:
             raise ValueError(f"wavefront models must be one of {_MODELS}")
+        if not math.isfinite(self.phase_offset):
+            raise ValueError(f"phase_offset must be finite, got {self.phase_offset}")
         object.__setattr__(self, "phase_offset", self.phase_offset % TWO_PI)
 
 
@@ -117,9 +119,8 @@ def optimal_codebook(
     profile: GainProfile | None = None,
     table: ElementStateTable | None = None,
     mode: Mode = "nominal",
-    tx_power_w: float = 1.0,
 ) -> tuple[RISConfiguration, float]:
-    """Exact argmax of received power over every code grid, and that power.
+    """Exact argmax of received power over every code grid, and that power at 1 W sent.
 
     Maximizes |sum_i a_i lut[c_i]| with a_i the cascade path term of element
     i, as :func:`exhaustive_oracle` does, in O(N H log NH) for H convex-hull
@@ -154,7 +155,7 @@ def optimal_codebook(
         vertex[element] = (edge + 1) % hull.size  # in event order, so the last event wins
     codes = hull[vertex]
     total = np.sum(lut[codes] * path)
-    power = _cascade_prefactor(tx_power_w, carrier_hz, profile, spec.tx, spec.rx) * abs(total) ** 2
+    power = _cascade_prefactor(1.0, carrier_hz, profile, spec.tx, spec.rx) * abs(total) ** 2
     config = RISConfiguration(geom=geom, bits=bits, codes=codes.reshape(geom.num_x, geom.num_y))
     return config, power
 
@@ -168,9 +169,8 @@ def exhaustive_oracle(
     profile: GainProfile | None = None,
     table: ElementStateTable | None = None,
     mode: Mode = "nominal",
-    tx_power_w: float = 1.0,
 ) -> tuple[RISConfiguration, float]:
-    """Brute-force argmax of received power over every possible code grid.
+    """Brute-force argmax of received power over every code grid, and that power at 1 W sent.
 
     Enumerates lexicographically with element (0, 0) as the most significant
     digit, so argmax ties resolve to the lexicographically smallest grid.
@@ -197,7 +197,7 @@ def exhaustive_oracle(
         [(best // (n_states ** (n - 1 - i))) % n_states for i in range(n)]
     ).reshape(geom.num_x, geom.num_y)
     config = RISConfiguration(geom=geom, bits=bits, codes=codes)
-    power = _cascade_prefactor(tx_power_w, carrier_hz, profile, spec.tx, spec.rx) * float(
+    power = _cascade_prefactor(1.0, carrier_hz, profile, spec.tx, spec.rx) * float(
         np.abs(field[best])) ** 2
     return config, power
 

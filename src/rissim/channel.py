@@ -186,14 +186,11 @@ def coherent_power_bound(
     geom: ArrayGeometry,
     tx: Pose,
     rx: Pose,
-    *,
-    magnitudes: np.ndarray | float = 1.0,
 ) -> float:
     """Fully coherent upper bound: every element phased so terms add in phase.
 
-    Equals :func:`received_power` with the continuous-optimal phase grid;
-    closed form P_t G F lambda^2 / (16 pi^2) (sum Gamma / (d^t d^r))^2.
+    Equals :func:`received_power` with the continuous-optimal phase grid and
+    unit magnitudes; closed form P_t G F lambda^2 / (16 pi^2) (sum 1 / (d^t d^r))^2.
     """
-    path = _path_vector(carrier_hz, geom, tx, rx)
-    total = np.sum(np.asarray(magnitudes, dtype=float) * np.abs(path))
+    total = np.sum(np.abs(_path_vector(carrier_hz, geom, tx, rx)))
     return _cascade_prefactor(tx_power_w, carrier_hz, profile, tx, rx) * float(total) ** 2

@@ -134,10 +134,10 @@ def load_run_config(path: str | Path) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    _check_keys(raw, _CONFIG_KEYS, str(path), lenient=False)
-    _check_keys(raw.get("geometry", {}), _GEOMETRY_KEYS, f"{path}: geometry", lenient=False)
-    _check_keys(raw.get("feed", {}), _FEED_KEYS, f"{path}: feed", lenient=False)
-    _check_keys(raw.get("beam", {}), _BEAM_KEYS, f"{path}: beam", lenient=False)
+    _check_keys(raw, _CONFIG_KEYS, str(path))
+    _check_keys(raw.get("geometry", {}), _GEOMETRY_KEYS, f"{path}: geometry")
+    _check_keys(raw.get("feed", {}), _FEED_KEYS, f"{path}: feed")
+    _check_keys(raw.get("beam", {}), _BEAM_KEYS, f"{path}: beam")
     return raw
 
 
@@ -150,7 +150,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
     if "geometry" in file_cfg:
         geometry = {**_GEOMETRY_DEFAULTS, **file_cfg["geometry"]}
-        cfg.geometry = _parse_geometry(geometry, "geometry", lenient=False)
+        cfg.geometry = _parse_geometry(geometry, "geometry")
     if "element_table" in file_cfg:
         cfg.element_table = ElementStateTable.from_csv(file_cfg["element_table"])
         cfg.element_table_path = str(file_cfg["element_table"])
@@ -166,8 +166,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         beam = file_cfg["beam"]
         far = {"range_m": FAR_FIELD_RANGE_M}
         cfg.beam = BeamSpec(
-            tx=_parse_pose(beam.get("tx_pose", far), "beam.tx_pose", lenient=False),
-            rx=_parse_pose(beam.get("rx_pose", far), "beam.rx_pose", lenient=False),
+            tx=_parse_pose(beam.get("tx_pose", far), "beam.tx_pose"),
+            rx=_parse_pose(beam.get("rx_pose", far), "beam.rx_pose"),
             tx_model=str(beam.get("tx_model", "auto")),
             rx_model=str(beam.get("rx_model", "auto")),
             phase_offset=math.radians(
@@ -266,32 +266,30 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- pattern
 
 
-def _study_cut(cfg: RunConfig, steer_deg: float, plane: str, element_exponent: float):
-    target = _steer_target(steer_deg, plane)
-    spec = BeamSpec(tx=cfg.feed_pose(), rx=target)
-    config = synthesize_codebook(spec, cfg.geometry, cfg.carrier_hz, cfg.single_bits())
-    return config, principal_cut(
-        config,
-        cfg.geometry,
-        cfg.carrier_hz,
-        plane=plane,
-        step_deg=cfg.grid_deg,
-        feed=cfg.feed_pose(),
-        feed_exponent=cfg.feed_exponent,
-        element_exponent=element_exponent,
-        table=cfg.element_table,
-        mode=cfg.mode,
-    )
+def _steered_cut(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: int,
+                 steer_deg: float, plane: str, element_exponent: float, *,
+                 table: ElementStateTable | None = None, mode: str = "nominal"):
+    """The feed-to-target codebook for a signed steer angle in a plane, and its cut there."""
+    feed = cfg.feed_pose()
+    spec = BeamSpec(tx=feed, rx=_steer_target(steer_deg, plane))
+    config = synthesize_codebook(spec, geom, carrier_hz, bits)
+    return config, principal_cut(config, geom, carrier_hz, plane=plane, step_deg=cfg.grid_deg,
+                                 feed=feed, feed_exponent=cfg.feed_exponent,
+                                 element_exponent=element_exponent, table=table, mode=mode)
 
 
 def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
+    bits = cfg.single_bits()
+    if not -90 <= args.steer_deg <= 90:  # beyond 90 deg the target lies behind the panel
+        raise ConfigError(f"--steer-deg must lie in [-90, 90], got {args.steer_deg}")
     planes = ["E", "H"] if args.plane == "both" else [args.plane]
     for line in cfg.header_lines():
         print(line)
     rows = []
     configs = []
     for plane in planes:
-        config, cut = _study_cut(cfg, args.steer_deg, plane, args.element_exponent)
+        config, cut = _steered_cut(cfg, cfg.geometry, cfg.carrier_hz, bits, args.steer_deg, plane,
+                                   args.element_exponent, table=cfg.element_table, mode=cfg.mode)
         configs.append(config)
         path = cfg.output_dir / f"pattern_cut_{plane.lower()}.csv"
         pattern_to_csv(cut, path)
@@ -330,16 +328,12 @@ def _steer_sweep(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: i
     element factor cos^gamma(theta) gives the scan loss, taken against the
     first angle's. Returns {plane: [(loss_db, peak_deg) per angle]}.
     """
-    feed = cfg.feed_pose()
     sweep = {"E": [], "H": []}
     for plane, results in sweep.items():
         reference = None
         for angle in angles:
-            spec = BeamSpec(tx=feed, rx=_steer_target(-angle, plane))
-            config = synthesize_codebook(spec, geom, carrier_hz, bits)
-            af_cut = principal_cut(config, geom, carrier_hz, plane=plane, step_deg=cfg.grid_deg,
-                                   feed=feed, feed_exponent=cfg.feed_exponent,
-                                   element_exponent=0.0, table=table, mode=mode)
+            _, af_cut = _steered_cut(cfg, geom, carrier_hz, bits, -angle, plane, 0.0,
+                                     table=table, mode=mode)
             cut = af_cut.with_element_factor(element_exponent)
             if reference is None:
                 reference = cut
@@ -570,16 +564,12 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     judge("1-bit quantization loss", loss1, f"{loss1:.3f} dB")
 
     # broadside pattern metrics and gain estimate
-    feed = cfg.feed_pose()
-    bspec = BeamSpec(tx=feed, rx=Pose.from_spherical(FAR_FIELD_RANGE_M, 0.0, 0.0))
-    config = synthesize_codebook(bspec, bundle.geometry, carrier, bundle.bits)
-    cut = principal_cut(config, bundle.geometry, carrier, plane="E", step_deg=cfg.grid_deg,
-                        feed=feed, feed_exponent=cfg.feed_exponent, element_exponent=1.0)
+    config, cut = _steered_cut(cfg, bundle.geometry, carrier, bundle.bits, 0.0, "E", 1.0)
     m = pattern_metrics(cut)
     judge("broadside sidelobes", m.sidelobe_level_db, f"SLL {m.sidelobe_level_db:.2f} dB")
     judge("broadside beamwidth", m.hpbw_deg, f"HPBW {m.hpbw_deg:.2f} deg")
     full = hemisphere_pattern(config, bundle.geometry, carrier,
-                              step_deg=cfg.hemisphere_grid_deg, feed=feed,
+                              step_deg=cfg.hemisphere_grid_deg, feed=cfg.feed_pose(),
                               feed_exponent=cfg.feed_exponent, element_exponent=1.0)
     budget = cfg.element_table.mean_insertion_loss_db() + loss2
     directivity_dbi, gain_dbi = directivity_and_gain(full, budget)

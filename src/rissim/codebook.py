@@ -66,12 +66,6 @@ class RISConfiguration:
         """Grid of ideal phases: code * 2 pi / 2^b."""
         return self.codes * nominal_phase_step(self.bits)
 
-    def shifted(self, offset: int) -> "RISConfiguration":
-        """Same panel with every code shifted by a constant (mod 2^b)."""
-        return RISConfiguration(
-            geom=self.geom, bits=self.bits, codes=(self.codes + offset) % (1 << self.bits)
-        )
-
     def to_csv(self, path: str | Path) -> None:
         """Write the integer code grid, one panel row (fixed m) per line."""
         with open(path, "w", newline="") as fh:

@@ -51,7 +51,6 @@ class ElementStateTable:
 
     bits: int
     states: tuple[ElementState, ...]
-    reference_freq: float = 26.5e9
 
     def __post_init__(self):
         if self.bits < 1:
@@ -85,7 +84,7 @@ class ElementStateTable:
         return sum(s.insertion_loss_db for s in self.states) / len(self.states)
 
     @classmethod
-    def from_states(cls, entries: list[tuple[float, float]], reference_freq: float = 26.5e9) -> "ElementStateTable":
+    def from_states(cls, entries: list[tuple[float, float]]) -> "ElementStateTable":
         """Build from (realized_phase_deg, insertion_loss_db) rows ordered by code."""
         n = len(entries)
         bits = n.bit_length() - 1
@@ -101,7 +100,7 @@ class ElementStateTable:
             )
             for i, (phase_deg, loss_db) in enumerate(entries)
         )
-        return cls(bits=bits, states=states, reference_freq=reference_freq)
+        return cls(bits=bits, states=states)
 
     @classmethod
     def ideal(cls, bits: int) -> "ElementStateTable":
@@ -117,7 +116,7 @@ class ElementStateTable:
         )
 
     @classmethod
-    def from_csv(cls, path: str | Path, reference_freq: float = 26.5e9) -> "ElementStateTable":
+    def from_csv(cls, path: str | Path) -> "ElementStateTable":
         """Load a table from CSV with columns code, phase_deg, loss_db."""
         rows: dict[int, tuple[float, float]] = {}
         with open(path, newline="") as fh:
@@ -132,7 +131,7 @@ class ElementStateTable:
                 rows[code] = (float(row["phase_deg"]), float(row["loss_db"]))
         if sorted(rows) != list(range(len(rows))):
             raise ValueError(f"codes in {path} must be exactly 0..{len(rows) - 1}")
-        return cls.from_states([rows[i] for i in range(len(rows))], reference_freq)
+        return cls.from_states([rows[i] for i in range(len(rows))])
 
 
 @functools.cache

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beams import BeamSpec, synthesize_codebook
-from .channel import GainProfile, coherent_power_bound, cos_power_pattern, received_power
+from .channel import GainProfile, cos_power_pattern, received_power
 from .codebook import RISConfiguration
 from .elements import ElementStateTable, Mode, default_element_table
 from .errors import InfeasibleTargetError
@@ -32,6 +32,8 @@ from .units import dbm_to_watts, watts_to_dbm, wavelength
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 MAX_TRANSMIT_POWER_DBM = 60.0
+TRANSMIT_POWER_STEP_DB = 0.1
+MIN_TRANSMIT_POWER_DBM = -100.0
 DEFAULT_OBSTACLE_ATTENUATION_DB = 25.0
 
 _OBSTACLE_POSITIONS = ("tx_side", "rx_side")
@@ -90,9 +92,6 @@ class MCSTable:
             if row.rate_mbps == rate_mbps:
                 return row.min_snr_db
         raise ValueError(f"rate {rate_mbps} Mbps is not a row of this MCS table")
-
-    def max_rate(self) -> float:
-        return self.rows[-1].rate_mbps
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,6 @@ def evaluate_scenario(
     *,
     table: ElementStateTable | None = None,
     mode: Mode = "realized",
-    phase_offset: float = 0.0,
 ) -> LinkResult:
     """Received power, SNR, and achievable rate for one scenario.
 
@@ -203,7 +201,7 @@ def evaluate_scenario(
     table = table or default_element_table()
     codebook = None
     if scenario.ris_present:
-        spec = BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose, phase_offset=phase_offset)
+        spec = BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose)
         codebook = synthesize_codebook(spec, geom, scenario.carrier_hz, bits)
         p_w = received_power(
             dbm_to_watts(scenario.transmit_power_dbm),
@@ -240,19 +238,15 @@ def required_transmit_power(
     *,
     table: ElementStateTable | None = None,
     mode: Mode = "realized",
-    tolerance_db: float = 0.1,
-    floor_dbm: float = -100.0,
 ) -> float:
-    """Minimum transmit power (dBm, on the tolerance grid) reaching the rate.
+    """Minimum transmit power (dBm, on the 0.1 dB step grid) reaching the rate.
 
     Received power is linear in transmit power on both link types, so the
     SNR in dB is exactly ``p + c``. One evaluation at 0 dBm gives ``c``; the
     answer is ``threshold - c`` rounded up to the next multiple of
-    ``tolerance_db``, and never below ``floor_dbm``. Raises
-    :class:`InfeasibleTargetError` if even the +60 dBm cap falls short.
+    ``TRANSMIT_POWER_STEP_DB``, and never below ``MIN_TRANSMIT_POWER_DBM``.
+    Raises :class:`InfeasibleTargetError` if even the +60 dBm cap falls short.
     """
-    if not tolerance_db > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance_db}")
     threshold = scenario.mcs.threshold_for_rate(target_rate_mbps)
     snr_at_0dbm = evaluate_scenario(
         scenario.with_power(0.0), geom, bits, table=table, mode=mode
@@ -262,47 +256,6 @@ def required_transmit_power(
         raise InfeasibleTargetError(
             f"rate {target_rate_mbps} Mbps unreachable at {MAX_TRANSMIT_POWER_DBM} dBm"
         )
-    return max(math.ceil(minimum / tolerance_db) * tolerance_db, floor_dbm)
+    step = TRANSMIT_POWER_STEP_DB
+    return max(math.ceil(minimum / step) * step, MIN_TRANSMIT_POWER_DBM)
 
-
-def array_gain(
-    geom: ArrayGeometry,
-    scenario: LinkScenario,
-    bits: int | None,
-    *,
-    reference: str = "single_element",
-    table: ElementStateTable | None = None,
-    mode: Mode = "nominal",
-    phase_offset: float = 0.0,
-) -> float:
-    """Received-power improvement of the panel link over a reference, in dB.
-
-    ``reference`` is either ``single_element`` (the same link through a 1x1
-    panel) or ``direct`` (the horn-to-horn Friis link). ``bits`` of None
-    evaluates the continuous-phase upper bound instead of a quantized
-    codebook; element magnitudes are ideal in that case.
-    """
-    table = table or default_element_table()
-
-    def panel_power(g: ArrayGeometry) -> float:
-        if bits is None:
-            return coherent_power_bound(
-                dbm_to_watts(scenario.transmit_power_dbm), scenario.carrier_hz,
-                scenario.gains, g, scenario.tx_pose, scenario.rx_pose,
-            )
-        spec = BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose, phase_offset=phase_offset)
-        config = synthesize_codebook(spec, g, scenario.carrier_hz, bits)
-        return received_power(
-            dbm_to_watts(scenario.transmit_power_dbm), scenario.carrier_hz,
-            scenario.gains, g, config, scenario.tx_pose, scenario.rx_pose,
-            table=table, mode=mode,
-        )
-
-    p_ris = panel_power(geom)
-    if reference == "single_element":
-        p_ref = panel_power(ArrayGeometry(1, 1, geom.spacing_x, geom.spacing_y))
-    elif reference == "direct":
-        p_ref = direct_received_power_w(scenario)
-    else:
-        raise ValueError(f"reference must be 'single_element' or 'direct', got {reference!r}")
-    return 10.0 * math.log10(p_ris / p_ref)

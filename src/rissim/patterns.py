@@ -67,15 +67,12 @@ class RadiationPattern:
     phi: np.ndarray  # rad
     field: np.ndarray  # complex, shape (len(theta), len(phi))
     carrier_hz: float
-    normalization: str = "raw"  # "raw" | "peak"
 
     def __post_init__(self):
         theta, phi = _direction_grids(self.theta, self.phi)
         field = np.asarray(self.field, dtype=complex)
         if field.shape != (theta.size, phi.size):
             raise ValueError(f"field shape {field.shape} != ({theta.size}, {phi.size})")
-        if self.normalization not in ("raw", "peak"):
-            raise ValueError(f"normalization must be 'raw' or 'peak', got {self.normalization}")
         for name, arr in (("theta", theta), ("phi", phi), ("field", field)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -86,15 +83,6 @@ class RadiationPattern:
         power = np.abs(self.field) ** 2
         power.flags.writeable = False
         return power
-
-    def peak_normalized(self) -> "RadiationPattern":
-        peak = np.abs(self.field).max()
-        if peak == 0:
-            raise ValueError("cannot normalize an all-zero pattern")
-        return RadiationPattern(
-            theta=self.theta, phi=self.phi, field=self.field / peak,
-            carrier_hz=self.carrier_hz, normalization="peak",
-        )
 
     def is_cut(self) -> bool:
         return self.phi.size == 1
@@ -108,7 +96,7 @@ class RadiationPattern:
         return RadiationPattern(
             theta=self.theta, phi=self.phi,
             field=self.field * _element_factor(self.theta, element_exponent),
-            carrier_hz=self.carrier_hz, normalization=self.normalization,
+            carrier_hz=self.carrier_hz,
         )
 
 
@@ -132,8 +120,8 @@ def _direction_grids(theta, phi) -> tuple[np.ndarray, np.ndarray]:
 
 def _element_factor(theta: np.ndarray, element_exponent: float) -> np.ndarray:
     """The (len(theta), 1) column cos^gamma(theta) of the single-element field."""
-    if element_exponent < 0:
-        raise ValueError(f"element exponent must be >= 0, got {element_exponent}")
+    if not (math.isfinite(element_exponent) and element_exponent >= 0):
+        raise ValueError(f"element exponent must be finite and >= 0, got {element_exponent}")
     return np.cos(theta)[:, None] ** element_exponent
 
 
@@ -275,10 +263,10 @@ def _step_count(step_deg: float, span_deg: float, grid: str) -> int:
     return n
 
 
-def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG, span_deg: float = 90.0) -> np.ndarray:
-    """Signed theta grid of a principal cut over [-span, span]; the step must divide 2 span."""
-    n = _step_count(step_deg, 2 * span_deg, "cut")
-    return np.radians(np.linspace(-span_deg, span_deg, n + 1))
+def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG) -> np.ndarray:
+    """Signed theta grid of a principal cut over [-90, 90] deg; the step must divide 180 deg."""
+    n = _step_count(step_deg, 180.0, "cut")
+    return np.radians(np.linspace(-90.0, 90.0, n + 1))
 
 
 def hemisphere_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> tuple[np.ndarray, np.ndarray]:
@@ -340,6 +328,8 @@ def directivity_and_gain(
     of 0.3 dB bounds the step-halving change near 0.1 dB. Raises
     :class:`ResolutionError` beyond that, with both estimates attached.
     """
+    if not math.isfinite(loss_budget_db):
+        raise ValueError(f"loss_budget_db must be finite, got {loss_budget_db}")
     if pattern.theta.min() < 0:
         raise ValueError("directivity needs the full forward hemisphere (theta >= 0)")
     peak = float(pattern.power.max())
@@ -418,8 +408,6 @@ def pattern_metrics(pattern: RadiationPattern) -> PatternMetrics:
 
 def scan_loss(broadside: RadiationPattern, steered: RadiationPattern) -> float:
     """Peak-power drop of the steered pattern relative to broadside, in dB."""
-    if broadside.normalization != "raw" or steered.normalization != "raw":
-        raise ValueError("scan loss needs raw (unnormalized) patterns")
     if broadside.theta.shape != steered.theta.shape or broadside.phi.shape != steered.phi.shape:
         raise ValueError("patterns must share the same direction grid")
     if not (

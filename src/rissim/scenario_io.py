@@ -2,8 +2,8 @@
 
 A bundle holds panel geometry, codebook bits, element mode, one MCS table,
 per-scenario defaults, and a list of scenarios. Scenario entries override
-defaults key by key. Validation is strict: unknown keys are errors unless
-``lenient`` is set, in which case they warn.
+defaults key by key. Validation is strict: an unknown key is an error that
+names the key and where it sits.
 
 The packaged ``tables_4_5_6.scenario`` bundle encodes the desk-scale
 measurement campaign (array gain, obstacle, and beam-steering rows) with MCS
@@ -14,7 +14,6 @@ regenerates it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -77,16 +76,12 @@ def _load_yaml(path: Path):
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
 
 
-def _check_keys(mapping: dict, allowed: set[str], context: str, lenient: bool) -> None:
+def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
-        msg = f"{context}: unknown key(s) {sorted(unknown)}"
-        if lenient:
-            warnings.warn(msg)
-        else:
-            raise ConfigError(msg)
+        raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
 
 
 def _parse_number(value, key: str, context: str) -> float:
@@ -107,8 +102,8 @@ def _parse_count(value, key: str, context: str) -> int:
     return value
 
 
-def _parse_geometry(raw: dict, context: str, lenient: bool) -> ArrayGeometry:
-    _check_keys(raw, _GEOMETRY_KEYS, context, lenient)
+def _parse_geometry(raw: dict, context: str) -> ArrayGeometry:
+    _check_keys(raw, _GEOMETRY_KEYS, context)
     return ArrayGeometry(
         num_x=_parse_count(_require(raw, "num_x", context), "num_x", context),
         num_y=_parse_count(_require(raw, "num_y", context), "num_y", context),
@@ -117,8 +112,8 @@ def _parse_geometry(raw: dict, context: str, lenient: bool) -> ArrayGeometry:
     )
 
 
-def _parse_gains(raw: dict, context: str, lenient: bool) -> GainProfile:
-    _check_keys(raw, _GAIN_KEYS, context, lenient)
+def _parse_gains(raw: dict, context: str) -> GainProfile:
+    _check_keys(raw, _GAIN_KEYS, context)
     return GainProfile.from_gains(
         tx_gain_dbi=_parse_number(_require(raw, "tx_dbi", context), "tx_dbi", context),
         rx_gain_dbi=_parse_number(_require(raw, "rx_dbi", context), "rx_dbi", context),
@@ -131,8 +126,8 @@ def _parse_gains(raw: dict, context: str, lenient: bool) -> GainProfile:
     )
 
 
-def _parse_pose(raw: dict, context: str, lenient: bool) -> Pose:
-    _check_keys(raw, _POSE_KEYS, context, lenient)
+def _parse_pose(raw: dict, context: str) -> Pose:
+    _check_keys(raw, _POSE_KEYS, context)
     return Pose.from_spherical(
         range_m=_parse_number(_require(raw, "range_m", context), "range_m", context),
         polar=math.radians(_parse_number(raw.get("polar_deg", 0.0), "polar_deg", context)),
@@ -140,10 +135,10 @@ def _parse_pose(raw: dict, context: str, lenient: bool) -> Pose:
     )
 
 
-def _parse_obstacle(raw, context: str, lenient: bool) -> Obstacle | None:
+def _parse_obstacle(raw, context: str) -> Obstacle | None:
     if raw is None:
         return None
-    _check_keys(raw, _OBSTACLE_KEYS, context, lenient)
+    _check_keys(raw, _OBSTACLE_KEYS, context)
     return Obstacle(
         attenuation_db=_parse_number(
             raw.get("attenuation_db", Obstacle().attenuation_db), "attenuation_db", context
@@ -152,7 +147,7 @@ def _parse_obstacle(raw, context: str, lenient: bool) -> Obstacle | None:
     )
 
 
-def _parse_mcs(raw, context: str, lenient: bool) -> MCSTable:
+def _parse_mcs(raw, context: str) -> MCSTable:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{context}: 'mcs' must be a non-empty list of rows")
     rows = []
@@ -160,7 +155,7 @@ def _parse_mcs(raw, context: str, lenient: bool) -> MCSTable:
         ctx = f"{context}: mcs[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{ctx}: each row must be a mapping")
-        _check_keys(entry, _MCS_KEYS, ctx, lenient)
+        _check_keys(entry, _MCS_KEYS, ctx)
         rows.append(
             MCSRow(
                 min_snr_db=_parse_number(_require(entry, "min_snr_db", ctx), "min_snr_db", ctx),
@@ -171,23 +166,23 @@ def _parse_mcs(raw, context: str, lenient: bool) -> MCSTable:
     return MCSTable(rows=tuple(rows))
 
 
-def load_scenario_bundle(path: str | Path, lenient: bool = False) -> ScenarioBundle:
+def load_scenario_bundle(path: str | Path) -> ScenarioBundle:
     """Parse and validate a scenario bundle file."""
     path = Path(path)
     raw = _load_yaml(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     ctx = str(path)
-    _check_keys(raw, _TOP_KEYS, ctx, lenient)
-    geometry = _parse_geometry(_require(raw, "geometry", ctx), f"{ctx}: geometry", lenient)
+    _check_keys(raw, _TOP_KEYS, ctx)
+    geometry = _parse_geometry(_require(raw, "geometry", ctx), f"{ctx}: geometry")
     bits = _parse_count(_require(raw, "bits", ctx), "bits", ctx)
     mode = str(raw.get("mode", "realized"))
     if mode not in ("nominal", "realized"):
         raise ConfigError(f"{ctx}: mode must be 'nominal' or 'realized', got {mode!r}")
-    mcs = _parse_mcs(_require(raw, "mcs", ctx), ctx, lenient)
+    mcs = _parse_mcs(_require(raw, "mcs", ctx), ctx)
 
     defaults = raw.get("defaults", {})
-    _check_keys(defaults, _SCENARIO_KEYS - {"name", "expected_rate_mbps"}, f"{ctx}: defaults", lenient)
+    _check_keys(defaults, _SCENARIO_KEYS - {"name", "expected_rate_mbps"}, f"{ctx}: defaults")
 
     entries = _require(raw, "scenarios", ctx)
     if not isinstance(entries, list) or not entries:
@@ -198,7 +193,7 @@ def load_scenario_bundle(path: str | Path, lenient: bool = False) -> ScenarioBun
         sctx = f"{ctx}: scenarios[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{sctx}: each scenario must be a mapping")
-        _check_keys(entry, _SCENARIO_KEYS, sctx, lenient)
+        _check_keys(entry, _SCENARIO_KEYS, sctx)
         merged = {**defaults, **entry}
         obstacle_raw = merged.get("obstacle")
         scenarios.append(
@@ -214,11 +209,11 @@ def load_scenario_bundle(path: str | Path, lenient: bool = False) -> ScenarioBun
                 noise_figure_db=_parse_number(
                     merged.get("noise_figure_db", 0.0), "noise_figure_db", sctx
                 ),
-                gains=_parse_gains(_require(merged, "gains", sctx), f"{sctx}: gains", lenient),
-                tx_pose=_parse_pose(_require(merged, "tx_pose", sctx), f"{sctx}: tx_pose", lenient),
-                rx_pose=_parse_pose(_require(merged, "rx_pose", sctx), f"{sctx}: rx_pose", lenient),
+                gains=_parse_gains(_require(merged, "gains", sctx), f"{sctx}: gains"),
+                tx_pose=_parse_pose(_require(merged, "tx_pose", sctx), f"{sctx}: tx_pose"),
+                rx_pose=_parse_pose(_require(merged, "rx_pose", sctx), f"{sctx}: rx_pose"),
                 ris_present=bool(merged.get("ris_present", True)),
-                obstacle=_parse_obstacle(obstacle_raw, f"{sctx}: obstacle", lenient),
+                obstacle=_parse_obstacle(obstacle_raw, f"{sctx}: obstacle"),
                 mcs=mcs,
                 expected_rate_mbps=(
                     None

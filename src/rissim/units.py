@@ -11,8 +11,8 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 def wavelength(carrier_hz: float) -> float:
-    if carrier_hz <= 0:
-        raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
+    if not (math.isfinite(carrier_hz) and carrier_hz > 0):
+        raise ValueError(f"carrier_hz must be finite and positive, got {carrier_hz}")
     return SPEED_OF_LIGHT / carrier_hz
 
 

@@ -11,6 +11,7 @@ from rissim import (
     BeamSpec,
     ElementStateTable,
     Pose,
+    RISConfiguration,
     SearchSpaceError,
     default_element_table,
     exhaustive_oracle,
@@ -97,8 +98,9 @@ def test_uniform_code_shift_invariance(panel16, rx_near):
     base = received_power(1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near,
                           table=table, mode="nominal")
     for shift in (1, 2, 3):
-        p = received_power(1.0, CARRIER_HZ, profile, panel16, config.shifted(shift),
-                           FAR, rx_near, table=table, mode="nominal")
+        shifted = RISConfiguration(geom=panel16, bits=2, codes=(config.codes + shift) % 4)
+        p = received_power(1.0, CARRIER_HZ, profile, panel16, shifted, FAR, rx_near,
+                           table=table, mode="nominal")
         assert p == pytest.approx(base, rel=1e-12)
 
 

@@ -147,10 +147,6 @@ def test_single_phase_perturbation_strictly_decreases(panel16, tx_far, rx_near):
 
 def test_magnitude_scaling_quadratic(panel16, tx_far, rx_near):
     profile = unity_gain_profile()
-    full = coherent_power_bound(1.0, CARRIER_HZ, profile, panel16, tx_far, rx_near)
-    half = coherent_power_bound(1.0, CARRIER_HZ, profile, panel16, tx_far, rx_near,
-                                magnitudes=0.5)
-    assert half == pytest.approx(0.25 * full, rel=1e-12)
     # realized table with uniform 6.0206 dB loss scales nominal power by 0.25
     damped = ElementStateTable.from_states(
         [(0.0, 6.0206), (90.0, 6.0206), (180.0, 6.0206), (270.0, 6.0206)]

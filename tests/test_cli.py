@@ -216,6 +216,21 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     assert not (tmp_path / "scan_loss.csv").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["quantloss", "--carrier-hz", "nan"], "carrier_hz must be finite"),
+    (["pattern", "--carrier-hz", "inf"], "carrier_hz must be finite"),
+    (["codebook", "--offset-deg", "nan"], "phase_offset must be finite"),
+    (["codebook", "--offset-deg", "inf"], "phase_offset must be finite"),
+    (["scan", "--element-exponent", "inf"], "element exponent must be finite"),
+    (["pattern", "--loss-budget-db", "inf"], "loss_budget_db must be finite"),
+    (["pattern", "--steer-deg", "95"], "--steer-deg must lie in [-90, 90]"),  # behind the panel
+], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
+        "loss-budget-inf", "steer-95"])
+def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out", str(tmp_path)) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section", ["geometry", "feed", "beam"])
 def test_config_section_must_be_a_mapping(tmp_path, capsys, section):
     cfg = tmp_path / "run.yaml"

@@ -10,7 +10,6 @@ from rissim import ElementState, ElementStateTable, default_element_table, state
 
 def test_default_table_values(table):
     assert table.bits == 2
-    assert table.reference_freq == 26.5e9
     np.testing.assert_allclose(
         table.magnitudes(),
         10.0 ** (-np.array([1.1, 1.3, 1.1, 1.5]) / 20.0),

@@ -94,14 +94,23 @@ def test_section_must_be_a_mapping(tmp_path, old, new, section):
         load_scenario_bundle(path)
 
 
-def test_unknown_key_strict_vs_lenient(tmp_path):
+@pytest.mark.parametrize("old,new,context", [
+    ("defaults:\n", "defaults:\n  mystery_knob: 3\n", "defaults"),
+    ("ris_tx_side_dbi: 5.0}", "ris_tx_side_dbi: 5.0, mystery_knob: 3}", "scenarios[0]: gains"),
+    ("{range_m: 2.6}", "{range_m: 2.6, mystery_knob: 3}", "scenarios[0]: tx_pose"),
+    ("  - name: only\n", "  - name: only\n    obstacle: {mystery_knob: 3}\n",
+     "scenarios[0]: obstacle"),
+    ("label: low}", "label: low, mystery_knob: 3}", "mcs[0]"),
+    ("spacing_y_m: 0.0049}", "spacing_y_m: 0.0049, mystery_knob: 3}", "geometry"),
+    ("bits: 2\n", "bits: 2\nmystery_knob: 3\n", "extra.scenario"),
+    ("  - name: only\n", "  - name: only\n    mystery_knob: 3\n", "scenarios[0]"),
+], ids=["defaults", "gains", "tx_pose", "obstacle", "mcs_row", "geometry", "top", "scenario"])
+def test_unknown_key_names_key_and_context(tmp_path, old, new, context):
     path = tmp_path / "extra.scenario"
-    path.write_text(MINIMAL + "    mystery_knob: 3\n")
-    with pytest.raises(ConfigError, match="mystery_knob"):
+    path.write_text(MINIMAL.replace(old, new, 1))
+    with pytest.raises(ConfigError) as excinfo:
         load_scenario_bundle(path)
-    with pytest.warns(UserWarning, match="mystery_knob"):
-        bundle = load_scenario_bundle(path, lenient=True)
-    assert bundle.scenarios[0].name == "only"
+    assert str(excinfo.value).endswith(f"{context}: unknown key(s) ['mystery_knob']")
 
 
 def test_obstacle_and_expected_rate_parse(tmp_path):
