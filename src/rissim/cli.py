@@ -24,15 +24,17 @@ import numpy as np
 
 from . import __version__
 from .beams import (BeamSpec, exhaustive_oracle, optimal_codebook, quantization_loss,
-                    synthesize_codebook, uniform_phase_loss_db)
-from .channel import exponent_from_gain, unity_gain_profile
-from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream
-from .elements import ElementStateTable, default_element_table
+                    resolve_model, synthesize_codebook, uniform_phase_loss_db)
+from .channel import exponent_from_gain, feed_illuminations, unity_gain_profile
+from .codebook import _code_table, bitstream_to_hex, encode_bias_bitstream, pack_bitstream
+from .elements import ElementStateTable, default_element_table, state_coefficients
 from .errors import ConfigError, RisSimError
 from .geometry import ArrayGeometry, Pose
 from .link import required_transmit_power, evaluate_scenario
 from .patterns import (
+    PLANE_AZIMUTHS,
     PatternMetrics,
+    RadiationPattern,
     directivity_and_gain,
     aperture_efficiency,
     cut_grid,
@@ -93,9 +95,6 @@ class RunConfig:
         if len(self.bits) != 1:
             raise ConfigError("this subcommand needs a single --bits value, not a range")
         return self.bits[0]
-
-    def feed_pose(self) -> Pose:
-        return Pose.from_spherical(self.feed_range_m, 0.0, 0.0)
 
     def header_lines(self) -> list[str]:
         g = self.geometry
@@ -208,18 +207,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _pose_from_args(prefix: str, args: argparse.Namespace) -> Pose:
-    return Pose.from_spherical(
-        getattr(args, f"{prefix}_range"),
-        math.radians(getattr(args, f"{prefix}_polar_deg")),
-        math.radians(getattr(args, f"{prefix}_azimuth_deg")),
-    )
-
-
-def _steer_target(steer_deg: float, plane: str) -> Pose:
-    """Far-field target for a signed steer angle in a principal plane."""
-    base = 0.0 if plane == "E" else math.pi / 2.0
-    azimuth = base if steer_deg >= 0 else base + math.pi
-    return Pose.from_spherical(FAR_FIELD_RANGE_M, math.radians(abs(steer_deg)), azimuth)
+    raw = {"range_m": getattr(args, f"{prefix}_range"),
+           "polar_deg": getattr(args, f"{prefix}_polar_deg"),
+           "azimuth_deg": getattr(args, f"{prefix}_azimuth_deg")}
+    return _parse_pose(raw, f"{prefix} pose")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -254,9 +245,11 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
         outputs += [str(bin_path), str(hex_path)]
     for line in cfg.header_lines():
         print(line)
+    tx_model, rx_model = (resolve_model(pose, model, cfg.geometry, args.carrier_hz)
+                          for pose, model in ((spec.tx, spec.tx_model), (spec.rx, spec.rx_model)))
     print(f"tx: d={spec.tx.range} m polar={math.degrees(spec.tx.polar):.2f} deg "
-          f"({spec.tx_model}); rx: d={spec.rx.range} m polar={math.degrees(spec.rx.polar):.2f} deg "
-          f"({spec.rx_model}); C={math.degrees(spec.phase_offset):.2f} deg")
+          f"({tx_model}); rx: d={spec.rx.range} m polar={math.degrees(spec.rx.polar):.2f} deg "
+          f"({rx_model}); C={math.degrees(spec.phase_offset):.2f} deg")
     hist = np.bincount(config.codes.reshape(-1), minlength=1 << bits)
     print("code histogram: " + " ".join(f"{c}:{n}" for c, n in enumerate(hist)))
     print("wrote: " + ", ".join(outputs))
@@ -266,16 +259,47 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- pattern
 
 
-def _steered_cut(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: int,
-                 steer_deg: float, plane: str, element_exponent: float, *,
+class _SteerStudy:
+    """Beams steered from the feed horn to far-field targets, and their patterns.
+
+    The feed illumination A is computed once per study, and one study serves
+    a whole command: each steer's codebook, read against the state table,
+    becomes the weight grid W = Gamma exp(j phi) A its patterns are sampled from.
+    """
+
+    def __init__(self, cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: int,
                  table: ElementStateTable | None = None, mode: str = "nominal"):
-    """The feed-to-target codebook for a signed steer angle in a plane, and its cut there."""
-    feed = cfg.feed_pose()
-    spec = BeamSpec(tx=feed, rx=_steer_target(steer_deg, plane))
-    config = synthesize_codebook(spec, geom, carrier_hz, bits)
-    return config, principal_cut(config, geom, carrier_hz, plane=plane, step_deg=cfg.grid_deg,
-                                 feed=feed, feed_exponent=cfg.feed_exponent,
-                                 element_exponent=element_exponent, table=table, mode=mode)
+        self.geom, self.carrier_hz, self.bits, self.mode = geom, carrier_hz, bits, mode
+        self.table = _code_table(bits, table, mode)
+        self.feed = Pose.from_spherical(cfg.feed_range_m, 0.0, 0.0)
+        self.illumination = feed_illuminations(self.feed, geom, carrier_hz, cfg.feed_exponent)
+        self.cut_step_deg, self.hemisphere_step_deg = cfg.grid_deg, cfg.hemisphere_grid_deg
+
+    def weights(self, steer_deg: float, plane: str) -> np.ndarray:
+        """W of the codebook from the feed to the far-field target of a signed steer angle."""
+        azimuth = PLANE_AZIMUTHS[plane] + (0.0 if steer_deg >= 0 else math.pi)
+        target = Pose.from_spherical(FAR_FIELD_RANGE_M, math.radians(abs(steer_deg)), azimuth)
+        spec = BeamSpec(tx=self.feed, rx=target)
+        codes = synthesize_codebook(spec, self.geom, self.carrier_hz, self.bits).codes
+        return state_coefficients(self.table, codes, self.mode) * self.illumination
+
+    def cut(self, weights: np.ndarray, plane: str, element_exponent: float) -> RadiationPattern:
+        return principal_cut(weights, self.geom, self.carrier_hz, plane=plane,
+                             step_deg=self.cut_step_deg, element_exponent=element_exponent)
+
+    def patterns(self, steer_deg: float, planes: list[str], element_exponent: float,
+                 loss_budget_db: float):
+        """(cuts, metrics) per plane and (directivity_dbi, gain_dbi) of the first plane's beam.
+
+        All computed before a caller writes, so a rejected input writes no file.
+        """
+        weights = [self.weights(steer_deg, plane) for plane in planes]
+        cuts = [self.cut(w, plane, element_exponent) for w, plane in zip(weights, planes)]
+        metrics = [pattern_metrics(cut) for cut in cuts]
+        full = hemisphere_pattern(weights[0], self.geom, self.carrier_hz,
+                                  step_deg=self.hemisphere_step_deg,
+                                  element_exponent=element_exponent)
+        return cuts, metrics, *directivity_and_gain(full, loss_budget_db)
 
 
 def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -285,15 +309,13 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
     planes = ["E", "H"] if args.plane == "both" else [args.plane]
     for line in cfg.header_lines():
         print(line)
+    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, bits, cfg.element_table, cfg.mode)
+    cuts, metrics, directivity_dbi, gain_dbi = study.patterns(
+        args.steer_deg, planes, args.element_exponent, args.loss_budget_db)
     rows = []
-    configs = []
-    for plane in planes:
-        config, cut = _steered_cut(cfg, cfg.geometry, cfg.carrier_hz, bits, args.steer_deg, plane,
-                                   args.element_exponent, table=cfg.element_table, mode=cfg.mode)
-        configs.append(config)
+    for plane, cut, m in zip(planes, cuts, metrics):
         path = cfg.output_dir / f"pattern_cut_{plane.lower()}.csv"
         pattern_to_csv(cut, path)
-        m = pattern_metrics(cut)
         rows.append([plane, f"{m.peak_direction_deg:.3f}", f"{m.sidelobe_level_db:.3f}",
                      f"{m.hpbw_deg:.3f}"])
         print(f"{plane}-plane: peak {m.peak_direction_deg:+.2f} deg, "
@@ -303,12 +325,6 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
         ["plane", "peak_direction_deg", "sidelobe_level_db", "hpbw_deg"],
         rows,
     )
-    full = hemisphere_pattern(
-        configs[0], cfg.geometry, cfg.carrier_hz, step_deg=cfg.hemisphere_grid_deg,
-        feed=cfg.feed_pose(), feed_exponent=cfg.feed_exponent,
-        element_exponent=args.element_exponent, table=cfg.element_table, mode=cfg.mode,
-    )
-    directivity_dbi, gain_dbi = directivity_and_gain(full, args.loss_budget_db)
     print(f"directivity {directivity_dbi:.2f} dBi, gain {gain_dbi:.2f} dBi "
           f"(loss budget {args.loss_budget_db:.2f} dB)")
     return 0
@@ -317,10 +333,8 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- scan
 
 
-def _steer_sweep(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: int,
-                 angles: list[float], element_exponent: float, *,
-                 table: ElementStateTable | None = None,
-                 mode: str = "nominal") -> dict[str, list[tuple[float, float]]]:
+def _steer_sweep(study: _SteerStudy, angles: list[float],
+                 element_exponent: float) -> dict[str, list[tuple[float, float]]]:
     """Scan loss and array-factor peak per plane for beams steered to -angle.
 
     Each (plane, angle) gets one codebook and one array-factor cut
@@ -332,8 +346,7 @@ def _steer_sweep(cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: i
     for plane, results in sweep.items():
         reference = None
         for angle in angles:
-            _, af_cut = _steered_cut(cfg, geom, carrier_hz, bits, -angle, plane, 0.0,
-                                     table=table, mode=mode)
+            af_cut = study.cut(study.weights(-angle, plane), plane, 0.0)
             cut = af_cut.with_element_factor(element_exponent)
             if reference is None:
                 reference = cut
@@ -351,8 +364,8 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     angles = [args.step_deg * i for i in range(int(args.max_deg / args.step_deg) + 1)]
     for line in cfg.header_lines():
         print(line)
-    sweep = _steer_sweep(cfg, cfg.geometry, cfg.carrier_hz, bits, angles, args.element_exponent,
-                         table=cfg.element_table, mode=cfg.mode)
+    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, bits, cfg.element_table, cfg.mode)
+    sweep = _steer_sweep(study, angles, args.element_exponent)
     rows = []
     for angle, e_plane, h_plane in zip(angles, sweep["E"], sweep["H"]):
         row = [f"{angle:.1f}"] + [f"{value:.3f}" for value in (*e_plane, *h_plane)]
@@ -563,16 +576,12 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
           f"{loss2:.3f} dB (closed form {uniform_phase_loss_db(2):.3f} dB)")
     judge("1-bit quantization loss", loss1, f"{loss1:.3f} dB")
 
-    # broadside pattern metrics and gain estimate
-    config, cut = _steered_cut(cfg, bundle.geometry, carrier, bundle.bits, 0.0, "E", 1.0)
-    m = pattern_metrics(cut)
+    # broadside pattern metrics and gain estimate; the steer sweep shares the study
+    study = _SteerStudy(cfg, bundle.geometry, carrier, bundle.bits)
+    budget = cfg.element_table.mean_insertion_loss_db() + loss2
+    _, (m,), directivity_dbi, gain_dbi = study.patterns(0.0, ["E"], 1.0, budget)
     judge("broadside sidelobes", m.sidelobe_level_db, f"SLL {m.sidelobe_level_db:.2f} dB")
     judge("broadside beamwidth", m.hpbw_deg, f"HPBW {m.hpbw_deg:.2f} deg")
-    full = hemisphere_pattern(config, bundle.geometry, carrier,
-                              step_deg=cfg.hemisphere_grid_deg, feed=cfg.feed_pose(),
-                              feed_exponent=cfg.feed_exponent, element_exponent=1.0)
-    budget = cfg.element_table.mean_insertion_loss_db() + loss2
-    directivity_dbi, gain_dbi = directivity_and_gain(full, budget)
     eff = aperture_efficiency(gain_dbi, bundle.geometry.aperture_area, carrier)
     judge("broadside gain", gain_dbi,
           f"directivity {directivity_dbi:.2f} dBi - {budget:.2f} dB budget = {gain_dbi:.2f} dBi "
@@ -584,7 +593,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
           f"22.0 dBi over 78.4x78.4 mm at 27 GHz -> {eff_meas:.2f}%")
 
     # steering: pointing on array-factor cuts, scan loss with the element factor
-    sweep = _steer_sweep(cfg, bundle.geometry, carrier, bundle.bits, _STEER_ANGLES_DEG, 1.0)
+    sweep = _steer_sweep(study, _STEER_ANGLES_DEG, 1.0)
     pointing_error = max(abs(peak_deg + angle)
                          for plane in ("E", "H")
                          for angle, (_, peak_deg) in zip(_STEER_ANGLES_DEG, sweep[plane])

@@ -8,7 +8,8 @@ The far-field field in direction (theta, phi) is
 with u = sin(theta) cos(phi), v = sin(theta) sin(phi), A_mn the feed
 illumination (taper, spreading, and spherical phase), and cos^gamma(theta)
 the single-element field factor (gamma = 0 gives the bare array factor).
-Only the forward hemisphere is modeled.
+Only the forward hemisphere is modeled. Every pattern is sampled from the
+element weights W_mn = A_mn Gamma_mn exp(j phi_mn), formed by the caller.
 
 On the uniform grid x_mn = delta_m dx, y_mn = delta_n dy the phase term
 factors, exp(j k (x_m u + y_n v)) = a_m(u) b_n(v), so the array sum is the
@@ -36,11 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import feed_illuminations
-from .codebook import RISConfiguration, _excitation_coefficients
-from .elements import ElementStateTable, Mode
 from .errors import MetricUndefinedError, ResolutionError
-from .geometry import ArrayGeometry, Pose
+from .geometry import ArrayGeometry
 from .units import db_to_linear, wavelength
 
 DEFAULT_CUT_STEP_DEG = 0.25
@@ -60,7 +58,8 @@ class RadiationPattern:
     """Complex field sampled on a (theta, phi) direction grid.
 
     ``theta`` may be signed for principal cuts (negative theta means the
-    mirrored azimuth phi + pi). ``field`` is indexed [theta, phi].
+    mirrored azimuth phi + pi). ``field`` is indexed [theta, phi]. The
+    arrays are stored as read-only views of those given, not copies.
     """
 
     theta: np.ndarray  # rad
@@ -74,7 +73,7 @@ class RadiationPattern:
         if field.shape != (theta.size, phi.size):
             raise ValueError(f"field shape {field.shape} != ({theta.size}, {phi.size})")
         for name, arr in (("theta", theta), ("phi", phi), ("field", field)):
-            arr = arr.copy()
+            arr = arr.view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -148,13 +147,12 @@ def _steering_rows(proj: np.ndarray, first: float, step: float, n: int) -> np.nd
     return cols.T
 
 
-def _weights(excitation: RISConfiguration | np.ndarray, geom: ArrayGeometry, carrier_hz: float,
-             feed: Pose | None, feed_exponent: float, table: ElementStateTable | None,
-             mode: Mode) -> np.ndarray:
-    """The element weights W_mn = A_mn Gamma_mn exp(j phi_mn) of the array sum."""
-    weights = _excitation_coefficients(excitation, geom, table, mode)
-    if feed is not None:
-        weights = weights * feed_illuminations(feed, geom, carrier_hz, feed_exponent)
+def _weight_grid(weights: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """W as a complex (Nx, Ny) array, checked against the panel."""
+    weights = np.asarray(weights, dtype=complex)
+    if weights.shape != (geom.num_x, geom.num_y):
+        raise ValueError(f"weight grid shape {weights.shape} does not match panel "
+                         f"({geom.num_x}, {geom.num_y})")
     return weights
 
 
@@ -183,27 +181,22 @@ def _blocks(weights: np.ndarray, geom: ArrayGeometry, carrier_hz: float,
 
 
 def radiation_pattern(
-    excitation: RISConfiguration | np.ndarray,
+    weights: np.ndarray,
     geom: ArrayGeometry,
     carrier_hz: float,
     *,
-    feed: Pose | None = None,
-    feed_exponent: float = 0.0,
     element_exponent: float = 1.0,
     theta: np.ndarray,
     phi: np.ndarray,
-    table: ElementStateTable | None = None,
-    mode: Mode = "nominal",
 ) -> RadiationPattern:
-    """Sample the array-theory field on a direction grid.
+    """Sample the array-theory field of the (Nx, Ny) weight grid W on a direction grid.
 
-    ``excitation`` is a code grid or a continuous phase grid; ``feed`` of
-    None means uniform unit illumination. ``element_exponent`` (gamma) is the
-    single-element field factor cos^gamma(theta).
+    ``element_exponent`` (gamma) is the single-element field factor
+    cos^gamma(theta).
     """
     theta, phi = _direction_grids(theta, phi)
     element_factor = _element_factor(theta, element_exponent)
-    weights = _weights(excitation, geom, carrier_hz, feed, feed_exponent, table, mode)
+    weights = _weight_grid(weights, geom)
     field = np.empty((theta.size, phi.size), dtype=complex)
     for i_theta, i_phi, p, b in _blocks(weights, geom, carrier_hz, theta, phi):
         field[i_theta, i_phi] = np.einsum("ij,ij->i", p, b)
@@ -212,16 +205,12 @@ def radiation_pattern(
 
 
 def hemisphere_pattern(
-    excitation: RISConfiguration | np.ndarray,
+    weights: np.ndarray,
     geom: ArrayGeometry,
     carrier_hz: float,
     *,
     step_deg: float = DEFAULT_GRID_STEP_DEG,
-    feed: Pose | None = None,
-    feed_exponent: float = 0.0,
     element_exponent: float = 1.0,
-    table: ElementStateTable | None = None,
-    mode: Mode = "nominal",
 ) -> RadiationPattern:
     """:func:`radiation_pattern` on ``hemisphere_grid(step_deg)``, from one quadrant.
 
@@ -236,7 +225,7 @@ def hemisphere_pattern(
     """
     theta, phi = hemisphere_grid(step_deg)
     element_factor = _element_factor(theta, element_exponent)
-    weights = _weights(excitation, geom, carrier_hz, feed, feed_exponent, table, mode)
+    weights = _weight_grid(weights, geom)
     quarter = phi.size // 4
     ny = geom.num_y
     field = np.empty((theta.size, phi.size), dtype=complex)
@@ -283,26 +272,20 @@ def hemisphere_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> tuple[np.ndarray
 
 
 def principal_cut(
-    excitation: RISConfiguration | np.ndarray,
+    weights: np.ndarray,
     geom: ArrayGeometry,
     carrier_hz: float,
     *,
     plane: str = "E",
     step_deg: float = DEFAULT_CUT_STEP_DEG,
-    feed: Pose | None = None,
-    feed_exponent: float = 0.0,
     element_exponent: float = 1.0,
-    table: ElementStateTable | None = None,
-    mode: Mode = "nominal",
 ) -> RadiationPattern:
     """Signed-theta cut through the E (phi=0) or H (phi=90 deg) plane."""
     if plane not in PLANE_AZIMUTHS:
         raise ValueError(f"plane must be one of {sorted(PLANE_AZIMUTHS)}, got {plane!r}")
     return radiation_pattern(
-        excitation, geom, carrier_hz,
-        feed=feed, feed_exponent=feed_exponent, element_exponent=element_exponent,
+        weights, geom, carrier_hz, element_exponent=element_exponent,
         theta=cut_grid(step_deg), phi=np.array([PLANE_AZIMUTHS[plane]]),
-        table=table, mode=mode,
     )
 
 

@@ -127,10 +127,14 @@ def _parse_gains(raw: dict, context: str) -> GainProfile:
 
 
 def _parse_pose(raw: dict, context: str) -> Pose:
+    """A face-local pose: the polar angle lies in [0, 90) deg, in front of the face."""
     _check_keys(raw, _POSE_KEYS, context)
+    polar_deg = _parse_number(raw.get("polar_deg", 0.0), "polar_deg", context)
+    if not 0.0 <= polar_deg < 90.0:
+        raise ConfigError(f"{context}: key 'polar_deg' must lie in [0, 90) deg, got {polar_deg}")
     return Pose.from_spherical(
         range_m=_parse_number(_require(raw, "range_m", context), "range_m", context),
-        polar=math.radians(_parse_number(raw.get("polar_deg", 0.0), "polar_deg", context)),
+        polar=math.radians(polar_deg),
         azimuth=math.radians(_parse_number(raw.get("azimuth_deg", 0.0), "azimuth_deg", context)),
     )
 

@@ -34,11 +34,14 @@ def test_codebook_broadside_outputs(tmp_path):
     assert (tmp_path / "bias_bitstream.hex").read_text().strip() == "00" * 64
 
 
-def test_codebook_near_focus_uses_all_codes(tmp_path):
+def test_codebook_near_focus_uses_all_codes(tmp_path, capsys):
     assert run("codebook", "--out", str(tmp_path), "--rx-range", "0.05") == 0
     rows = read_csv(tmp_path / "codes.csv")
     codes = {v for row in rows for v in row.values()}
     assert codes == {"0", "1", "2", "3"}
+    # each side's resolved wavefront model: the 100 m Tx lies past the Fraunhofer distance
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("tx: "))
+    assert "deg (planar); rx: " in line and line.endswith("deg (spherical); C=0.00 deg")
 
 
 def test_quantloss_ladder(tmp_path):
@@ -224,11 +227,40 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     (["scan", "--element-exponent", "inf"], "element exponent must be finite"),
     (["pattern", "--loss-budget-db", "inf"], "loss_budget_db must be finite"),
     (["pattern", "--steer-deg", "95"], "--steer-deg must lie in [-90, 90]"),  # behind the panel
+    (["pattern", "--config", "hemisphere_grid_deg: 15"], "directivity grid under-resolved"),
 ], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
-        "loss-budget-inf", "steer-95"])
+        "loss-budget-inf", "steer-95", "hemisphere-grid-15"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
-    assert run(*argv, "--out", str(tmp_path)) == 1
+    if "--config" in argv:  # the entry after --config is the run config's text
+        i = argv.index("--config") + 1
+        config = tmp_path / "run.yaml"
+        config.write_text(argv[i] + "\n")
+        argv = [*argv[:i], str(config), *argv[i + 1:]]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 1
     assert message in capsys.readouterr().err
+    assert list(out.glob("*")) == []  # checked before the first write
+
+
+@pytest.mark.parametrize("source", ["flag", "run config", "bundle"])
+def test_a_pose_behind_its_face_is_rejected(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["codebook", "--rx-polar-deg", "120"]
+    elif source == "run config":
+        config = tmp_path / "run.yaml"
+        config.write_text("beam: {rx_pose: {range_m: 0.05, polar_deg: 120}}\n")
+        argv = ["codebook", "--config", str(config)]
+    else:
+        from rissim import bundled_scenario_path
+
+        bundle = tmp_path / "behind.scenario"
+        bundle.write_text(bundled_scenario_path().read_text().replace(
+            "polar_deg: 30.0", "polar_deg: 120.0", 1))
+        argv = ["link", "--scenario", str(bundle)]
+    assert run(*argv, "--out", str(out)) == 1
+    assert "'polar_deg' must lie in [0, 90) deg, got 120.0" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize("section", ["geometry", "feed", "beam"])

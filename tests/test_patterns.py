@@ -30,7 +30,7 @@ from rissim import (
     wavelength,
 )
 
-from rissim import patterns
+from rissim import codebook, patterns
 
 from conftest import CARRIER_HZ
 
@@ -45,11 +45,21 @@ def steer_target(theta_deg: float, plane: str = "E") -> Pose:
     return Pose.from_spherical(100.0, math.radians(abs(theta_deg)), azimuth)
 
 
+def coefficients(config, table=None, mode="nominal"):
+    """Gamma exp(j phi) of a code grid, read against the table its codes are read against."""
+    return state_coefficients(codebook._code_table(config.bits, table, mode), config.codes, mode)
+
+
+def fed(coefficients, geom):
+    """The weight grid W = Gamma exp(j phi) A under the test feed's illumination A."""
+    return coefficients * feed_illuminations(FEED, geom, CARRIER_HZ, FEED_Q)
+
+
 def broadside_tapered_cut(geom, plane="E", element_exponent=1.0, step_deg=0.25):
     config = synthesize_codebook(BeamSpec(tx=FEED, rx=FAR), geom, CARRIER_HZ, 2)
     return principal_cut(
-        config, geom, CARRIER_HZ, plane=plane, step_deg=step_deg,
-        feed=FEED, feed_exponent=FEED_Q, element_exponent=element_exponent,
+        fed(coefficients(config), geom), geom, CARRIER_HZ, plane=plane, step_deg=step_deg,
+        element_exponent=element_exponent,
     )
 
 
@@ -58,7 +68,7 @@ def broadside_tapered_cut(geom, plane="E", element_exponent=1.0, step_deg=0.25):
 
 def test_uniform_broadside_peak_equals_element_count(panel16):
     pattern = radiation_pattern(
-        np.zeros((16, 16)), panel16, CARRIER_HZ,
+        np.ones((16, 16)), panel16, CARRIER_HZ,
         element_exponent=0.0, theta=cut_grid(0.25), phi=np.array([0.0]),
     )
     power = pattern.power[:, 0]
@@ -80,7 +90,7 @@ def test_linear_cut_matches_dirichlet_kernel():
     geom = ArrayGeometry(16, 1)
     theta = cut_grid(0.05)
     pattern = radiation_pattern(
-        np.zeros((16, 1)), geom, carrier,
+        np.ones((16, 1)), geom, carrier,
         element_exponent=0.0, theta=theta, phi=np.array([0.0]),
     )
     oracle = dirichlet_power(16, geom.spacing_x, wavelength(carrier), theta)
@@ -155,18 +165,15 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
     if excitation == "phases":
         phases = rng.uniform(0.0, 2.0 * math.pi, (nx, ny))
         gamma = 0.0
-        got = radiation_pattern(phases, geom, CARRIER_HZ, element_exponent=gamma,
-                                theta=theta, phi=phi)
         weights = np.exp(1j * phases)
     else:
         table = default_element_table()
         config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
         gamma = 1.0
-        got = radiation_pattern(config, geom, CARRIER_HZ, feed=FEED, feed_exponent=FEED_Q,
-                                element_exponent=gamma, theta=theta, phi=phi,
-                                table=table, mode="realized")
         weights = (state_coefficients(table, config.codes, "realized")
                    * feed_illuminations(FEED, geom, CARRIER_HZ, FEED_Q))
+    got = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
+                            theta=theta, phi=phi)
     want = direct_array_sum(weights, geom, CARRIER_HZ, theta, phi, gamma)
     assert np.abs(got.field - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -188,16 +195,15 @@ def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, 
                                                       gamma, rng):
     geom = ArrayGeometry(nx, ny, dx, dy)
     if excitation == "phases":
-        args = (rng.uniform(0.0, 2.0 * math.pi, (nx, ny)), geom, CARRIER_HZ)
-        kwargs = dict(element_exponent=gamma)
+        weights = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (nx, ny)))
     else:
         config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
-        args = (config, geom, CARRIER_HZ)
-        kwargs = dict(feed=FEED, feed_exponent=FEED_Q, element_exponent=gamma,
-                      table=default_element_table(), mode="realized")
+        weights = fed(coefficients(config, default_element_table(), "realized"), geom)
     theta, phi = hemisphere_grid(step_deg)
-    want = radiation_pattern(*args, theta=theta, phi=phi, **kwargs)
-    got = hemisphere_pattern(*args, step_deg=step_deg, **kwargs)
+    want = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
+                             theta=theta, phi=phi)
+    got = hemisphere_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
+                             step_deg=step_deg)
     assert np.array_equal(got.theta, want.theta) and np.array_equal(got.phi, want.phi)
     assert np.abs(got.field - want.field).max() <= 1e-12 * np.abs(want.field).max()
     got_db, want_db = _directivity_estimates(got), _directivity_estimates(want)
@@ -214,9 +220,9 @@ def test_element_factor_of_array_factor_cut_is_exact(panel16, table, gamma, plan
                                                      mode):
     config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(steer_deg, plane)),
                                  panel16, CARRIER_HZ, 2)
-    kwargs = dict(plane=plane, feed=FEED, feed_exponent=FEED_Q, table=table, mode=mode)
-    af = principal_cut(config, panel16, CARRIER_HZ, element_exponent=0.0, **kwargs)
-    want = principal_cut(config, panel16, CARRIER_HZ, element_exponent=gamma, **kwargs)
+    weights = fed(coefficients(config, table, mode), panel16)
+    af = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=0.0)
+    want = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=gamma)
     got = af.with_element_factor(gamma)
     assert np.array_equal(got.field, want.field)
     assert np.array_equal(got.theta, want.theta) and np.array_equal(got.phi, want.phi)
@@ -229,19 +235,19 @@ def test_code_grid_bit_depth_against_state_table(panel16, table):
     codes = np.arange(16 * 16).reshape(16, 16) % 2
     one_bit = RISConfiguration(geom=panel16, bits=1, codes=codes)
     grid = dict(theta=cut_grid(1.0), phi=np.array([0.0]), element_exponent=0.0)
-    got = radiation_pattern(one_bit, panel16, CARRIER_HZ, table=table, mode="nominal", **grid)
-    want = radiation_pattern(np.pi * codes, panel16, CARRIER_HZ, **grid)
+    got = radiation_pattern(coefficients(one_bit, table, "nominal"), panel16, CARRIER_HZ, **grid)
+    want = radiation_pattern(np.exp(1j * np.pi * codes), panel16, CARRIER_HZ, **grid)
     np.testing.assert_allclose(got.field, want.field, rtol=0.0, atol=1e-12 * panel16.num_elements)
     with pytest.raises(ValueError, match="1-bit codes .* 2-bit state table"):
-        radiation_pattern(one_bit, panel16, CARRIER_HZ, table=table, mode="realized", **grid)
+        codebook._code_table(one_bit.bits, table, "realized")
 
 
 # ------------------------------------------------------------ steering
 
 
-def af_peak_deg(excitation, geom, feed=None, feed_exponent=0.0):
+def af_peak_deg(weights, geom):
     pattern = radiation_pattern(
-        excitation, geom, CARRIER_HZ, feed=feed, feed_exponent=feed_exponent,
+        weights, geom, CARRIER_HZ,
         element_exponent=0.0, theta=cut_grid(0.25), phi=np.array([0.0]),
     )
     return math.degrees(pattern.theta[int(np.argmax(pattern.power[:, 0]))])
@@ -250,7 +256,7 @@ def af_peak_deg(excitation, geom, feed=None, feed_exponent=0.0):
 def test_continuous_codebook_points_exactly(panel16):
     for target_deg in (-60.0, -35.0, 20.0):
         spec = BeamSpec(tx=FAR, rx=steer_target(target_deg))
-        peak = af_peak_deg(optimal_phases(spec, panel16, CARRIER_HZ), panel16)
+        peak = af_peak_deg(np.exp(1j * optimal_phases(spec, panel16, CARRIER_HZ)), panel16)
         assert abs(peak - target_deg) <= 0.25 + 1e-9
 
 
@@ -260,7 +266,7 @@ def test_quantized_feed_codebook_points_within_grid_cell(panel16):
     for target_deg in (-60.0, -50.0, -40.0, -30.0, -20.0, -10.0):
         spec = BeamSpec(tx=FEED, rx=steer_target(target_deg))
         config = synthesize_codebook(spec, panel16, CARRIER_HZ, 2)
-        peak = af_peak_deg(config, panel16, feed=FEED, feed_exponent=FEED_Q)
+        peak = af_peak_deg(fed(coefficients(config), panel16), panel16)
         assert abs(peak - target_deg) <= 0.25 + 1e-9
 
 
@@ -280,8 +286,8 @@ def test_scan_loss_sixty_degrees_in_window(panel16):
     broadside = broadside_tapered_cut(panel16)
     config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(-60.0)), panel16,
                                  CARRIER_HZ, 2)
-    steered = principal_cut(config, panel16, CARRIER_HZ, plane="E", step_deg=0.25,
-                            feed=FEED, feed_exponent=FEED_Q, element_exponent=1.0)
+    steered = principal_cut(fed(coefficients(config), panel16), panel16, CARRIER_HZ, plane="E",
+                            step_deg=0.25, element_exponent=1.0)
     assert 2.5 <= scan_loss(broadside, steered) <= 6.0
 
 
@@ -293,7 +299,7 @@ def test_scan_loss_monotone_with_continuous_phases(panel16):
         spec = BeamSpec(tx=FEED, rx=steer_target(-angle))
         phases = optimal_phases(spec, panel16, CARRIER_HZ)
         cut = radiation_pattern(
-            phases, panel16, CARRIER_HZ, feed=FEED, feed_exponent=FEED_Q,
+            fed(np.exp(1j * phases), panel16), panel16, CARRIER_HZ,
             element_exponent=1.0, theta=cut_grid(0.25), phi=np.array([0.0]),
         )
         if reference is None:
@@ -318,7 +324,7 @@ def test_tapered_broadside_sidelobes_and_width(panel16):
 
 def test_directivity_uniform_aperture(panel16):
     theta, phi = hemisphere_grid(1.0)
-    pattern = radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ,
+    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
                                 element_exponent=0.0, theta=theta, phi=phi)
     directivity_dbi, gain_dbi = directivity_and_gain(pattern, 0.0)
     ideal = 10 * math.log10(4 * math.pi * panel16.aperture_area / wavelength(CARRIER_HZ) ** 2)
@@ -330,7 +336,7 @@ def test_directivity_uniform_aperture(panel16):
 def test_directivity_isotropic_hemisphere_element():
     geom = ArrayGeometry(1, 1)
     theta, phi = hemisphere_grid(1.0)
-    pattern = radiation_pattern(np.zeros((1, 1)), geom, CARRIER_HZ,
+    pattern = radiation_pattern(np.ones((1, 1)), geom, CARRIER_HZ,
                                 element_exponent=0.0, theta=theta, phi=phi)
     directivity_dbi, _ = directivity_and_gain(pattern)
     assert directivity_dbi == pytest.approx(10 * math.log10(2.0), abs=0.02)
@@ -338,7 +344,7 @@ def test_directivity_isotropic_hemisphere_element():
 
 def test_gain_subtracts_loss_budget(panel16):
     theta, phi = hemisphere_grid(1.0)
-    pattern = radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ,
+    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
                                 element_exponent=0.0, theta=theta, phi=phi)
     d0, g0 = directivity_and_gain(pattern, 0.0)
     d1, g1 = directivity_and_gain(pattern, 2.16)
@@ -351,16 +357,15 @@ def test_directivity_quadrature_convergence(panel16):
     estimates = []
     for step in (1.0, 0.5):
         theta, phi = hemisphere_grid(step)
-        pattern = radiation_pattern(config, panel16, CARRIER_HZ, feed=FEED,
-                                    feed_exponent=FEED_Q, element_exponent=1.0,
-                                    theta=theta, phi=phi)
+        pattern = radiation_pattern(fed(coefficients(config), panel16), panel16, CARRIER_HZ,
+                                    element_exponent=1.0, theta=theta, phi=phi)
         estimates.append(directivity_and_gain(pattern)[0])
     assert abs(estimates[0] - estimates[1]) < 0.1
 
 
 def test_directivity_under_resolved_grid_raises(panel16):
     theta, phi = hemisphere_grid(6.0)
-    pattern = radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ,
+    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
                                 element_exponent=0.0, theta=theta, phi=phi)
     with pytest.raises(ResolutionError) as err:
         directivity_and_gain(pattern)
@@ -387,7 +392,7 @@ def test_metrics_boundary_peak_rejected():
 
 def test_metrics_need_a_null_bracket():
     geom = ArrayGeometry(1, 1)
-    pattern = radiation_pattern(np.zeros((1, 1)), geom, CARRIER_HZ, element_exponent=2.0,
+    pattern = radiation_pattern(np.ones((1, 1)), geom, CARRIER_HZ, element_exponent=2.0,
                                 theta=cut_grid(0.5), phi=np.array([0.0]))
     with pytest.raises(MetricUndefinedError):
         pattern_metrics(pattern)
@@ -395,7 +400,7 @@ def test_metrics_need_a_null_bracket():
 
 def test_metrics_reject_2d_patterns(panel16):
     theta, phi = hemisphere_grid(2.0)
-    pattern = radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ,
+    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
                                 element_exponent=0.0, theta=theta, phi=phi)
     with pytest.raises(ValueError):
         pattern_metrics(pattern)
@@ -412,8 +417,11 @@ def test_radiation_pattern_validation(panel16):
         RadiationPattern(theta=np.array([0.0, 0.1]), phi=np.array([0.0]),
                          field=np.zeros((3, 1), dtype=complex), carrier_hz=CARRIER_HZ)
     with pytest.raises(ValueError):
-        radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ,
+        radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
                           theta=np.array([]), phi=np.array([0.0]))
+    with pytest.raises(ValueError, match=r"weight grid shape \(16, 15\) does not match panel"):
+        radiation_pattern(np.ones((16, 15)), panel16, CARRIER_HZ,
+                          theta=np.array([0.0]), phi=np.array([0.0]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -425,7 +433,7 @@ def test_direction_grids_must_be_finite(panel16, name, bad):
         RadiationPattern(field=np.zeros((grids["theta"].size, grids["phi"].size), dtype=complex),
                          carrier_hz=CARRIER_HZ, **grids)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        radiation_pattern(np.zeros((16, 16)), panel16, CARRIER_HZ, **grids)
+        radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ, **grids)
 
 
 @pytest.mark.parametrize("step_deg", [0.0, -1.0, math.nan, math.inf, 0.7, 100.0])
@@ -522,3 +530,14 @@ def test_power_is_computed_once_and_read_only(rng):
     assert pattern.power is power
     with pytest.raises(ValueError, match="read-only"):
         power[0, 0] = 1.0
+
+
+def test_pattern_stores_read_only_views_of_the_arrays_it_is_given(rng):
+    theta, phi = hemisphere_grid(10.0)
+    field = _random_field(rng, (theta.size, phi.size))
+    pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
+    for given, stored in ((theta, pattern.theta), (phi, pattern.phi), (field, pattern.field)):
+        assert np.shares_memory(stored, given)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = stored[-1]
+    assert field.flags.writeable  # the caller's own array stays writable
