@@ -23,6 +23,7 @@ from rissim import (
     MCSTable,
     Obstacle,
     Pose,
+    code_table,
     evaluate_scenario,
 )
 
@@ -31,6 +32,7 @@ OUT = Path(__file__).resolve().parents[1] / "src" / "rissim" / "data" / "tables_
 GEOM = ArrayGeometry(num_x=16, num_y=16, spacing_x=4.9e-3, spacing_y=4.9e-3)
 BITS = 2
 MODE = "realized"
+TABLE = code_table(BITS, MODE)  # the state table the bundle's codes are read against
 CARRIER_HZ = 27.0e9
 BANDWIDTH_HZ = 800.0e6
 NOISE_FIGURE_DB = 5.0
@@ -61,7 +63,7 @@ def model_snr(ris_present: bool, steer_deg: float, power_dbm: float) -> float:
         ris_present=ris_present,
         mcs=_DUMMY_MCS,
     )
-    return evaluate_scenario(scenario, GEOM, BITS, mode=MODE).snr_db
+    return evaluate_scenario(scenario, GEOM, BITS, table=TABLE).snr_db
 
 
 def main() -> None:

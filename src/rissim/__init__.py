@@ -36,6 +36,7 @@ from .codebook import (
 from .elements import (
     ElementState,
     ElementStateTable,
+    code_table,
     default_element_table,
     state_coefficients,
 )

@@ -18,8 +18,8 @@ import numpy as np
 
 from .channel import (GainProfile, _cascade_prefactor, _path_vector, coherent_power_bound,
                       unity_gain_profile)
-from .codebook import RISConfiguration, _code_table, quantize_phases
-from .elements import ElementStateTable, Mode, nominal_phase_step, state_coefficients
+from .codebook import RISConfiguration, quantize_phases
+from .elements import ElementStateTable, _code_table, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
 from .geometry import (
     ArrayGeometry,
@@ -118,7 +118,6 @@ def optimal_codebook(
     *,
     profile: GainProfile | None = None,
     table: ElementStateTable | None = None,
-    mode: Mode = "nominal",
 ) -> tuple[RISConfiguration, float]:
     """Exact argmax of received power over every code grid, and that power at 1 W sent.
 
@@ -135,8 +134,7 @@ def optimal_codebook(
     play no part.
     """
     profile = profile or unity_gain_profile()
-    table = _code_table(bits, table, mode)
-    lut = state_coefficients(table, np.arange(1 << bits), mode)
+    lut = state_coefficients(_code_table(bits, table), np.arange(1 << bits))
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
     hull = _hull_codes(lut)
     vertex = np.zeros(path.size, dtype=np.int64)  # hull index per element
@@ -168,7 +166,6 @@ def exhaustive_oracle(
     *,
     profile: GainProfile | None = None,
     table: ElementStateTable | None = None,
-    mode: Mode = "nominal",
 ) -> tuple[RISConfiguration, float]:
     """Brute-force argmax of received power over every code grid, and that power at 1 W sent.
 
@@ -182,9 +179,8 @@ def exhaustive_oracle(
             f"{n_states}^{n} code grids exceed the {ORACLE_SEARCH_CAP} search cap"
         )
     profile = profile or unity_gain_profile()
-    table = _code_table(bits, table, mode)
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
-    lut = state_coefficients(table, np.arange(n_states), mode)
+    lut = state_coefficients(_code_table(bits, table), np.arange(n_states))
     total_configs = n_states**n
     # enumerate all grids: digit i of each config index selects element i's code
     field = np.zeros(total_configs, dtype=complex)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import RISConfiguration, _excitation_coefficients
-from .elements import ElementStateTable, Mode
+from .elements import ElementStateTable
 from .geometry import ArrayGeometry, Pose, exact_distances
 from .units import db_to_linear, wavelength
 
@@ -161,20 +161,19 @@ def received_power(
     rx: Pose,
     *,
     table: ElementStateTable | None = None,
-    mode: Mode = "nominal",
 ) -> float:
     """Received power (W) of the panel link for a code grid or phase grid.
 
-    ``excitation`` is either a :class:`RISConfiguration` (evaluated in the
-    given mode against ``table``) or an (Nx, Ny) array of continuous phases
-    in radians with ideal unit magnitude. Summation order is fixed, so
-    results are deterministic.
+    ``excitation`` is either a :class:`RISConfiguration` (read against
+    ``table``) or an (Nx, Ny) array of continuous phases in radians with
+    ideal unit magnitude. Summation order is fixed, so results are
+    deterministic.
     """
     if tx_power_w < 0:
         raise ValueError(f"transmit power must be >= 0, got {tx_power_w}")
     if isinstance(excitation, RISConfiguration) and table is None:
         raise ValueError("a state table is required to evaluate a code grid")
-    coeff = _excitation_coefficients(excitation, geom, table, mode)
+    coeff = _excitation_coefficients(excitation, geom, table)
     total = np.sum(coeff * _path_vector(carrier_hz, geom, tx, rx))
     return _cascade_prefactor(tx_power_w, carrier_hz, profile, tx, rx) * abs(total) ** 2
 

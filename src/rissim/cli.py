@@ -26,9 +26,9 @@ from . import __version__
 from .beams import (BeamSpec, exhaustive_oracle, optimal_codebook, quantization_loss,
                     resolve_model, synthesize_codebook, uniform_phase_loss_db)
 from .channel import exponent_from_gain, feed_illuminations, unity_gain_profile
-from .codebook import _code_table, bitstream_to_hex, encode_bias_bitstream, pack_bitstream
-from .elements import ElementStateTable, default_element_table, state_coefficients
-from .errors import ConfigError, RisSimError
+from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream
+from .elements import ElementStateTable, code_table, default_element_table, state_coefficients
+from .errors import ConfigError, ResolutionError, RisSimError
 from .geometry import ArrayGeometry, Pose
 from .link import required_transmit_power, evaluate_scenario
 from .patterns import (
@@ -96,16 +96,24 @@ class RunConfig:
             raise ConfigError("this subcommand needs a single --bits value, not a range")
         return self.bits[0]
 
-    def header_lines(self) -> list[str]:
+    def header_lines(self, *used: str, table: ElementStateTable | None = None) -> list[str]:
+        """What a subcommand read, then its output dir.
+
+        ``used`` names any of ``panel``, ``bits``, ``mode``, ``grid`` and
+        ``seed``; ``table`` is the state table its codes were read against.
+        """
         g = self.geometry
-        return [
-            f"panel: {g.num_x}x{g.num_y} elements at ({g.spacing_x * 1e3:.3f}, "
-            f"{g.spacing_y * 1e3:.3f}) mm pitch",
-            f"element table: {self.element_table_path} ({self.element_table.bits}-bit)",
-            f"bits: {','.join(str(b) for b in self.bits)}  mode: {self.mode}  "
-            f"grid: {self.grid_deg} deg  seed: {self.seed}",
-            f"output dir: {self.output_dir}",
-        ]
+        lines = []
+        if "panel" in used:
+            lines.append(f"panel: {g.num_x}x{g.num_y} elements at ({g.spacing_x * 1e3:.3f}, "
+                         f"{g.spacing_y * 1e3:.3f}) mm pitch")
+        if table is not None:
+            name = self.element_table_path if table is self.element_table else "ideal"
+            lines.append(f"element table: {name} ({table.bits}-bit)")
+        values = {"bits": ",".join(str(b) for b in self.bits), "mode": self.mode,
+                  "grid": f"{self.grid_deg} deg", "seed": self.seed}
+        settings = "  ".join(f"{name}: {value}" for name, value in values.items() if name in used)
+        return lines + ([settings] if settings else []) + [f"output dir: {self.output_dir}"]
 
 
 def parse_bits(text: str) -> tuple[int, ...]:
@@ -175,23 +183,25 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if "scenario" in file_cfg:
         cfg.scenario_path = Path(file_cfg["scenario"])
 
-    cfg.grid_deg = args.grid_deg if args.grid_deg is not None else _parse_number(
+    flags = vars(args)  # only the common flags the subcommand declares
+    cfg.carrier_hz = flags.get("carrier_hz", cfg.carrier_hz)
+    cfg.grid_deg = flags["grid_deg"] if flags.get("grid_deg") is not None else _parse_number(
         file_cfg.get("grid_deg", cfg.grid_deg), "grid_deg", "run config")
     cfg.hemisphere_grid_deg = _parse_number(
         file_cfg.get("hemisphere_grid_deg", cfg.hemisphere_grid_deg), "hemisphere_grid_deg",
         "run config")
-    if args.bits is not None:
-        cfg.bits = parse_bits(args.bits)
+    if flags.get("bits") is not None:
+        cfg.bits = parse_bits(flags["bits"])
     elif "bits" in file_cfg:
         cfg.bits = parse_bits(str(file_cfg["bits"]))
-    if args.mode is not None:
-        cfg.mode = args.mode
+    if flags.get("mode") is not None:
+        cfg.mode = flags["mode"]
     elif "mode" in file_cfg:
         mode = str(file_cfg["mode"])
         if mode not in ("nominal", "realized"):
             raise ConfigError(f"mode must be 'nominal' or 'realized', got {mode!r}")
         cfg.mode = mode
-    cfg.seed = args.seed if args.seed is not None else _parse_count(
+    cfg.seed = flags["seed"] if flags.get("seed") is not None else _parse_count(
         file_cfg.get("seed", 0), "seed", "run config")
     for name, grid, span_deg in (("grid_deg", cut_grid, 180),
                                  ("hemisphere_grid_deg", hemisphere_grid, 90)):
@@ -232,7 +242,7 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
         rx_model=args.rx_model,
         phase_offset=math.radians(args.offset_deg),
     )
-    config = synthesize_codebook(spec, cfg.geometry, args.carrier_hz, bits)
+    config = synthesize_codebook(spec, cfg.geometry, cfg.carrier_hz, bits)
     codes_path = cfg.output_dir / "codes.csv"
     config.to_csv(codes_path)
     outputs = [str(codes_path)]
@@ -243,9 +253,9 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
         hex_path = cfg.output_dir / "bias_bitstream.hex"
         hex_path.write_text(bitstream_to_hex(bitstream) + "\n")
         outputs += [str(bin_path), str(hex_path)]
-    for line in cfg.header_lines():
+    for line in cfg.header_lines("panel", "bits"):
         print(line)
-    tx_model, rx_model = (resolve_model(pose, model, cfg.geometry, args.carrier_hz)
+    tx_model, rx_model = (resolve_model(pose, model, cfg.geometry, cfg.carrier_hz)
                           for pose, model in ((spec.tx, spec.tx_model), (spec.rx, spec.rx_model)))
     print(f"tx: d={spec.tx.range} m polar={math.degrees(spec.tx.polar):.2f} deg "
           f"({tx_model}); rx: d={spec.rx.range} m polar={math.degrees(spec.rx.polar):.2f} deg "
@@ -265,12 +275,12 @@ class _SteerStudy:
     The feed illumination A is computed once per study, and one study serves
     a whole command: each steer's codebook, read against the state table,
     becomes the weight grid W = Gamma exp(j phi) A its patterns are sampled from.
+    The codes have the table's bit depth.
     """
 
-    def __init__(self, cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float, bits: int,
-                 table: ElementStateTable | None = None, mode: str = "nominal"):
-        self.geom, self.carrier_hz, self.bits, self.mode = geom, carrier_hz, bits, mode
-        self.table = _code_table(bits, table, mode)
+    def __init__(self, cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float,
+                 table: ElementStateTable):
+        self.geom, self.carrier_hz, self.table = geom, carrier_hz, table
         self.feed = Pose.from_spherical(cfg.feed_range_m, 0.0, 0.0)
         self.illumination = feed_illuminations(self.feed, geom, carrier_hz, cfg.feed_exponent)
         self.cut_step_deg, self.hemisphere_step_deg = cfg.grid_deg, cfg.hemisphere_grid_deg
@@ -280,8 +290,8 @@ class _SteerStudy:
         azimuth = PLANE_AZIMUTHS[plane] + (0.0 if steer_deg >= 0 else math.pi)
         target = Pose.from_spherical(FAR_FIELD_RANGE_M, math.radians(abs(steer_deg)), azimuth)
         spec = BeamSpec(tx=self.feed, rx=target)
-        codes = synthesize_codebook(spec, self.geom, self.carrier_hz, self.bits).codes
-        return state_coefficients(self.table, codes, self.mode) * self.illumination
+        codes = synthesize_codebook(spec, self.geom, self.carrier_hz, self.table.bits).codes
+        return state_coefficients(self.table, codes) * self.illumination
 
     def cut(self, weights: np.ndarray, plane: str, element_exponent: float) -> RadiationPattern:
         return principal_cut(weights, self.geom, self.carrier_hz, plane=plane,
@@ -299,7 +309,11 @@ class _SteerStudy:
         full = hemisphere_pattern(weights[0], self.geom, self.carrier_hz,
                                   step_deg=self.hemisphere_step_deg,
                                   element_exponent=element_exponent)
-        return cuts, metrics, *directivity_and_gain(full, loss_budget_db)
+        try:
+            return cuts, metrics, *directivity_and_gain(full, loss_budget_db)
+        except ResolutionError as exc:
+            raise ConfigError(f"hemisphere_grid_deg {self.hemisphere_step_deg} is too coarse "
+                              f"for this beam: {exc}") from None
 
 
 def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -307,9 +321,10 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not -90 <= args.steer_deg <= 90:  # beyond 90 deg the target lies behind the panel
         raise ConfigError(f"--steer-deg must lie in [-90, 90], got {args.steer_deg}")
     planes = ["E", "H"] if args.plane == "both" else [args.plane]
-    for line in cfg.header_lines():
+    table = code_table(bits, cfg.mode, cfg.element_table)
+    for line in cfg.header_lines("panel", "bits", "mode", "grid", table=table):
         print(line)
-    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, bits, cfg.element_table, cfg.mode)
+    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, table)
     cuts, metrics, directivity_dbi, gain_dbi = study.patterns(
         args.steer_deg, planes, args.element_exponent, args.loss_budget_db)
     rows = []
@@ -362,9 +377,10 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not 0 <= args.max_deg <= 90:  # beyond 90 deg the target lies behind the panel
         raise ConfigError(f"--max-deg must lie in [0, 90], got {args.max_deg}")
     angles = [args.step_deg * i for i in range(int(args.max_deg / args.step_deg) + 1)]
-    for line in cfg.header_lines():
+    table = code_table(bits, cfg.mode, cfg.element_table)
+    for line in cfg.header_lines("panel", "bits", "mode", "grid", table=table):
         print(line)
-    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, bits, cfg.element_table, cfg.mode)
+    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, table)
     sweep = _steer_sweep(study, angles, args.element_exponent)
     rows = []
     for angle, e_plane, h_plane in zip(angles, sweep["E"], sweep["H"]):
@@ -390,7 +406,7 @@ def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
         tx=Pose.from_spherical(args.tx_range, 0.0, 0.0),
         rx=Pose.from_spherical(args.rx_range, 0.0, 0.0),
     )
-    for line in cfg.header_lines():
+    for line in cfg.header_lines("panel", "bits"):
         print(line)
     rows = []
     for bits in cfg.bits:
@@ -408,13 +424,12 @@ def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _evaluate_bundle(cfg: RunConfig, path: Path):
+    """The bundle, the state table its mode reads codes against, and each scenario's result."""
     bundle = load_scenario_bundle(path)
-    results = []
-    for scenario in bundle.scenarios:
-        res = evaluate_scenario(scenario, bundle.geometry, bundle.bits,
-                                table=cfg.element_table, mode=bundle.mode)
-        results.append((scenario, res))
-    return bundle, results
+    table = code_table(bundle.bits, bundle.mode, cfg.element_table)
+    results = [(scenario, evaluate_scenario(scenario, bundle.geometry, bundle.bits, table=table))
+               for scenario in bundle.scenarios]
+    return bundle, table, results
 
 
 def _link_rows(results) -> list[list[str]]:
@@ -447,8 +462,8 @@ _LINK_HEADER = [
 
 def cmd_link(cfg: RunConfig, args: argparse.Namespace) -> int:
     path = Path(args.scenario) if args.scenario else (cfg.scenario_path or bundled_scenario_path())
-    bundle, results = _evaluate_bundle(cfg, path)
-    for line in cfg.header_lines():
+    bundle, table, results = _evaluate_bundle(cfg, path)
+    for line in cfg.header_lines(table=table):
         print(line)
     print(f"scenario file: {path} ({bundle.description})")
     rows = _link_rows(results)
@@ -547,7 +562,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
 
     # scenario bundle
     path = cfg.scenario_path or bundled_scenario_path()
-    bundle, results = _evaluate_bundle(cfg, path)
+    bundle, table, results = _evaluate_bundle(cfg, path)
     bad = [s.name for s, r in results
            if s.expected_rate_mbps is not None and r.rate_mbps != s.expected_rate_mbps]
     judge("scenario rates", len(bad),
@@ -556,10 +571,10 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     # required-power reduction for the back-to-back rate pair
     no_panel = next(s for s, _ in results if s.name == "array_gain_without_panel")
     with_panel = next(s for s, _ in results if s.name == "array_gain_with_panel")
-    p_direct = required_transmit_power(no_panel, bundle.geometry, bundle.bits,
-                                       1024.0, table=cfg.element_table, mode=bundle.mode)
-    p_panel = required_transmit_power(with_panel, bundle.geometry, bundle.bits,
-                                      1121.0, table=cfg.element_table, mode=bundle.mode)
+    p_direct = required_transmit_power(no_panel, bundle.geometry, bundle.bits, 1024.0,
+                                       table=table)
+    p_panel = required_transmit_power(with_panel, bundle.geometry, bundle.bits, 1121.0,
+                                      table=table)
     delta = p_direct - p_panel
     judge("transmit-power reduction", delta,
           f"{p_direct:.1f} dBm for 1024 Mbps direct vs {p_panel:.1f} dBm for 1121 Mbps "
@@ -577,7 +592,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     judge("1-bit quantization loss", loss1, f"{loss1:.3f} dB")
 
     # broadside pattern metrics and gain estimate; the steer sweep shares the study
-    study = _SteerStudy(cfg, bundle.geometry, carrier, bundle.bits)
+    study = _SteerStudy(cfg, bundle.geometry, carrier, code_table(bundle.bits, "nominal"))
     budget = cfg.element_table.mean_insertion_loss_db() + loss2
     _, (m,), directivity_dbi, gain_dbi = study.patterns(0.0, ["E"], 1.0, budget)
     judge("broadside sidelobes", m.sidelobe_level_db, f"SLL {m.sidelobe_level_db:.2f} dB")
@@ -628,7 +643,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
 
 
 def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
-    for line in cfg.header_lines():
+    for line in cfg.header_lines("grid", "seed", table=cfg.element_table):
         print(line)
     campaign = measure_campaign(cfg, args.oracle_trials)
     _write_csv(cfg.output_dir / "link_report.csv", _LINK_HEADER, _link_rows(campaign.link_results))
@@ -658,6 +673,16 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- dispatch
 
+# The flags several subcommands share; each subcommand declares those it reads.
+_COMMON_FLAGS = {
+    "--grid-deg": dict(type=float, help="cut resolution in degrees"),
+    "--bits": dict(help="phase bits: N or a range like 1..4"),
+    "--mode": dict(choices=("nominal", "realized"),
+                   help="element model: ideal grid phases or measured states"),
+    "--seed": dict(type=int, help="seed for randomized checks"),
+    "--carrier-hz": dict(type=float, default=27.0e9, help="carrier frequency in Hz"),
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -667,20 +692,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transmissive-panel mmWave link simulator",
     )
     parser.add_argument("--version", action="version", version=f"rissim {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="run-config YAML file")
-    common.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./rissim_out)")
-    common.add_argument("--grid-deg", type=float, default=None, help="cut resolution in degrees")
-    common.add_argument("--bits", default=None, help="phase bits: N or a range like 1..4")
-    common.add_argument("--mode", choices=("nominal", "realized"), default=None,
-                        help="element model: ideal grid phases or measured states")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    common.add_argument("--carrier-hz", type=float, default=27.0e9, help="carrier frequency in Hz")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("codebook", parents=[common],
-                       help="synthesize a code grid and its bias bitstream")
+    def subcommand(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+        """A subcommand with --config, --out and those of the common flags it reads."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="run-config YAML file")
+        p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./rissim_out)")
+        for flag in flags:
+            p.add_argument(flag, **_COMMON_FLAGS[flag])
+        return p
+
+    p = subcommand("codebook", "synthesize a code grid and its bias bitstream",
+                   "--bits", "--carrier-hz")
     p.add_argument("--tx-range", type=float, default=FAR_FIELD_RANGE_M)
     p.add_argument("--tx-polar-deg", type=float, default=0.0)
     p.add_argument("--tx-azimuth-deg", type=float, default=0.0)
@@ -692,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset-deg", type=float, default=0.0, help="phase constant C in degrees")
     p.set_defaults(func=cmd_codebook)
 
-    p = sub.add_parser("pattern", parents=[common], help="radiation-pattern cuts and metrics")
+    p = subcommand("pattern", "radiation-pattern cuts and metrics",
+                   "--grid-deg", "--bits", "--mode", "--carrier-hz")
     p.add_argument("--steer-deg", type=float, default=0.0, help="signed steer angle")
     p.add_argument("--plane", choices=("E", "H", "both"), default="both")
     p.add_argument("--element-exponent", type=float, default=1.0)
@@ -700,23 +725,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subtracted from directivity to report gain")
     p.set_defaults(func=cmd_pattern)
 
-    p = sub.add_parser("scan", parents=[common], help="steer sweep: scan loss and pointing")
+    p = subcommand("scan", "steer sweep: scan loss and pointing",
+                   "--grid-deg", "--bits", "--mode", "--carrier-hz")
     p.add_argument("--max-deg", type=float, default=60.0)
     p.add_argument("--step-deg", type=float, default=10.0)
     p.add_argument("--element-exponent", type=float, default=1.0)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("quantloss", parents=[common], help="quantization loss vs bit count")
+    p = subcommand("quantloss", "quantization loss vs bit count", "--bits", "--carrier-hz")
     p.add_argument("--tx-range", type=float, default=FAR_FIELD_RANGE_M)
     p.add_argument("--rx-range", type=float, default=0.05)
     p.set_defaults(func=cmd_quantloss)
 
-    p = sub.add_parser("link", parents=[common], help="evaluate a scenario file")
+    p = subcommand("link", "evaluate a scenario file")
     p.add_argument("--scenario", help="scenario bundle path (default: packaged bundle)")
     p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("reproduce", parents=[common],
-                       help="run the packaged scenario bundle and metric suite")
+    p = subcommand("reproduce", "run the packaged scenario bundle and metric suite",
+                   "--grid-deg", "--seed")
     p.add_argument("--oracle-trials", type=int, default=20)
     p.set_defaults(func=cmd_reproduce)
     return parser
@@ -725,11 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = build_run_config(args)
-        cfg.carrier_hz = args.carrier_hz
-        if args.mode is None and args.command in ("link", "reproduce"):
-            cfg.mode = "realized"
-        return args.func(cfg, args)
+        return args.func(build_run_config(args), args)
     except (RisSimError, ValueError, OSError) as exc:
         print(f"rissim: error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedConfigurationError
 from .geometry import ArrayGeometry
-from .elements import ElementStateTable, Mode, nominal_phase_step, state_coefficients
+from .elements import ElementStateTable, _code_table, nominal_phase_step, state_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,28 +83,10 @@ class RISConfiguration:
         return cls(geom=geom, bits=bits, codes=np.array(rows))
 
 
-def _code_table(bits: int, table: ElementStateTable | None, mode: Mode) -> ElementStateTable:
-    """The state table that b-bit codes are read against.
-
-    ``table`` itself when it has b bits; in nominal mode a table of another
-    bit depth (or none) is replaced by the ideal table of the codes' own 2^b
-    phases, while realized mode needs a table of the codes' bit depth.
-    """
-    if table is None or table.bits != bits:
-        if mode == "realized" and table is not None:
-            raise ValueError(
-                f"{bits}-bit codes cannot be read against a "
-                f"{table.bits}-bit state table in realized mode"
-            )
-        table = ElementStateTable.ideal(bits)
-    return table
-
-
 def _excitation_coefficients(
     excitation: RISConfiguration | np.ndarray,
     geom: ArrayGeometry,
     table: ElementStateTable | None,
-    mode: Mode,
 ) -> np.ndarray:
     """Gamma * exp(j phi) per element, from a code grid or from continuous phases.
 
@@ -114,8 +96,7 @@ def _excitation_coefficients(
     if isinstance(excitation, RISConfiguration):
         if excitation.geom != geom:
             raise ValueError("configuration geometry does not match the panel")
-        table = _code_table(excitation.bits, table, mode)
-        return state_coefficients(table, excitation.codes, mode)
+        return state_coefficients(_code_table(excitation.bits, table), excitation.codes)
     phases = np.asarray(excitation, dtype=float)
     if phases.shape != (geom.num_x, geom.num_y):
         raise ValueError(

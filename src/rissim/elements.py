@@ -1,11 +1,12 @@
 """Behavioral model of the b-bit switchable element.
 
-Each phase code maps to a complex transmission coefficient. In ``nominal``
-mode the element is ideal: unit magnitude and the exact grid phase
-code * pi / 2^(b-1). In ``realized`` mode magnitude and phase come from
-measured/simulated per-state data, the default being the bundled 2-bit
-element characterization at its 26.5 GHz design frequency (treated as flat
-across the element's 3-dB band).
+Each phase code maps to a complex transmission coefficient read from one
+state table: the per-state magnitude and phase. A run's element mode is
+resolved to that table once, where the mode is read (:func:`code_table`).
+``nominal`` is the ideal table: unit magnitude at the exact grid phase
+code * pi / 2^(b-1). ``realized`` is measured/simulated per-state data, the
+default being the bundled 2-bit element characterization at its 26.5 GHz
+design frequency (treated as flat across the element's 3-dB band).
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ def nominal_phase_step(bits: int) -> float:
 
 @dataclass(frozen=True)
 class ElementState:
-    """One switchable state: code, ideal and realized phases, insertion loss."""
+    """One switchable state: code, realized phase, insertion loss."""
 
     code: int
-    nominal_phase: float  # rad
     realized_phase: float  # rad
     insertion_loss_db: float
 
@@ -60,14 +60,9 @@ class ElementStateTable:
             raise ValueError(
                 f"{self.bits}-bit table needs {expected} states, got {len(self.states)}"
             )
-        step = nominal_phase_step(self.bits)
         for i, st in enumerate(self.states):
             if st.code != i:
                 raise ValueError(f"states must be ordered by code; index {i} has code {st.code}")
-            if not math.isclose(st.nominal_phase, i * step, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError(
-                    f"code {i} nominal phase must be {i * step:.6f} rad, got {st.nominal_phase}"
-                )
             if not (0.0 <= st.magnitude <= 1.0):
                 raise ValueError(f"code {i} magnitude {st.magnitude} outside [0, 1]")
 
@@ -76,9 +71,6 @@ class ElementStateTable:
 
     def realized_phases(self) -> np.ndarray:
         return np.array([s.realized_phase for s in self.states])
-
-    def nominal_phases(self) -> np.ndarray:
-        return np.array([s.nominal_phase for s in self.states])
 
     def mean_insertion_loss_db(self) -> float:
         return sum(s.insertion_loss_db for s in self.states) / len(self.states)
@@ -90,27 +82,20 @@ class ElementStateTable:
         bits = n.bit_length() - 1
         if n < 2 or (1 << bits) != n:
             raise ValueError(f"state count must be a power of two >= 2, got {n}")
-        step = nominal_phase_step(bits)
         states = tuple(
-            ElementState(
-                code=i,
-                nominal_phase=i * step,
-                realized_phase=math.radians(phase_deg),
-                insertion_loss_db=loss_db,
-            )
+            ElementState(code=i, realized_phase=math.radians(phase_deg), insertion_loss_db=loss_db)
             for i, (phase_deg, loss_db) in enumerate(entries)
         )
         return cls(bits=bits, states=states)
 
     @classmethod
     def ideal(cls, bits: int) -> "ElementStateTable":
-        """Lossless table whose realized phases equal the nominal grid."""
+        """Lossless table whose realized phases are the nominal grid code * 2 pi / 2^b."""
         step = nominal_phase_step(bits)
         return cls(
             bits=bits,
             states=tuple(
-                ElementState(code=i, nominal_phase=i * step, realized_phase=i * step,
-                             insertion_loss_db=0.0)
+                ElementState(code=i, realized_phase=i * step, insertion_loss_db=0.0)
                 for i in range(1 << bits)
             ),
         )
@@ -147,19 +132,36 @@ def default_element_table() -> ElementStateTable:
     )
 
 
-def state_coefficients(table: ElementStateTable, codes: np.ndarray, mode: Mode = "nominal") -> np.ndarray:
-    """Complex transmission coefficients Gamma * exp(j phi) of an integer code array.
+def _code_table(bits: int, table: ElementStateTable | None) -> ElementStateTable:
+    """``table`` for b-bit codes, or the ideal table of their 2^b phases when none is given."""
+    if table is None:
+        return ElementStateTable.ideal(bits)
+    if table.bits != bits:
+        raise ValueError(f"{bits}-bit codes cannot be read against a {table.bits}-bit state table")
+    return table
 
-    ``nominal`` mode gives unit magnitude at the grid phase; ``realized`` mode
-    the table's per-state magnitude and phase.
+
+def code_table(bits: int, mode: Mode, table: ElementStateTable | None = None) -> ElementStateTable:
+    """The one state table a run's b-bit codes are read against, from its element mode.
+
+    ``nominal`` gives the ideal table of the codes' own 2^b phases;
+    ``realized`` gives ``table``, or the bundled element when none is given,
+    and its bit depth must be the codes'.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "nominal":
+        return ElementStateTable.ideal(bits)
+    return _code_table(bits, table or default_element_table())
+
+
+def state_coefficients(table: ElementStateTable, codes: np.ndarray) -> np.ndarray:
+    """Complex transmission coefficients Gamma * exp(j phi) of an integer code array.
+
+    Each code reads its state's magnitude and realized phase from ``table``.
+    """
     codes = np.asarray(codes)
     if codes.size and (codes.min() < 0 or codes.max() >= (1 << table.bits)):
         raise ValueError(f"codes outside [0, {1 << table.bits})")
-    if mode == "nominal":
-        lut = np.exp(1j * table.nominal_phases())
-    else:
-        lut = table.magnitudes() * np.exp(1j * table.realized_phases())
+    lut = table.magnitudes() * np.exp(1j * table.realized_phases())
     return lut[codes]

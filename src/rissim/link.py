@@ -25,7 +25,7 @@ import numpy as np
 from .beams import BeamSpec, synthesize_codebook
 from .channel import GainProfile, cos_power_pattern, received_power
 from .codebook import RISConfiguration
-from .elements import ElementStateTable, Mode, default_element_table
+from .elements import ElementStateTable, default_element_table
 from .errors import InfeasibleTargetError
 from .geometry import ArrayGeometry, Pose, _require_finite
 from .units import dbm_to_watts, watts_to_dbm, wavelength
@@ -189,14 +189,14 @@ def evaluate_scenario(
     bits: int,
     *,
     table: ElementStateTable | None = None,
-    mode: Mode = "realized",
 ) -> LinkResult:
     """Received power, SNR, and achievable rate for one scenario.
 
     With the panel present, a codebook is synthesized for the scenario's
-    poses (auto near/far model per side) and evaluated in the given element
-    mode; the obstacle, if any, attenuates the panel hop on its side. Without
-    the panel the direct Friis link is used and the obstacle always applies.
+    poses (auto near/far model per side) and read against ``table``, the
+    bundled realized element when none is given; the obstacle, if any,
+    attenuates the panel hop on its side. Without the panel the direct Friis
+    link is used and the obstacle always applies.
     """
     table = table or default_element_table()
     codebook = None
@@ -212,7 +212,6 @@ def evaluate_scenario(
             scenario.tx_pose,
             scenario.rx_pose,
             table=table,
-            mode=mode,
         )
         p_w *= _obstacle_factor(scenario)
     else:
@@ -237,7 +236,6 @@ def required_transmit_power(
     target_rate_mbps: float,
     *,
     table: ElementStateTable | None = None,
-    mode: Mode = "realized",
 ) -> float:
     """Minimum transmit power (dBm, on the 0.1 dB step grid) reaching the rate.
 
@@ -248,9 +246,7 @@ def required_transmit_power(
     Raises :class:`InfeasibleTargetError` if even the +60 dBm cap falls short.
     """
     threshold = scenario.mcs.threshold_for_rate(target_rate_mbps)
-    snr_at_0dbm = evaluate_scenario(
-        scenario.with_power(0.0), geom, bits, table=table, mode=mode
-    ).snr_db
+    snr_at_0dbm = evaluate_scenario(scenario.with_power(0.0), geom, bits, table=table).snr_db
     minimum = threshold - snr_at_0dbm
     if minimum > MAX_TRANSMIT_POWER_DBM:  # +inf when the link carries no power
         raise InfeasibleTargetError(

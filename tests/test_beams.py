@@ -13,7 +13,7 @@ from rissim import (
     Pose,
     RISConfiguration,
     SearchSpaceError,
-    default_element_table,
+    code_table,
     exhaustive_oracle,
     optimal_codebook,
     optimal_phases,
@@ -84,7 +84,7 @@ def test_quantized_never_beats_continuous(panel16, rx_near):
     for bits in (1, 2, 3, 4, 5, 6):
         config = synthesize_codebook(spec, panel16, CARRIER_HZ, bits)
         p = received_power(1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near,
-                           table=ElementStateTable.ideal(bits), mode="nominal")
+                           table=ElementStateTable.ideal(bits))
         assert p <= continuous * (1 + 1e-12)
         assert p >= last  # finer phasing cannot hurt at matched offsets
         last = p
@@ -96,11 +96,11 @@ def test_uniform_code_shift_invariance(panel16, rx_near):
     profile = unity_gain_profile()
     table = ElementStateTable.ideal(2)
     base = received_power(1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near,
-                          table=table, mode="nominal")
+                          table=table)
     for shift in (1, 2, 3):
         shifted = RISConfiguration(geom=panel16, bits=2, codes=(config.codes + shift) % 4)
         p = received_power(1.0, CARRIER_HZ, profile, panel16, shifted, FAR, rx_near,
-                           table=table, mode="nominal")
+                           table=table)
         assert p == pytest.approx(base, rel=1e-12)
 
 
@@ -124,7 +124,7 @@ def test_oracle_single_element(table):
         p = received_power(
             1.0, CARRIER_HZ, unity_gain_profile(), geom,
             synthesize_codebook(replace(spec, phase_offset=code * math.pi / 2), geom, CARRIER_HZ, 2),
-            spec.tx, spec.rx, table=ElementStateTable.ideal(2), mode="nominal",
+            spec.tx, spec.rx, table=ElementStateTable.ideal(2),
         )
         assert power == pytest.approx(p, rel=1e-12)
     assert config.codes.shape == (1, 1)
@@ -192,12 +192,12 @@ def test_solver_returns_the_power_of_its_codebook(panel16, rx_near):
     config, power = optimal_codebook(spec, panel16, CARRIER_HZ, 2)
     profile, table = unity_gain_profile(), ElementStateTable.ideal(2)
     assert power == pytest.approx(received_power(
-        1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near, table=table, mode="nominal",
+        1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near, table=table,
     ), rel=1e-12)
     assert power >= received_power(
         1.0, CARRIER_HZ, profile, panel16,
         synthesize_codebook(spec, panel16, CARRIER_HZ, 2), FAR, rx_near,
-        table=table, mode="nominal",
+        table=table,
     ) * (1 - 1e-12)
 
 
@@ -217,13 +217,13 @@ poses = st.builds(
 @given(tx=poses, rx=poses)
 def test_solver_matches_the_exhaustive_oracle(shape, bits, mode, tx, rx):
     geom = ArrayGeometry(*shape)
-    table = default_element_table() if mode == "realized" else ElementStateTable.ideal(bits)
+    table = code_table(bits, mode)
     spec = BeamSpec(tx=tx, rx=rx)
-    _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, bits, table=table, mode=mode)
-    config, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, bits, table=table, mode=mode)
+    _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, bits, table=table)
+    config, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, bits, table=table)
     assert p_solver == pytest.approx(p_oracle, rel=1e-12)
     assert p_solver == pytest.approx(received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), geom, config, tx, rx, table=table, mode=mode,
+        1.0, CARRIER_HZ, unity_gain_profile(), geom, config, tx, rx, table=table,
     ), rel=1e-12)
 
 
@@ -237,7 +237,7 @@ def test_solver_never_worse_than_a_phase_constant_sweep(panel16, rx_near, bits):
         received_power(1.0, CARRIER_HZ, profile, panel16,
                        synthesize_codebook(replace(spec, phase_offset=step * k / 16),
                                            panel16, CARRIER_HZ, bits),
-                       FAR, rx_near, table=table, mode="nominal")
+                       FAR, rx_near, table=table)
         for k in range(16)
     )
     _, power = optimal_codebook(spec, panel16, CARRIER_HZ, bits, profile=profile, table=table)
@@ -255,11 +255,11 @@ def test_solver_on_a_degenerate_state_table(panel16, rx_near):
     # every state the same coefficient: one hull vertex, the lowest code everywhere
     flat = ElementStateTable.from_states([(10.0, 1.0)] * 4)
     spec = BeamSpec(tx=FAR, rx=rx_near)
-    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, 2, table=flat, mode="realized")
+    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, 2, table=flat)
     assert not config.codes.any()
     assert power == pytest.approx(received_power(
         1.0, CARRIER_HZ, unity_gain_profile(), panel16, config, FAR, rx_near,
-        table=flat, mode="realized",
+        table=flat,
     ), rel=1e-12)
 
 
@@ -267,12 +267,17 @@ def test_solver_on_a_degenerate_state_table(panel16, rx_near):
 def test_optimisers_read_codes_as_received_power_does(optimiser, table):
     geom = ArrayGeometry(2, 2)
     spec = BeamSpec(tx=Pose.from_spherical(1.0, 0.3, 0.2), rx=Pose.from_spherical(0.1, 0.2, 1.0))
-    # 1-bit codes in nominal mode read the ideal 1-bit phases, whatever table is given
-    config, power = optimiser(spec, geom, CARRIER_HZ, 1, table=ElementStateTable.ideal(2))
-    assert power == pytest.approx(optimiser(spec, geom, CARRIER_HZ, 1)[1], rel=1e-12)
+    # without a table, 1-bit codes read the ideal 1-bit phases
+    config, power = optimiser(spec, geom, CARRIER_HZ, 1)
+    assert power == pytest.approx(optimiser(spec, geom, CARRIER_HZ, 1,
+                                            table=ElementStateTable.ideal(1))[1], rel=1e-12)
     assert power == pytest.approx(received_power(
         1.0, CARRIER_HZ, unity_gain_profile(), geom, config, spec.tx, spec.rx,
-        table=ElementStateTable.ideal(2), mode="nominal",
+        table=ElementStateTable.ideal(1),
     ), rel=1e-12)
+    # a table of another bit depth is refused by both
+    with pytest.raises(ValueError, match="1-bit codes"):
+        received_power(1.0, CARRIER_HZ, unity_gain_profile(), geom, config, spec.tx, spec.rx,
+                       table=table)
     with pytest.raises(ValueError, match="3-bit codes"):
-        optimiser(spec, geom, CARRIER_HZ, 3, table=table, mode="realized")
+        optimiser(spec, geom, CARRIER_HZ, 3, table=table)

@@ -81,7 +81,7 @@ def test_received_power_single_element_hand_value():
     p = received_power(
         1.0, CARRIER_HZ, unity_gain_profile(), geom, config,
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
-        table=ElementStateTable.ideal(2), mode="nominal",
+        table=ElementStateTable.ideal(2),
     )
     expected = lam**2 / (16 * math.pi**2) / (2.6 * 0.05) ** 2
     assert p == pytest.approx(expected, rel=1e-12)
@@ -108,7 +108,7 @@ def test_received_power_opaque_panel(panel16):
         1.0, CARRIER_HZ, unity_gain_profile(), panel16,
         RISConfiguration.uniform(panel16, 2),
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
-        table=opaque, mode="realized",
+        table=opaque,
     )
     assert p == 0.0
 
@@ -147,24 +147,24 @@ def test_single_phase_perturbation_strictly_decreases(panel16, tx_far, rx_near):
 
 def test_magnitude_scaling_quadratic(panel16, tx_far, rx_near):
     profile = unity_gain_profile()
-    # realized table with uniform 6.0206 dB loss scales nominal power by 0.25
+    # a table with uniform 6.0206 dB loss scales the ideal table's power by 0.25
     damped = ElementStateTable.from_states(
         [(0.0, 6.0206), (90.0, 6.0206), (180.0, 6.0206), (270.0, 6.0206)]
     )
     config = RISConfiguration.uniform(panel16, 2)
     nominal = received_power(1.0, CARRIER_HZ, profile, panel16, config, tx_far, rx_near,
-                             table=damped, mode="nominal")
+                             table=ElementStateTable.ideal(2))
     realized = received_power(1.0, CARRIER_HZ, profile, panel16, config, tx_far, rx_near,
-                              table=damped, mode="realized")
+                              table=damped)
     assert realized == pytest.approx(0.25 * nominal, rel=1e-4)
 
 
 def test_transmit_power_linearity(panel16, desk_gains, tx_far, rx_near, table):
     config = RISConfiguration.uniform(panel16, 2)
     p1 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, config, tx_far, rx_near,
-                        table=table, mode="realized")
+                        table=table)
     p3 = received_power(3.0, CARRIER_HZ, desk_gains, panel16, config, tx_far, rx_near,
-                        table=table, mode="realized")
+                        table=table)
     assert p3 == pytest.approx(3 * p1, rel=1e-12)
 
 

@@ -227,9 +227,12 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     (["scan", "--element-exponent", "inf"], "element exponent must be finite"),
     (["pattern", "--loss-budget-db", "inf"], "loss_budget_db must be finite"),
     (["pattern", "--steer-deg", "95"], "--steer-deg must lie in [-90, 90]"),  # behind the panel
-    (["pattern", "--config", "hemisphere_grid_deg: 15"], "directivity grid under-resolved"),
+    (["pattern", "--config", "hemisphere_grid_deg: 15"],
+     "hemisphere_grid_deg 15.0 is too coarse for this beam: directivity grid under-resolved"),
+    (["reproduce", "--config", "hemisphere_grid_deg: 15"],
+     "hemisphere_grid_deg 15.0 is too coarse for this beam: directivity grid under-resolved"),
 ], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
-        "loss-budget-inf", "steer-95", "hemisphere-grid-15"])
+        "loss-budget-inf", "steer-95", "hemisphere-grid-15", "reproduce-hemisphere-grid-15"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
     if "--config" in argv:  # the entry after --config is the run config's text
         i = argv.index("--config") + 1
@@ -371,3 +374,48 @@ def test_reproduce_needs_an_oracle_trial(tmp_path, capsys, trials):
 def test_a_verdict_over_no_values_fails():
     assert not Verdict.judged("60-deg scan loss", (), "no planes").passed
     assert Verdict.judged("60-deg scan loss", (5.5, 5.5), "both planes").passed
+
+
+@pytest.mark.parametrize("argv", [
+    ["link", "--mode", "nominal"],
+    ["link", "--bits", "3"],
+    ["link", "--seed", "2"],
+    ["link", "--grid-deg", "1"],
+    ["link", "--carrier-hz", "28e9"],
+    ["reproduce", "--mode", "nominal"],
+    ["reproduce", "--bits", "3"],
+    ["reproduce", "--carrier-hz", "28e9"],
+    ["quantloss", "--mode", "realized"],
+    ["quantloss", "--seed", "9"],
+    ["quantloss", "--grid-deg", "1"],
+    ["codebook", "--mode", "realized"],
+    ["codebook", "--grid-deg", "1"],
+    ["codebook", "--seed", "4"],
+    ["pattern", "--seed", "1"],
+    ["scan", "--seed", "1"],
+], ids=" ".join)
+def test_a_subcommand_refuses_a_common_flag_it_does_not_read(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as rejected:
+        run(*argv, "--out", str(out))
+    assert rejected.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,header", [
+    (["codebook"], ["panel: 16x16 elements at (4.900, 4.900) mm pitch", "bits: 2"]),
+    (["quantloss", "--bits", "1..2"], ["panel: 16x16 elements at (4.900, 4.900) mm pitch",
+                                       "bits: 1,2"]),
+    (["scan", "--max-deg", "0"], ["panel: 16x16 elements at (4.900, 4.900) mm pitch",
+                                  "element table: ideal (2-bit)",
+                                  "bits: 2  mode: nominal  grid: 0.25 deg"]),
+    (["scan", "--max-deg", "0", "--mode", "realized"],
+     ["panel: 16x16 elements at (4.900, 4.900) mm pitch", "element table: (built-in) (2-bit)",
+      "bits: 2  mode: realized  grid: 0.25 deg"]),
+    (["link"], ["element table: (built-in) (2-bit)"]),
+], ids=["codebook", "quantloss", "scan-nominal", "scan-realized", "link"])
+def test_the_header_prints_only_what_the_command_read(tmp_path, capsys, argv, header):
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:len(header) + 1] == [*header, f"output dir: {tmp_path}"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rissim import ElementState, ElementStateTable, default_element_table, state_coefficients
+from rissim import ElementStateTable, code_table, default_element_table, state_coefficients
 
 
 def test_default_table_values(table):
@@ -27,31 +27,41 @@ def test_default_table_steps_near_quarter_turn(table):
 
 
 def test_state_coefficient_realized(table):
-    c = state_coefficients(table, np.array([0]), "realized")[0]
+    c = state_coefficients(table, np.array([0]))[0]
     assert abs(c) == pytest.approx(10 ** (-1.1 / 20), rel=1e-12)
     assert math.degrees(np.angle(c)) == pytest.approx(-141.2)
 
 
-def test_state_coefficient_nominal_identity(table):
-    coefficients = state_coefficients(table, np.arange(4), "nominal")
-    assert coefficients[0] == pytest.approx(1.0 + 0.0j)
-    for code, c in enumerate(coefficients):
-        assert abs(c) == pytest.approx(1.0)
-        assert np.angle(c) % (2 * math.pi) == pytest.approx(code * math.pi / 2, abs=1e-12)
+def test_state_coefficient_nominal_identity():
+    """Nominal mode is the ideal table: unit magnitude at the exact grid phase, bit for bit."""
+    for bits in (1, 2, 3, 4):
+        codes = np.arange(1 << bits)
+        coefficients = state_coefficients(code_table(bits, "nominal"), codes)
+        assert np.all(coefficients == np.exp(1j * codes * (2 * math.pi / (1 << bits))))
+        assert coefficients[0] == 1.0 + 0.0j
 
 
 def test_state_coefficient_code_range(table):
     with pytest.raises(ValueError):
-        state_coefficients(table, np.array([4]), "nominal")
+        state_coefficients(table, np.array([4]))
     with pytest.raises(ValueError):
-        state_coefficients(table, np.array([-1]), "realized")
-    with pytest.raises(ValueError):
-        state_coefficients(table, np.array([0]), "measured")
+        state_coefficients(table, np.array([-1]))
+
+
+def test_code_table_resolves_a_mode_to_one_table(table):
+    assert code_table(3, "nominal", table) == ElementStateTable.ideal(3)
+    assert code_table(2, "realized") is default_element_table()
+    custom = ElementStateTable.from_states([(0.0, 0.5), (180.0, 0.5)])
+    assert code_table(1, "realized", custom) is custom
+    with pytest.raises(ValueError, match="mode must be one of"):
+        code_table(2, "measured")
+    with pytest.raises(ValueError, match="3-bit codes cannot be read against a 2-bit state table"):
+        code_table(3, "realized", table)
 
 
 def test_state_coefficients_vectorized(table):
     codes = np.array([[0, 1], [2, 3]])
-    got = state_coefficients(table, codes, "realized")
+    got = state_coefficients(table, codes)
     # per-code reference straight from the state records
     expected = np.array(
         [[table.states[c].magnitude * cmath.exp(1j * table.states[c].realized_phase) for c in row]
@@ -59,14 +69,14 @@ def test_state_coefficients_vectorized(table):
     )
     np.testing.assert_allclose(got, expected)
     with pytest.raises(ValueError):
-        state_coefficients(table, np.array([0, 4]), "nominal")
+        state_coefficients(table, np.array([0, 4]))
 
 
 def test_ideal_table():
     t = ElementStateTable.ideal(3)
     assert t.bits == 3
     np.testing.assert_allclose(t.magnitudes(), 1.0)
-    np.testing.assert_allclose(t.realized_phases(), t.nominal_phases())
+    np.testing.assert_allclose(t.realized_phases(), np.arange(8) * math.pi / 4)
     with pytest.raises(TypeError):
         ElementStateTable.ideal(2.0)  # a bit count is an integer
 
@@ -83,12 +93,6 @@ def test_default_table_is_one_frozen_object():
 def test_table_validation_state_count():
     with pytest.raises(ValueError):
         ElementStateTable.from_states([(0.0, 1.0), (90.0, 1.0), (180.0, 1.0)])
-
-
-def test_table_validation_nominal_grid():
-    good = ElementStateTable.ideal(1).states
-    with pytest.raises(ValueError):
-        ElementStateTable(bits=1, states=(good[0], ElementState(1, 0.1, 0.0, 0.0)))
 
 
 def test_table_validation_magnitude():

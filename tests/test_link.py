@@ -19,6 +19,7 @@ from rissim import (
     Pose,
     RISConfiguration,
     bundled_scenario_path,
+    code_table,
     coherent_power_bound,
     default_element_table,
     evaluate_scenario,
@@ -205,11 +206,12 @@ def test_required_power_threshold_shift(panel16):
 
 
 BUNDLE = load_scenario_bundle(bundled_scenario_path())
+BUNDLE_TABLE = code_table(BUNDLE.bits, BUNDLE.mode)
 
 
 def bundle_rate_at(scenario, p_dbm):
     return evaluate_scenario(
-        scenario.with_power(p_dbm), BUNDLE.geometry, BUNDLE.bits, mode=BUNDLE.mode
+        scenario.with_power(p_dbm), BUNDLE.geometry, BUNDLE.bits, table=BUNDLE_TABLE
     ).rate_mbps
 
 
@@ -232,7 +234,7 @@ def test_required_power_reaches_the_rate_and_a_step_lower_misses(
     )
     try:
         p = required_transmit_power(scenario, BUNDLE.geometry, BUNDLE.bits, rate,
-                                    mode=BUNDLE.mode)
+                                    table=BUNDLE_TABLE)
     except InfeasibleTargetError:
         assert bundle_rate_at(scenario, MAX_TRANSMIT_POWER_DBM) < rate
         return
@@ -244,7 +246,7 @@ def test_required_power_rounds_up_not_to_nearest():
     # the minimum is 3.9027 dBm; rounding to the nearest step gave 3.9 dBm, which misses
     scenario = next(s for s in BUNDLE.scenarios if s.name == "array_gain_with_panel")
     p = required_transmit_power(scenario, BUNDLE.geometry, BUNDLE.bits, 1121.0,
-                                mode=BUNDLE.mode)
+                                table=BUNDLE_TABLE)
     assert p == pytest.approx(4.0, abs=1e-9)
     assert bundle_rate_at(scenario, p) == 1121.0
     assert bundle_rate_at(scenario, 3.9) == 1024.0
@@ -321,8 +323,7 @@ def test_array_gain_direct_reference_positive(panel16):
     scenario = make_scenario()
     config = synthesize_codebook(BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose), panel16,
                                  CARRIER_HZ, 2)
-    panel = panel_power_w(scenario, panel16, config, table=default_element_table(),
-                          mode="realized")
+    panel = panel_power_w(scenario, panel16, config, table=default_element_table())
     assert 10.0 * math.log10(panel / direct_received_power_w(scenario)) > 40.0
 
 
