@@ -19,7 +19,7 @@ import numpy as np
 from .channel import (GainProfile, _cascade_prefactor, _path_vector, coherent_power_bound,
                       unity_gain_profile)
 from .codebook import RISConfiguration, quantize_phases
-from .elements import ElementStateTable, _code_table, nominal_phase_step, state_coefficients
+from .elements import ElementStateTable, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
 from .geometry import (
     ArrayGeometry,
@@ -114,15 +114,15 @@ def optimal_codebook(
     spec: BeamSpec,
     geom: ArrayGeometry,
     carrier_hz: float,
-    bits: int,
+    table: ElementStateTable,
     *,
     profile: GainProfile | None = None,
-    table: ElementStateTable | None = None,
 ) -> tuple[RISConfiguration, float]:
     """Exact argmax of received power over every code grid, and that power at 1 W sent.
 
     Maximizes |sum_i a_i lut[c_i]| with a_i the cascade path term of element
-    i, as :func:`exhaustive_oracle` does, in O(N H log NH) for H convex-hull
+    i and lut the coefficients of ``table``'s states, as
+    :func:`exhaustive_oracle` does, in O(N H log NH) for H convex-hull
     vertices of the state table (Sanchez, Bjornson and Larsson, ICASSP 2022;
     Zhang, Shen, Ren et al., IEEE JSTSP 2022). For a direction psi of the
     sum, each element takes the hull vertex that projects furthest onto psi;
@@ -134,7 +134,7 @@ def optimal_codebook(
     play no part.
     """
     profile = profile or unity_gain_profile()
-    lut = state_coefficients(_code_table(bits, table), np.arange(1 << bits))
+    lut = state_coefficients(table, np.arange(1 << table.bits))
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
     hull = _hull_codes(lut)
     vertex = np.zeros(path.size, dtype=np.int64)  # hull index per element
@@ -154,7 +154,8 @@ def optimal_codebook(
     codes = hull[vertex]
     total = np.sum(lut[codes] * path)
     power = _cascade_prefactor(1.0, carrier_hz, profile, spec.tx, spec.rx) * abs(total) ** 2
-    config = RISConfiguration(geom=geom, bits=bits, codes=codes.reshape(geom.num_x, geom.num_y))
+    config = RISConfiguration(geom=geom, bits=table.bits,
+                              codes=codes.reshape(geom.num_x, geom.num_y))
     return config, power
 
 
@@ -162,25 +163,25 @@ def exhaustive_oracle(
     spec: BeamSpec,
     geom: ArrayGeometry,
     carrier_hz: float,
-    bits: int,
+    table: ElementStateTable,
     *,
     profile: GainProfile | None = None,
-    table: ElementStateTable | None = None,
 ) -> tuple[RISConfiguration, float]:
     """Brute-force argmax of received power over every code grid, and that power at 1 W sent.
 
-    Enumerates lexicographically with element (0, 0) as the most significant
-    digit, so argmax ties resolve to the lexicographically smallest grid.
+    Reads codes against ``table``. Enumerates lexicographically with element
+    (0, 0) as the most significant digit, so argmax ties resolve to the
+    lexicographically smallest grid.
     """
     n = geom.num_elements
-    n_states = 1 << bits
+    n_states = 1 << table.bits
     if n_states**n > ORACLE_SEARCH_CAP:
         raise SearchSpaceError(
             f"{n_states}^{n} code grids exceed the {ORACLE_SEARCH_CAP} search cap"
         )
     profile = profile or unity_gain_profile()
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
-    lut = state_coefficients(_code_table(bits, table), np.arange(n_states))
+    lut = state_coefficients(table, np.arange(n_states))
     total_configs = n_states**n
     # enumerate all grids: digit i of each config index selects element i's code
     field = np.zeros(total_configs, dtype=complex)
@@ -192,7 +193,7 @@ def exhaustive_oracle(
     codes = np.array(
         [(best // (n_states ** (n - 1 - i))) % n_states for i in range(n)]
     ).reshape(geom.num_x, geom.num_y)
-    config = RISConfiguration(geom=geom, bits=bits, codes=codes)
+    config = RISConfiguration(geom=geom, bits=table.bits, codes=codes)
     power = _cascade_prefactor(1.0, carrier_hz, profile, spec.tx, spec.rx) * float(
         np.abs(field[best])) ** 2
     return config, power
@@ -207,7 +208,8 @@ def quantization_loss(geom: ArrayGeometry, spec: BeamSpec, carrier_hz: float, bi
     and the phase grid.
     """
     profile = unity_gain_profile()
-    _, best_power = optimal_codebook(spec, geom, carrier_hz, bits, profile=profile)
+    _, best_power = optimal_codebook(spec, geom, carrier_hz, ElementStateTable.ideal(bits),
+                                     profile=profile)
     bound = coherent_power_bound(1.0, carrier_hz, profile, geom, spec.tx, spec.rx)
     return 10.0 * math.log10(bound / best_power)
 

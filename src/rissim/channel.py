@@ -5,11 +5,14 @@ exp(-j 2 pi d / lambda) / d with d the exact element-to-endpoint distance.
 Cascading both sides over all elements gives the received power
 
     P_r = P_t G F lambda^2 / (16 pi^2) *
-          | sum_mn Gamma_mn / (d^t_mn d^r_mn) exp(j (phi_mn - 2 pi (d^t+d^r)/lambda)) |^2
+          | sum_mn W_mn / (d^t_mn d^r_mn) exp(-j 2 pi (d^t_mn + d^r_mn) / lambda) |^2
 
-with G the product of the four endpoint/panel-face gains and F the product
-of their normalized power patterns. Both horns are modeled as boresighted
-on the panel center, so only the two panel-face patterns contribute, each
+of one (Nx, Ny) weight grid W_mn = Gamma_mn exp(j phi_mn), which the
+caller forms as it does a radiation pattern's weights: a code grid is read
+against its state table by :func:`rissim.elements.state_coefficients`. G is
+the product of the four endpoint/panel-face gains and F the product of their
+normalized power patterns. Both horns are modeled as boresighted on the
+panel center, so only the two panel-face patterns contribute, each
 evaluated at the endpoint's polar angle. The direct Tx-Rx path is not part
 of this model.
 """
@@ -21,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import RISConfiguration, _excitation_coefficients
-from .elements import ElementStateTable
-from .geometry import ArrayGeometry, Pose, exact_distances
+from .geometry import ArrayGeometry, Pose, _weight_grid, exact_distances
 from .units import db_to_linear, wavelength
 
 
@@ -156,25 +157,17 @@ def received_power(
     carrier_hz: float,
     profile: GainProfile,
     geom: ArrayGeometry,
-    excitation: RISConfiguration | np.ndarray,
+    weights: np.ndarray,
     tx: Pose,
     rx: Pose,
-    *,
-    table: ElementStateTable | None = None,
 ) -> float:
-    """Received power (W) of the panel link for a code grid or phase grid.
+    """Received power (W) of the panel link for the (Nx, Ny) weight grid W = Gamma exp(j phi).
 
-    ``excitation`` is either a :class:`RISConfiguration` (read against
-    ``table``) or an (Nx, Ny) array of continuous phases in radians with
-    ideal unit magnitude. Summation order is fixed, so results are
-    deterministic.
+    Summation order is fixed, so results are deterministic.
     """
     if tx_power_w < 0:
         raise ValueError(f"transmit power must be >= 0, got {tx_power_w}")
-    if isinstance(excitation, RISConfiguration) and table is None:
-        raise ValueError("a state table is required to evaluate a code grid")
-    coeff = _excitation_coefficients(excitation, geom, table)
-    total = np.sum(coeff * _path_vector(carrier_hz, geom, tx, rx))
+    total = np.sum(_weight_grid(weights, geom) * _path_vector(carrier_hz, geom, tx, rx))
     return _cascade_prefactor(tx_power_w, carrier_hz, profile, tx, rx) * abs(total) ** 2
 
 
@@ -188,8 +181,9 @@ def coherent_power_bound(
 ) -> float:
     """Fully coherent upper bound: every element phased so terms add in phase.
 
-    Equals :func:`received_power` with the continuous-optimal phase grid and
-    unit magnitudes; closed form P_t G F lambda^2 / (16 pi^2) (sum 1 / (d^t d^r))^2.
+    Equals :func:`received_power` of W = exp(j phi) with phi the
+    continuous-optimal phase grid; closed form
+    P_t G F lambda^2 / (16 pi^2) (sum 1 / (d^t d^r))^2.
     """
     total = np.sum(np.abs(_path_vector(carrier_hz, geom, tx, rx)))
     return _cascade_prefactor(tx_power_w, carrier_hz, profile, tx, rx) * float(total) ** 2

@@ -54,20 +54,7 @@ DEFAULT_FEED_RANGE_M = 0.05
 DEFAULT_FEED_GAIN_DBI = 12.7  # panel feed horn; exponent follows from G = 2(q+1)
 FAR_FIELD_RANGE_M = 100.0
 
-_CONFIG_KEYS = {
-    "output_dir",
-    "grid_deg",
-    "hemisphere_grid_deg",
-    "bits",
-    "mode",
-    "seed",
-    "element_table",
-    "geometry",
-    "feed",
-    "beam",
-    "scenario",
-}
-_FEED_KEYS = {"range_m", "gain_dbi", "exponent"}
+_FEED_KEYS = {"range_m", "gain_dbi"}
 _BEAM_KEYS = {"tx_pose", "rx_pose", "tx_model", "rx_model", "offset_deg"}
 _GEOMETRY_DEFAULTS = {"num_x": 16, "num_y": 16, "spacing_x_m": 4.9e-3, "spacing_y_m": 4.9e-3}
 
@@ -131,7 +118,7 @@ def parse_bits(text: str) -> tuple[int, ...]:
 
 
 def load_run_config(path: str | Path) -> dict:
-    """Read and strictly validate a run-config YAML file into plain options."""
+    """Read a run-config YAML file into plain options, checking each section's keys."""
     path = Path(path)
     try:
         raw = _load_yaml(path)
@@ -141,7 +128,6 @@ def load_run_config(path: str | Path) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    _check_keys(raw, _CONFIG_KEYS, str(path))
     _check_keys(raw.get("geometry", {}), _GEOMETRY_KEYS, f"{path}: geometry")
     _check_keys(raw.get("feed", {}), _FEED_KEYS, f"{path}: feed")
     _check_keys(raw.get("beam", {}), _BEAM_KEYS, f"{path}: beam")
@@ -149,7 +135,11 @@ def load_run_config(path: str | Path) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values and CLI flags (flags win) into a RunConfig."""
+    """Merge config-file values and CLI flags (flags win) into a RunConfig.
+
+    Once every value has parsed, a run-config key that the subcommand does
+    not read (``args.config_keys``) is refused, before any file is written.
+    """
     file_cfg = load_run_config(args.config) if args.config else {}
 
     out = args.out or file_cfg.get("output_dir") or os.environ.get(OUT_DIR_ENV) or "rissim_out"
@@ -164,9 +154,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if "feed" in file_cfg:
         feed = file_cfg["feed"]
         cfg.feed_range_m = _parse_number(feed.get("range_m", cfg.feed_range_m), "range_m", "feed")
-        if "exponent" in feed:
-            cfg.feed_exponent = _parse_number(feed["exponent"], "exponent", "feed")
-        elif "gain_dbi" in feed:
+        if "gain_dbi" in feed:
             cfg.feed_exponent = exponent_from_gain(
                 _parse_number(feed["gain_dbi"], "gain_dbi", "feed"))
     if "beam" in file_cfg:
@@ -212,6 +200,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             grid(step)
         except ValueError:
             raise ConfigError(f"{name} must divide {span_deg} deg, got {step}") from None
+    unread = sorted(map(str, set(file_cfg) - args.config_keys))  # YAML keys may be numbers
+    if unread:
+        raise ConfigError(f"{args.config}: rissim {args.command} does not read "
+                          f"run-config key(s) {unread}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
@@ -401,6 +393,13 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- quantloss
 
 
+_QUANTLOSS_HEADER = ["bits_count", "loss_db", "uniform_phase_closed_form_db"]
+
+
+def _quantloss_row(bits: int, loss_db: float) -> list[str]:
+    return [str(bits), f"{loss_db:.4f}", f"{uniform_phase_loss_db(bits):.4f}"]
+
+
 def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = BeamSpec(
         tx=Pose.from_spherical(args.tx_range, 0.0, 0.0),
@@ -411,11 +410,11 @@ def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = []
     for bits in cfg.bits:
         loss = quantization_loss(cfg.geometry, spec, cfg.carrier_hz, bits)
-        closed_form = uniform_phase_loss_db(bits)
-        rows.append([str(bits), f"{loss:.4f}", f"{closed_form:.4f}"])
-        print(f"b={bits}: loss {loss:.3f} dB (uniform-phase closed form {closed_form:.3f} dB)")
+        rows.append(_quantloss_row(bits, loss))
+        print(f"b={bits}: loss {loss:.3f} dB "
+              f"(uniform-phase closed form {uniform_phase_loss_db(bits):.3f} dB)")
     path = cfg.output_dir / "quantization_loss.csv"
-    _write_csv(path, ["bits_count", "loss_db", "uniform_phase_closed_form_db"], rows)
+    _write_csv(path, _QUANTLOSS_HEADER, rows)
     print(f"wrote: {path}")
     return 0
 
@@ -622,7 +621,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     # small-panel oracle agreement; the solver may never beat the brute-force optimum
     rng = random.Random(cfg.seed)
     small = ArrayGeometry(2, 2, bundle.geometry.spacing_x, bundle.geometry.spacing_y)
-    profile = unity_gain_profile()
+    profile, ideal = unity_gain_profile(), ElementStateTable.ideal(2)
     worst = 0.0
     dominated = True
     for _ in range(oracle_trials):
@@ -631,8 +630,8 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, math.pi / 3),
                                  rng.uniform(0, 2 * math.pi))
         ospec = BeamSpec(tx=tx, rx=rx)
-        _, p_solver = optimal_codebook(ospec, small, carrier, 2, profile=profile)
-        _, p_oracle = exhaustive_oracle(ospec, small, carrier, 2, profile=profile)
+        _, p_solver = optimal_codebook(ospec, small, carrier, ideal, profile=profile)
+        _, p_oracle = exhaustive_oracle(ospec, small, carrier, ideal, profile=profile)
         dominated &= p_oracle >= p_solver * (1 - 1e-12)
         worst = max(worst, 10.0 * math.log10(p_oracle / p_solver))
     judge("codebook-vs-oracle gap", worst,
@@ -647,9 +646,8 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(line)
     campaign = measure_campaign(cfg, args.oracle_trials)
     _write_csv(cfg.output_dir / "link_report.csv", _LINK_HEADER, _link_rows(campaign.link_results))
-    _write_csv(cfg.output_dir / "quantization_loss.csv",
-               ["bits_count", "loss_db", "uniform_phase_closed_form_db"],
-               [[str(bits), f"{loss:.4f}", f"{uniform_phase_loss_db(bits):.4f}"]
+    _write_csv(cfg.output_dir / "quantization_loss.csv", _QUANTLOSS_HEADER,
+               [_quantloss_row(bits, loss)
                 for bits, loss in zip(_QUANTIZATION_BITS, campaign.losses_db)])
     m = campaign.broadside
     _write_csv(cfg.output_dir / "pattern_metrics.csv",
@@ -694,17 +692,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rissim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
-        """A subcommand with --config, --out and those of the common flags it reads."""
+    def subcommand(name: str, help: str, flags: tuple[str, ...],
+                   keys: tuple[str, ...]) -> argparse.ArgumentParser:
+        """A subcommand with --config, --out and the common flags it reads.
+
+        ``keys`` are the run-config keys it reads besides ``output_dir``; a
+        run config that sets any other key is refused.
+        """
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="run-config YAML file")
         p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./rissim_out)")
         for flag in flags:
             p.add_argument(flag, **_COMMON_FLAGS[flag])
+        p.set_defaults(config_keys={"output_dir", *keys})
         return p
 
     p = subcommand("codebook", "synthesize a code grid and its bias bitstream",
-                   "--bits", "--carrier-hz")
+                   flags=("--bits", "--carrier-hz"), keys=("bits", "geometry", "beam"))
     p.add_argument("--tx-range", type=float, default=FAR_FIELD_RANGE_M)
     p.add_argument("--tx-polar-deg", type=float, default=0.0)
     p.add_argument("--tx-azimuth-deg", type=float, default=0.0)
@@ -716,8 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset-deg", type=float, default=0.0, help="phase constant C in degrees")
     p.set_defaults(func=cmd_codebook)
 
+    steer_flags = ("--grid-deg", "--bits", "--mode", "--carrier-hz")
+    steer_keys = ("grid_deg", "bits", "mode", "element_table", "geometry", "feed")
     p = subcommand("pattern", "radiation-pattern cuts and metrics",
-                   "--grid-deg", "--bits", "--mode", "--carrier-hz")
+                   flags=steer_flags, keys=(*steer_keys, "hemisphere_grid_deg"))
     p.add_argument("--steer-deg", type=float, default=0.0, help="signed steer angle")
     p.add_argument("--plane", choices=("E", "H", "both"), default="both")
     p.add_argument("--element-exponent", type=float, default=1.0)
@@ -726,23 +732,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pattern)
 
     p = subcommand("scan", "steer sweep: scan loss and pointing",
-                   "--grid-deg", "--bits", "--mode", "--carrier-hz")
+                   flags=steer_flags, keys=steer_keys)
     p.add_argument("--max-deg", type=float, default=60.0)
     p.add_argument("--step-deg", type=float, default=10.0)
     p.add_argument("--element-exponent", type=float, default=1.0)
     p.set_defaults(func=cmd_scan)
 
-    p = subcommand("quantloss", "quantization loss vs bit count", "--bits", "--carrier-hz")
+    p = subcommand("quantloss", "quantization loss vs bit count",
+                   flags=("--bits", "--carrier-hz"), keys=("bits", "geometry"))
     p.add_argument("--tx-range", type=float, default=FAR_FIELD_RANGE_M)
     p.add_argument("--rx-range", type=float, default=0.05)
     p.set_defaults(func=cmd_quantloss)
 
-    p = subcommand("link", "evaluate a scenario file")
+    p = subcommand("link", "evaluate a scenario file",
+                   flags=(), keys=("element_table", "scenario"))
     p.add_argument("--scenario", help="scenario bundle path (default: packaged bundle)")
     p.set_defaults(func=cmd_link)
 
     p = subcommand("reproduce", "run the packaged scenario bundle and metric suite",
-                   "--grid-deg", "--seed")
+                   flags=("--grid-deg", "--seed"),
+                   keys=("grid_deg", "hemisphere_grid_deg", "seed", "element_table", "scenario",
+                         "feed"))
     p.add_argument("--oracle-trials", type=int, default=20)
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -1,9 +1,11 @@
 """Phase-code grids and their wire formats.
 
-A configuration is an (Nx, Ny) grid of b-bit integer codes. The panel is
-driven through per-element bias lines; for the 2-bit element each code maps
-to two lines (the current-reversing pair and the 90-degree shifter), so a
-16x16 panel serializes to 512 bits.
+A configuration is an (Nx, Ny) grid of b-bit integer codes. What a code
+does is held by the element's state table and read by
+:func:`rissim.elements.state_coefficients`, not here. The panel is driven
+through per-element bias lines; for the 2-bit element each code maps to two
+lines (the current-reversing pair and the 90-degree shifter), so a 16x16
+panel serializes to 512 bits.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import UnsupportedConfigurationError
 from .geometry import ArrayGeometry
-from .elements import ElementStateTable, _code_table, nominal_phase_step, state_coefficients
+from .elements import nominal_phase_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,10 +64,6 @@ class RISConfiguration:
     def uniform(cls, geom: ArrayGeometry, bits: int, code: int = 0) -> "RISConfiguration":
         return cls(geom=geom, bits=bits, codes=np.full((geom.num_x, geom.num_y), code))
 
-    def nominal_phases(self) -> np.ndarray:
-        """Grid of ideal phases: code * 2 pi / 2^b."""
-        return self.codes * nominal_phase_step(self.bits)
-
     def to_csv(self, path: str | Path) -> None:
         """Write the integer code grid, one panel row (fixed m) per line."""
         with open(path, "w", newline="") as fh:
@@ -81,29 +79,6 @@ class RISConfiguration:
             next(reader)  # header
             rows = [[int(v) for v in row] for row in reader if row]
         return cls(geom=geom, bits=bits, codes=np.array(rows))
-
-
-def _excitation_coefficients(
-    excitation: RISConfiguration | np.ndarray,
-    geom: ArrayGeometry,
-    table: ElementStateTable | None,
-) -> np.ndarray:
-    """Gamma * exp(j phi) per element, from a code grid or from continuous phases.
-
-    A code grid is read against :func:`_code_table` of ``table``.
-    Continuous phases have ideal unit magnitude.
-    """
-    if isinstance(excitation, RISConfiguration):
-        if excitation.geom != geom:
-            raise ValueError("configuration geometry does not match the panel")
-        return state_coefficients(_code_table(excitation.bits, table), excitation.codes)
-    phases = np.asarray(excitation, dtype=float)
-    if phases.shape != (geom.num_x, geom.num_y):
-        raise ValueError(
-            f"phase grid shape {phases.shape} does not match panel "
-            f"({geom.num_x}, {geom.num_y})"
-        )
-    return np.exp(1j * phases)
 
 
 # Bias-line bit assignment for the 2-bit element, per element in code order:

@@ -132,27 +132,21 @@ def default_element_table() -> ElementStateTable:
     )
 
 
-def _code_table(bits: int, table: ElementStateTable | None) -> ElementStateTable:
-    """``table`` for b-bit codes, or the ideal table of their 2^b phases when none is given."""
-    if table is None:
-        return ElementStateTable.ideal(bits)
-    if table.bits != bits:
-        raise ValueError(f"{bits}-bit codes cannot be read against a {table.bits}-bit state table")
-    return table
-
-
 def code_table(bits: int, mode: Mode, table: ElementStateTable | None = None) -> ElementStateTable:
     """The one state table a run's b-bit codes are read against, from its element mode.
 
     ``nominal`` gives the ideal table of the codes' own 2^b phases;
     ``realized`` gives ``table``, or the bundled element when none is given,
-    and its bit depth must be the codes'.
+    and refuses one whose bit depth is not the codes'.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "nominal":
         return ElementStateTable.ideal(bits)
-    return _code_table(bits, table or default_element_table())
+    table = table or default_element_table()
+    if table.bits != bits:
+        raise ValueError(f"{bits}-bit codes cannot be read against a {table.bits}-bit state table")
+    return table
 
 
 def state_coefficients(table: ElementStateTable, codes: np.ndarray) -> np.ndarray:

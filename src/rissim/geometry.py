@@ -145,6 +145,15 @@ def cartesian_to_spherical(x: float, y: float, z: float) -> tuple[float, float, 
     return d, theta, phi
 
 
+def _weight_grid(weights: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """W as a complex (Nx, Ny) array, checked against the panel."""
+    weights = np.asarray(weights, dtype=complex)
+    if weights.shape != (geom.num_x, geom.num_y):
+        raise ValueError(f"weight grid shape {weights.shape} does not match panel "
+                         f"({geom.num_x}, {geom.num_y})")
+    return weights
+
+
 def exact_distances(point: Pose, geom: ArrayGeometry) -> np.ndarray:
     """(Nx, Ny) array of spherical-wave distances from every element to the point.
 

@@ -25,7 +25,7 @@ import numpy as np
 from .beams import BeamSpec, synthesize_codebook
 from .channel import GainProfile, cos_power_pattern, received_power
 from .codebook import RISConfiguration
-from .elements import ElementStateTable, default_element_table
+from .elements import ElementStateTable, code_table, state_coefficients
 from .errors import InfeasibleTargetError
 from .geometry import ArrayGeometry, Pose, _require_finite
 from .units import dbm_to_watts, watts_to_dbm, wavelength
@@ -194,11 +194,12 @@ def evaluate_scenario(
 
     With the panel present, a codebook is synthesized for the scenario's
     poses (auto near/far model per side) and read against ``table``, the
-    bundled realized element when none is given; the obstacle, if any,
-    attenuates the panel hop on its side. Without the panel the direct Friis
-    link is used and the obstacle always applies.
+    bundled realized element when none is given, whose bit depth must be
+    ``bits``; the obstacle, if any, attenuates the panel hop on its side.
+    Without the panel the direct Friis link is used and the obstacle always
+    applies.
     """
-    table = table or default_element_table()
+    table = code_table(bits, "realized", table)
     codebook = None
     if scenario.ris_present:
         spec = BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose)
@@ -208,10 +209,9 @@ def evaluate_scenario(
             scenario.carrier_hz,
             scenario.gains,
             geom,
-            codebook,
+            state_coefficients(table, codebook.codes),
             scenario.tx_pose,
             scenario.rx_pose,
-            table=table,
         )
         p_w *= _obstacle_factor(scenario)
     else:

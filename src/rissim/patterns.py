@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MetricUndefinedError, ResolutionError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, _weight_grid
 from .units import db_to_linear, wavelength
 
 DEFAULT_CUT_STEP_DEG = 0.25
@@ -145,15 +145,6 @@ def _steering_rows(proj: np.ndarray, first: float, step: float, n: int) -> np.nd
         if width < n:
             factor = factor * factor
     return cols.T
-
-
-def _weight_grid(weights: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
-    """W as a complex (Nx, Ny) array, checked against the panel."""
-    weights = np.asarray(weights, dtype=complex)
-    if weights.shape != (geom.num_x, geom.num_y):
-        raise ValueError(f"weight grid shape {weights.shape} does not match panel "
-                         f"({geom.num_x}, {geom.num_y})")
-    return weights
 
 
 def _blocks(weights: np.ndarray, geom: ArrayGeometry, carrier_hz: float,

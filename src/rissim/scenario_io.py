@@ -81,7 +81,7 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{context}: unknown key(s) {sorted(map(str, unknown))}")
 
 
 def _parse_number(value, key: str, context: str) -> float:

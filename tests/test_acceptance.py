@@ -119,7 +119,8 @@ def test_criterion_8_numerical_identities():
                     tx_model="spherical", rx_model="spherical")
     profile = unity_gain_profile()
     phases = optimal_phases(spec, PANEL, CARRIER_HZ)
-    direct = received_power(1.0, CARRIER_HZ, profile, PANEL, phases, spec.tx, spec.rx)
+    direct = received_power(1.0, CARRIER_HZ, profile, PANEL, np.exp(1j * phases), spec.tx,
+                            spec.rx)
     bound = coherent_power_bound(1.0, CARRIER_HZ, profile, PANEL, spec.tx, spec.rx)
     coherent_rel = abs(direct - bound) / bound
     coherent_ok = coherent_rel <= 1e-9

@@ -13,13 +13,17 @@ from rissim import (
     Pose,
     RISConfiguration,
     SearchSpaceError,
+    bundled_scenario_path,
     code_table,
+    evaluate_scenario,
     exhaustive_oracle,
+    load_scenario_bundle,
     optimal_codebook,
     optimal_phases,
     quantization_loss,
     received_power,
     resolve_model,
+    state_coefficients,
     synthesize_codebook,
     uniform_phase_loss_db,
     unity_gain_profile,
@@ -49,8 +53,8 @@ def test_offset_shifts_phase_map_and_preserves_power(panel16, rx_near, desk_gain
     p1 = optimal_phases(spec1, panel16, CARRIER_HZ)
     p2 = optimal_phases(spec2, panel16, CARRIER_HZ)
     np.testing.assert_allclose((p2 - p1) % (2 * math.pi), 1.234, atol=1e-9)
-    pw1 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, p1, FAR, rx_near)
-    pw2 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, p2, FAR, rx_near)
+    pw1 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * p1), FAR, rx_near)
+    pw2 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * p2), FAR, rx_near)
     assert pw1 == pytest.approx(pw2, rel=1e-12)
 
 
@@ -78,13 +82,14 @@ def test_quantized_never_beats_continuous(panel16, rx_near):
     profile = unity_gain_profile()
     continuous = received_power(
         1.0, CARRIER_HZ, profile, panel16,
-        optimal_phases(spec, panel16, CARRIER_HZ), FAR, rx_near,
+        np.exp(1j * optimal_phases(spec, panel16, CARRIER_HZ)), FAR, rx_near,
     )
     last = 0.0
     for bits in (1, 2, 3, 4, 5, 6):
         config = synthesize_codebook(spec, panel16, CARRIER_HZ, bits)
-        p = received_power(1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near,
-                           table=ElementStateTable.ideal(bits))
+        p = received_power(1.0, CARRIER_HZ, profile, panel16,
+                           state_coefficients(ElementStateTable.ideal(bits), config.codes),
+                           FAR, rx_near)
         assert p <= continuous * (1 + 1e-12)
         assert p >= last  # finer phasing cannot hurt at matched offsets
         last = p
@@ -95,12 +100,12 @@ def test_uniform_code_shift_invariance(panel16, rx_near):
     config = synthesize_codebook(spec, panel16, CARRIER_HZ, 2)
     profile = unity_gain_profile()
     table = ElementStateTable.ideal(2)
-    base = received_power(1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near,
-                          table=table)
+    base = received_power(1.0, CARRIER_HZ, profile, panel16,
+                          state_coefficients(table, config.codes), FAR, rx_near)
     for shift in (1, 2, 3):
         shifted = RISConfiguration(geom=panel16, bits=2, codes=(config.codes + shift) % 4)
-        p = received_power(1.0, CARRIER_HZ, profile, panel16, shifted, FAR, rx_near,
-                           table=table)
+        p = received_power(1.0, CARRIER_HZ, profile, panel16,
+                           state_coefficients(table, shifted.codes), FAR, rx_near)
         assert p == pytest.approx(base, rel=1e-12)
 
 
@@ -119,12 +124,14 @@ def test_auto_model_selection(panel16):
 def test_oracle_single_element(table):
     geom = ArrayGeometry(1, 1)
     spec = BeamSpec(tx=Pose.from_spherical(1.0, 0.1, 0.0), rx=Pose.from_spherical(0.06, 0, 0))
-    config, power = exhaustive_oracle(spec, geom, CARRIER_HZ, 2)
+    ideal = ElementStateTable.ideal(2)
+    config, power = exhaustive_oracle(spec, geom, CARRIER_HZ, ideal)
     for code in range(4):
+        steered = synthesize_codebook(replace(spec, phase_offset=code * math.pi / 2), geom,
+                                      CARRIER_HZ, 2)
         p = received_power(
             1.0, CARRIER_HZ, unity_gain_profile(), geom,
-            synthesize_codebook(replace(spec, phase_offset=code * math.pi / 2), geom, CARRIER_HZ, 2),
-            spec.tx, spec.rx, table=ElementStateTable.ideal(2),
+            state_coefficients(ideal, steered.codes), spec.tx, spec.rx,
         )
         assert power == pytest.approx(p, rel=1e-12)
     assert config.codes.shape == (1, 1)
@@ -138,8 +145,8 @@ def test_oracle_dominates_and_solver_closes_gap(rng):
         tx = Pose.from_spherical(rng.uniform(0.5, 3.0), rng.uniform(0, 1.0), rng.uniform(0, 6.28))
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, 1.0), rng.uniform(0, 6.28))
         spec = BeamSpec(tx=tx, rx=rx)
-        _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, 2, profile=profile, table=table)
-        _, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, 2, profile=profile, table=table)
+        _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, table, profile=profile)
+        _, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, table, profile=profile)
         assert p_oracle >= p_solver * (1 - 1e-12)
         assert 10 * math.log10(p_oracle / p_solver) <= 0.05
 
@@ -147,13 +154,15 @@ def test_oracle_dominates_and_solver_closes_gap(rng):
 def test_oracle_tie_break_lexicographic():
     # broadside far-far 1x2: optimum is any uniform grid; first enumerated wins
     geom = ArrayGeometry(1, 2)
-    config, _ = exhaustive_oracle(BeamSpec(tx=FAR, rx=FAR), geom, CARRIER_HZ, 1)
+    config, _ = exhaustive_oracle(BeamSpec(tx=FAR, rx=FAR), geom, CARRIER_HZ,
+                                  ElementStateTable.ideal(1))
     assert config.codes.tolist() == [[0, 0]]
 
 
 def test_oracle_capacity_error():
     with pytest.raises(SearchSpaceError):
-        exhaustive_oracle(BeamSpec(tx=FAR, rx=FAR), ArrayGeometry(3, 3), CARRIER_HZ, 3)
+        exhaustive_oracle(BeamSpec(tx=FAR, rx=FAR), ArrayGeometry(3, 3), CARRIER_HZ,
+                          ElementStateTable.ideal(3))
 
 
 def test_quantization_loss_two_bit(panel16, rx_near):
@@ -189,15 +198,15 @@ def test_uniform_phase_loss_closed_form():
 
 def test_solver_returns_the_power_of_its_codebook(panel16, rx_near):
     spec = BeamSpec(tx=FAR, rx=rx_near)
-    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, 2)
     profile, table = unity_gain_profile(), ElementStateTable.ideal(2)
+    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, table)
     assert power == pytest.approx(received_power(
-        1.0, CARRIER_HZ, profile, panel16, config, FAR, rx_near, table=table,
+        1.0, CARRIER_HZ, profile, panel16, state_coefficients(table, config.codes), FAR, rx_near,
     ), rel=1e-12)
     assert power >= received_power(
         1.0, CARRIER_HZ, profile, panel16,
-        synthesize_codebook(spec, panel16, CARRIER_HZ, 2), FAR, rx_near,
-        table=table,
+        state_coefficients(table, synthesize_codebook(spec, panel16, CARRIER_HZ, 2).codes),
+        FAR, rx_near,
     ) * (1 - 1e-12)
 
 
@@ -219,11 +228,12 @@ def test_solver_matches_the_exhaustive_oracle(shape, bits, mode, tx, rx):
     geom = ArrayGeometry(*shape)
     table = code_table(bits, mode)
     spec = BeamSpec(tx=tx, rx=rx)
-    _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, bits, table=table)
-    config, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, bits, table=table)
+    _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, table)
+    config, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, table)
     assert p_solver == pytest.approx(p_oracle, rel=1e-12)
     assert p_solver == pytest.approx(received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), geom, config, tx, rx, table=table,
+        1.0, CARRIER_HZ, unity_gain_profile(), geom, state_coefficients(table, config.codes),
+        tx, rx,
     ), rel=1e-12)
 
 
@@ -235,12 +245,13 @@ def test_solver_never_worse_than_a_phase_constant_sweep(panel16, rx_near, bits):
     step = 2 * math.pi / (1 << bits)
     swept = max(
         received_power(1.0, CARRIER_HZ, profile, panel16,
-                       synthesize_codebook(replace(spec, phase_offset=step * k / 16),
-                                           panel16, CARRIER_HZ, bits),
-                       FAR, rx_near, table=table)
+                       state_coefficients(table, synthesize_codebook(
+                           replace(spec, phase_offset=step * k / 16), panel16, CARRIER_HZ,
+                           bits).codes),
+                       FAR, rx_near)
         for k in range(16)
     )
-    _, power = optimal_codebook(spec, panel16, CARRIER_HZ, bits, profile=profile, table=table)
+    _, power = optimal_codebook(spec, panel16, CARRIER_HZ, table, profile=profile)
     assert power >= swept * (1 - 1e-12)
 
 
@@ -255,11 +266,11 @@ def test_solver_on_a_degenerate_state_table(panel16, rx_near):
     # every state the same coefficient: one hull vertex, the lowest code everywhere
     flat = ElementStateTable.from_states([(10.0, 1.0)] * 4)
     spec = BeamSpec(tx=FAR, rx=rx_near)
-    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, 2, table=flat)
+    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, flat)
     assert not config.codes.any()
     assert power == pytest.approx(received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), panel16, config, FAR, rx_near,
-        table=flat,
+        1.0, CARRIER_HZ, unity_gain_profile(), panel16, state_coefficients(flat, config.codes),
+        FAR, rx_near,
     ), rel=1e-12)
 
 
@@ -267,17 +278,18 @@ def test_solver_on_a_degenerate_state_table(panel16, rx_near):
 def test_optimisers_read_codes_as_received_power_does(optimiser, table):
     geom = ArrayGeometry(2, 2)
     spec = BeamSpec(tx=Pose.from_spherical(1.0, 0.3, 0.2), rx=Pose.from_spherical(0.1, 0.2, 1.0))
-    # without a table, 1-bit codes read the ideal 1-bit phases
-    config, power = optimiser(spec, geom, CARRIER_HZ, 1)
-    assert power == pytest.approx(optimiser(spec, geom, CARRIER_HZ, 1,
-                                            table=ElementStateTable.ideal(1))[1], rel=1e-12)
+    # the ideal 1-bit table gives 1-bit codes, read at their own phases
+    ideal = ElementStateTable.ideal(1)
+    config, power = optimiser(spec, geom, CARRIER_HZ, ideal)
+    assert config.bits == 1
     assert power == pytest.approx(received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), geom, config, spec.tx, spec.rx,
-        table=ElementStateTable.ideal(1),
+        1.0, CARRIER_HZ, unity_gain_profile(), geom, state_coefficients(ideal, config.codes),
+        spec.tx, spec.rx,
     ), rel=1e-12)
-    # a table of another bit depth is refused by both
+    # a table of another bit depth is refused where codes meet a table
     with pytest.raises(ValueError, match="1-bit codes"):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), geom, config, spec.tx, spec.rx,
-                       table=table)
+        code_table(config.bits, "realized", table)
+    panel_link = next(s for s in load_scenario_bundle(bundled_scenario_path()).scenarios
+                      if s.ris_present)
     with pytest.raises(ValueError, match="3-bit codes"):
-        optimiser(spec, geom, CARRIER_HZ, 3, table=table)
+        evaluate_scenario(panel_link, geom, 3, table=table)

@@ -18,6 +18,7 @@ from rissim import (
     feed_illuminations,
     optimal_phases,
     received_power,
+    state_coefficients,
     unity_gain_profile,
     wavelength,
 )
@@ -79,9 +80,9 @@ def test_received_power_single_element_hand_value():
     lam = wavelength(CARRIER_HZ)
     config = RISConfiguration.uniform(geom, 2)
     p = received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), geom, config,
+        1.0, CARRIER_HZ, unity_gain_profile(), geom,
+        state_coefficients(ElementStateTable.ideal(2), config.codes),
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
-        table=ElementStateTable.ideal(2),
     )
     expected = lam**2 / (16 * math.pi**2) / (2.6 * 0.05) ** 2
     assert p == pytest.approx(expected, rel=1e-12)
@@ -93,8 +94,9 @@ def test_received_power_single_element_phase_irrelevant(table):
     tx, rx = Pose.from_spherical(1.3, 0.2, 0.0), Pose.from_spherical(0.08, 0.0, 0.0)
     powers = {
         received_power(1.0, CARRIER_HZ, unity_gain_profile(), geom,
-                       RISConfiguration.uniform(geom, 2, code=c), tx, rx,
-                       table=ElementStateTable.ideal(2))
+                       state_coefficients(ElementStateTable.ideal(2),
+                                          RISConfiguration.uniform(geom, 2, code=c).codes),
+                       tx, rx)
         for c in range(4)
     }
     assert max(powers) == pytest.approx(min(powers), rel=1e-12)
@@ -106,9 +108,8 @@ def test_received_power_opaque_panel(panel16):
     )
     p = received_power(
         1.0, CARRIER_HZ, unity_gain_profile(), panel16,
-        RISConfiguration.uniform(panel16, 2),
+        state_coefficients(opaque, RISConfiguration.uniform(panel16, 2).codes),
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
-        table=opaque,
     )
     assert p == 0.0
 
@@ -116,7 +117,8 @@ def test_received_power_opaque_panel(panel16):
 def test_coherent_sum_matches_direct_summation(panel16, desk_gains, tx_far, rx_near):
     spec = BeamSpec(tx=tx_far, rx=rx_near, tx_model="spherical", rx_model="spherical")
     phases = optimal_phases(spec, panel16, CARRIER_HZ)
-    direct = received_power(1.0, CARRIER_HZ, desk_gains, panel16, phases, tx_far, rx_near)
+    direct = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * phases), tx_far,
+                            rx_near)
     bound = coherent_power_bound(1.0, CARRIER_HZ, desk_gains, panel16, tx_far, rx_near)
     assert direct == pytest.approx(bound, rel=1e-9)
 
@@ -128,8 +130,8 @@ def test_received_power_reciprocity(panel16):
     swapped = GainProfile.from_gains(9.2, 22.7, 7.0, 5.0)
     spec = BeamSpec(tx=tx, rx=rx, tx_model="spherical", rx_model="spherical")
     phases = optimal_phases(spec, panel16, CARRIER_HZ)
-    forward = received_power(1.0, CARRIER_HZ, profile, panel16, phases, tx, rx)
-    reverse = received_power(1.0, CARRIER_HZ, swapped, panel16, phases, rx, tx)
+    forward = received_power(1.0, CARRIER_HZ, profile, panel16, np.exp(1j * phases), tx, rx)
+    reverse = received_power(1.0, CARRIER_HZ, swapped, panel16, np.exp(1j * phases), rx, tx)
     assert forward == pytest.approx(reverse, rel=1e-12)
 
 
@@ -137,11 +139,12 @@ def test_single_phase_perturbation_strictly_decreases(panel16, tx_far, rx_near):
     spec = BeamSpec(tx=tx_far, rx=rx_near, tx_model="spherical", rx_model="spherical")
     base = optimal_phases(spec, panel16, CARRIER_HZ)
     profile = unity_gain_profile()
-    p0 = received_power(1.0, CARRIER_HZ, profile, panel16, base, tx_far, rx_near)
+    p0 = received_power(1.0, CARRIER_HZ, profile, panel16, np.exp(1j * base), tx_far, rx_near)
     for eps in (0.05, 0.5, math.pi):
         perturbed = base.copy()
         perturbed[7, 3] += eps
-        p = received_power(1.0, CARRIER_HZ, profile, panel16, perturbed, tx_far, rx_near)
+        p = received_power(1.0, CARRIER_HZ, profile, panel16, np.exp(1j * perturbed), tx_far,
+                           rx_near)
         assert p < p0
 
 
@@ -152,32 +155,34 @@ def test_magnitude_scaling_quadratic(panel16, tx_far, rx_near):
         [(0.0, 6.0206), (90.0, 6.0206), (180.0, 6.0206), (270.0, 6.0206)]
     )
     config = RISConfiguration.uniform(panel16, 2)
-    nominal = received_power(1.0, CARRIER_HZ, profile, panel16, config, tx_far, rx_near,
-                             table=ElementStateTable.ideal(2))
-    realized = received_power(1.0, CARRIER_HZ, profile, panel16, config, tx_far, rx_near,
-                              table=damped)
+    nominal = received_power(1.0, CARRIER_HZ, profile, panel16,
+                             state_coefficients(ElementStateTable.ideal(2), config.codes),
+                             tx_far, rx_near)
+    realized = received_power(1.0, CARRIER_HZ, profile, panel16,
+                              state_coefficients(damped, config.codes), tx_far, rx_near)
     assert realized == pytest.approx(0.25 * nominal, rel=1e-4)
 
 
 def test_transmit_power_linearity(panel16, desk_gains, tx_far, rx_near, table):
-    config = RISConfiguration.uniform(panel16, 2)
-    p1 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, config, tx_far, rx_near,
-                        table=table)
-    p3 = received_power(3.0, CARRIER_HZ, desk_gains, panel16, config, tx_far, rx_near,
-                        table=table)
+    weights = state_coefficients(table, RISConfiguration.uniform(panel16, 2).codes)
+    p1 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, weights, tx_far, rx_near)
+    p3 = received_power(3.0, CARRIER_HZ, desk_gains, panel16, weights, tx_far, rx_near)
     assert p3 == pytest.approx(3 * p1, rel=1e-12)
 
 
 def test_received_power_dimension_mismatch(panel16, table):
     other = ArrayGeometry(8, 8)
     config = RISConfiguration.uniform(other, 2)
+    poses = (Pose.from_spherical(1, 0, 0), Pose.from_spherical(0.05, 0, 0))
     with pytest.raises(ValueError):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16, config,
-                       Pose.from_spherical(1, 0, 0), Pose.from_spherical(0.05, 0, 0),
-                       table=table)
+        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+                       state_coefficients(table, config.codes), *poses)
     with pytest.raises(ValueError):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16, np.zeros((8, 8)),
-                       Pose.from_spherical(1, 0, 0), Pose.from_spherical(0.05, 0, 0))
+        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+                       np.exp(1j * np.zeros((8, 8))), *poses)
+    # as many weights as elements, but not laid out on the panel's grid
+    with pytest.raises(ValueError, match=r"weight grid shape \(256,\) does not match panel"):
+        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16, np.ones(256), *poses)
 
 
 def test_feed_illumination_center():
@@ -211,13 +216,10 @@ def test_feed_illumination_validation(panel16):
 
 
 def test_received_power_rejects_negative_power(panel16, table, tx_far, rx_near):
-    config = RISConfiguration.uniform(panel16, 2)
+    weights = state_coefficients(table, RISConfiguration.uniform(panel16, 2).codes)
     with pytest.raises(ValueError):
-        received_power(-1.0, CARRIER_HZ, unity_gain_profile(), panel16, config,
-                       tx_far, rx_near, table=table)
-    with pytest.raises(ValueError):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16, config,
-                       tx_far, rx_near, table=None)
+        received_power(-1.0, CARRIER_HZ, unity_gain_profile(), panel16, weights,
+                       tx_far, rx_near)
 
 
 def test_channel_coefficient_degenerate_geometry(panel16, tx_far):
@@ -226,8 +228,8 @@ def test_channel_coefficient_degenerate_geometry(panel16, tx_far):
     xe, ye = panel16.element_grid()
     on_panel = Pose.from_cartesian(xe[2, 2], ye[2, 2], 0.0)
     with pytest.raises(DegenerateGeometryError):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16, np.zeros((16, 16)),
-                       tx_far, on_panel)
+        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+                       np.exp(1j * np.zeros((16, 16))), tx_far, on_panel)
 
 
 @given(exponent=st.floats(0.0, 200.0))

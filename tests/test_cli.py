@@ -132,7 +132,6 @@ def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(
         "output_dir: {out}\n"
-        "grid_deg: 1.0\n"
         "bits: 2\n"
         "geometry: {{num_x: 8, num_y: 8, spacing_x_m: 0.0049, spacing_y_m: 0.0049}}\n".format(
             out=tmp_path / "results"
@@ -277,7 +276,6 @@ def test_config_section_must_be_a_mapping(tmp_path, capsys, section):
 
 @pytest.mark.parametrize("entry,key", [
     ("feed: {range_m: true}", "range_m"),
-    ("feed: {exponent: true}", "exponent"),
     ("feed: {gain_dbi: twelve}", "gain_dbi"),
     ("beam: {offset_deg: true}", "offset_deg"),
     ("grid_deg: true", "grid_deg"),
@@ -289,6 +287,73 @@ def test_config_numbers_are_not_booleans(tmp_path, capsys, entry, key):
     assert run("codebook", "--config", str(cfg)) == 1
     assert f"'{key}' must be a number" in capsys.readouterr().err
     assert not (tmp_path / "results" / "codes.csv").exists()
+
+
+@pytest.mark.parametrize("feed", ["{exponent: 8.31}", "{gain_dbi: 12.7, exponent: 8.31}"],
+                         ids=["alone", "beside-gain"])
+def test_feed_exponent_is_not_a_run_config_key(tmp_path, capsys, feed):
+    # the feed pattern is set by its gain alone, G = 2(q + 1)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"feed: {feed}\n")
+    out = tmp_path / "out"
+    assert run("pattern", "--config", str(cfg), "--out", str(out)) == 1
+    assert "feed: unknown key(s) ['exponent']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the run-config keys each subcommand reads, besides output_dir
+READ_KEYS = {
+    "codebook": {"bits", "geometry", "beam"},
+    "quantloss": {"bits", "geometry"},
+    "pattern": {"grid_deg", "hemisphere_grid_deg", "bits", "mode", "element_table", "geometry",
+                "feed"},
+    "scan": {"grid_deg", "bits", "mode", "element_table", "geometry", "feed"},
+    "link": {"element_table", "scenario"},
+    "reproduce": {"grid_deg", "hemisphere_grid_deg", "seed", "element_table", "scenario", "feed"},
+}
+# one valid entry per key; {states} and {scenario} are filled with paths
+KEY_ENTRIES = {
+    "grid_deg": "grid_deg: 1.0",
+    "hemisphere_grid_deg": "hemisphere_grid_deg: 2.0",
+    "bits": "bits: 3",
+    "mode": "mode: nominal",
+    "seed": "seed: 4",
+    "element_table": "element_table: {states}",
+    "geometry": "geometry: {{num_x: 8, num_y: 8}}",
+    "feed": "feed: {{gain_dbi: 12.7}}",
+    "beam": "beam: {{offset_deg: 10}}",
+    "scenario": "scenario: {scenario}",
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in READ_KEYS.items() for key in KEY_ENTRIES
+    if key not in keys
+], ids="-".join)
+def test_a_subcommand_refuses_a_run_config_key_it_does_not_read(tmp_path, capsys, command, key):
+    from rissim import bundled_scenario_path
+
+    states = tmp_path / "states.csv"
+    states.write_text("code,phase_deg,loss_db\n0,0,0\n1,90,0\n2,180,0\n3,270,0\n")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(KEY_ENTRIES[key].format(states=states, scenario=bundled_scenario_path()) + "\n")
+    out = tmp_path / "out"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert f"rissim {command} does not read run-config key(s) ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1: x\nturbo_mode: y\n", "does not read run-config key(s) ['1', 'turbo_mode']"),
+    ("feed: {2: x, turbo: y}\n", "feed: unknown key(s) ['2', 'turbo']"),
+], ids=["top-level", "section"])
+def test_config_keys_that_are_numbers_are_named(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run("pattern", "--config", str(cfg), "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_seed_must_be_an_integer(tmp_path, capsys):

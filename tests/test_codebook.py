@@ -90,12 +90,6 @@ def test_configuration_validation():
         config.codes[0, 0] = 1  # frozen grid
 
 
-def test_configuration_nominal_phases():
-    geom = ArrayGeometry(1, 4)
-    config = RISConfiguration(geom=geom, bits=2, codes=np.array([[0, 1, 2, 3]]))
-    np.testing.assert_allclose(config.nominal_phases(), [[0, math.pi / 2, math.pi, 3 * math.pi / 2]])
-
-
 def test_configuration_csv_round_trip(tmp_path):
     geom = ArrayGeometry(4, 5)
     rng = np.random.default_rng(7)

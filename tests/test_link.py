@@ -17,7 +17,6 @@ from rissim import (
     MCSTable,
     Obstacle,
     Pose,
-    RISConfiguration,
     bundled_scenario_path,
     code_table,
     coherent_power_bound,
@@ -28,6 +27,7 @@ from rissim import (
     quantization_loss,
     received_power,
     required_transmit_power,
+    state_coefficients,
     synthesize_codebook,
     wavelength,
 )
@@ -292,13 +292,13 @@ def test_required_power_infeasible_opaque_panel(panel16):
 
 
 def panel_power_w(scenario: LinkScenario, geom: ArrayGeometry,
-                  config: RISConfiguration | None = None, **kwargs) -> float:
-    """Panel-link power of a code grid, or the coherent bound when there is none."""
+                  weights: np.ndarray | None = None) -> float:
+    """Panel-link power of a weight grid, or the coherent bound when there is none."""
     args = (dbm_to_watts(scenario.transmit_power_dbm), scenario.carrier_hz, scenario.gains, geom)
     poses = (scenario.tx_pose, scenario.rx_pose)
-    if config is None:
+    if weights is None:
         return coherent_power_bound(*args, *poses)
-    return received_power(*args, config, *poses, **kwargs)
+    return received_power(*args, weights, *poses)
 
 
 def test_array_gain_single_element_reference_is_zero():
@@ -307,7 +307,8 @@ def test_array_gain_single_element_reference_is_zero():
     scenario = make_scenario()
     config = synthesize_codebook(BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose), geom,
                                  CARRIER_HZ, 2)
-    quantized = panel_power_w(scenario, geom, config, table=ElementStateTable.ideal(2))
+    quantized = panel_power_w(scenario, geom,
+                              state_coefficients(ElementStateTable.ideal(2), config.codes))
     assert quantized == pytest.approx(panel_power_w(scenario, geom), rel=1e-12)
 
 
@@ -323,7 +324,8 @@ def test_array_gain_direct_reference_positive(panel16):
     scenario = make_scenario()
     config = synthesize_codebook(BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose), panel16,
                                  CARRIER_HZ, 2)
-    panel = panel_power_w(scenario, panel16, config, table=default_element_table())
+    panel = panel_power_w(scenario, panel16,
+                          state_coefficients(default_element_table(), config.codes))
     assert 10.0 * math.log10(panel / direct_received_power_w(scenario)) > 40.0
 
 
@@ -334,8 +336,8 @@ def test_quantization_cost_consistent_across_modules(panel16):
     table = ElementStateTable.ideal(2)
     quantized = max(
         panel_power_w(scenario, panel16,
-                      synthesize_codebook(replace(spec, phase_offset=offset), panel16,
-                                          CARRIER_HZ, 2), table=table)
+                      state_coefficients(table, synthesize_codebook(
+                          replace(spec, phase_offset=offset), panel16, CARRIER_HZ, 2).codes))
         for offset in np.linspace(0.0, math.pi / 2, 16, endpoint=False))
     continuous = panel_power_w(scenario, panel16)
     assert 10.0 * math.log10(continuous / quantized) == pytest.approx(loss, abs=0.1)

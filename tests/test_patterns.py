@@ -31,7 +31,7 @@ from rissim import (
     wavelength,
 )
 
-from rissim import codebook, patterns
+from rissim import patterns
 
 from conftest import CARRIER_HZ
 
@@ -46,9 +46,9 @@ def steer_target(theta_deg: float, plane: str = "E") -> Pose:
     return Pose.from_spherical(100.0, math.radians(abs(theta_deg)), azimuth)
 
 
-def coefficients(config, table=None):
-    """Gamma exp(j phi) of a code grid, read against ``table`` (ideal when none is given)."""
-    return state_coefficients(codebook._code_table(config.bits, table), config.codes)
+def coefficients(config, mode="nominal", table=None):
+    """Gamma exp(j phi) of a code grid, read against the state table its element mode gives."""
+    return state_coefficients(code_table(config.bits, mode, table), config.codes)
 
 
 def fed(coefficients, geom):
@@ -199,7 +199,7 @@ def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, 
         weights = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (nx, ny)))
     else:
         config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
-        weights = fed(coefficients(config, default_element_table()), geom)
+        weights = fed(coefficients(config, "realized"), geom)
     theta, phi = hemisphere_grid(step_deg)
     want = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
                              theta=theta, phi=phi)
@@ -221,7 +221,7 @@ def test_element_factor_of_array_factor_cut_is_exact(panel16, table, gamma, plan
                                                      mode):
     config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(steer_deg, plane)),
                                  panel16, CARRIER_HZ, 2)
-    weights = fed(coefficients(config, code_table(2, mode, table)), panel16)
+    weights = fed(coefficients(config, mode, table), panel16)
     af = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=0.0)
     want = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=gamma)
     got = af.with_element_factor(gamma)
@@ -232,7 +232,7 @@ def test_element_factor_of_array_factor_cut_is_exact(panel16, table, gamma, plan
 
 
 def test_code_grid_bit_depth_against_state_table(panel16, table):
-    """Without a table a code grid is read at its own 2^b phases; a table needs its bit depth."""
+    """Nominal mode reads codes at their own 2^b phases; a realized table needs their bit depth."""
     codes = np.arange(16 * 16).reshape(16, 16) % 2
     one_bit = RISConfiguration(geom=panel16, bits=1, codes=codes)
     grid = dict(theta=cut_grid(1.0), phi=np.array([0.0]), element_exponent=0.0)
@@ -240,7 +240,7 @@ def test_code_grid_bit_depth_against_state_table(panel16, table):
     want = radiation_pattern(np.exp(1j * np.pi * codes), panel16, CARRIER_HZ, **grid)
     np.testing.assert_allclose(got.field, want.field, rtol=0.0, atol=1e-12 * panel16.num_elements)
     with pytest.raises(ValueError, match="1-bit codes .* 2-bit state table"):
-        coefficients(one_bit, table)
+        coefficients(one_bit, "realized", table)
 
 
 # ------------------------------------------------------------ steering
