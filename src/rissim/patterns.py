@@ -13,26 +13,26 @@ element weights W_mn = A_mn Gamma_mn exp(j phi_mn), formed by the caller.
 
 On the uniform grid x_mn = delta_m dx, y_mn = delta_n dy the phase term
 factors, exp(j k (x_m u + y_n v)) = a_m(u) b_n(v), so the array sum is the
-bilinear form a(u)^T W b(v) with W_mn = A_mn Gamma_mn exp(j phi_mn). Each
-steering vector is a geometric progression, a_m(u) = a_0(u) z^m with
-z = exp(j k dx u), so it is filled by doubling from two exponentials: each
-direction needs four exponentials in all, instead of Nx + Ny (or Nx Ny for
-the direct sum). Directions are evaluated in fixed-size blocks, so no
-temporary grows with the grid.
-
-The element offsets are symmetric about the panel centre, so a_m(-u) =
-a_{Nx-1-m}(u) and b_n(-v) = b_{Ny-1-n}(v). The hemisphere pattern therefore
-evaluates only the azimuths of one quadrant, phi in [0, 90] deg: one
-product of a(u) with [W | W flipped in x] gives the fields at (u, v) and
-(-u, v), and reversing b(v) gives (u, -v) and (-u, -v), the directions at
-the mirror azimuths 180 - phi, 180 + phi and 360 - phi.
+bilinear form a(u)^T W b(v). The element offsets are symmetric about the
+panel centre, so a_{Nx-1-m}(u) = conj(a_m(u)), as in centro-symmetric array
+processing (Haardt and Nossek, Unitary ESPRIT, 1995): W is folded once into
+the sums and differences of its mirrored quadrants, and only the real cos and
+sin rows of the first ceil(Nx/2) and ceil(Ny/2) steering columns remain. Each
+half row is filled by doubling from one exponential per direction per axis
+(Nx + Ny for per-element exponentials, Nx Ny for the direct sum). One real
+GEMM per x half and a weighted row sum give four terms per direction, whose
+signed sums are the fields at (u, v), (-u, v), (-u, -v) and (u, -v). So the
+hemisphere pattern evaluates only the azimuths of one quadrant, phi in
+[0, 90] deg, and writes the mirror azimuths 180 - phi, 180 + phi and
+360 - phi from the same terms. Directions are evaluated in blocks of whole
+theta rows, so no temporary grows with the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,10 @@ from .units import db_to_linear, wavelength
 DEFAULT_CUT_STEP_DEG = 0.25
 DEFAULT_GRID_STEP_DEG = 1.0
 
-# Directions per block of the separable sum. A 0.25-degree cut (721
-# directions) fits in one block; each (block, Nx) or (block, Ny) temporary
-# is 192 KiB on a 16x16 panel. Blocks of 1536 or more directions raised the
-# peak resident memory of `rissim reproduce` above the per-row loop's.
+# Directions per block of the separable sum, in whole theta rows. A 0.25-degree
+# cut (721 directions) fits in one block, as do 8 theta rows of a 1-degree
+# hemisphere quadrant (91 azimuths). The largest temporary, the GEMM output,
+# holds 4 ceil(Ny/2) reals per direction and x half: 384 KiB on a 16x16 panel.
 _CHUNK_DIRECTIONS = 768
 
 PLANE_AZIMUTHS = {"E": 0.0, "H": math.pi / 2.0}
@@ -124,51 +124,82 @@ def _element_factor(theta: np.ndarray, element_exponent: float) -> np.ndarray:
     return np.cos(theta)[:, None] ** element_exponent
 
 
-def _steering_rows(proj: np.ndarray, first: float, step: float, n: int) -> np.ndarray:
-    """Rows exp(j proj_i (first + m step)), m = 0..n-1, of one uniform axis.
+def _half_steering(proj: np.ndarray, k_spacing: float, n: int) -> np.ndarray:
+    """[cos; sin] of the first ceil(n/2) steering columns of one axis, centre outward.
 
-    Two exponentials per row: column 0 and the ratio z = exp(j step proj_i).
-    Columns [w, 2w) are columns [0, w) times z^w, and z^w is squared for the
-    next block. The error against per-element exponentials grows with n, to
-    3.3e-13 at n = 256 for |proj| <= 1. The result is a transposed view of an
-    (n, len(proj)) array, so that each doubling step multiplies contiguous
-    rows.
+    Column i is exp(j k x_m proj) at offset x_m = -(i + 1/2) d (even n) or -i d
+    (odd n); the mirrored element's column is its conjugate. One exponential per
+    direction, h = exp(-j k d proj / 2), gives column 0 (h, or exactly 1 for odd
+    n), and columns [w, 2w) are columns [0, w) times h^(2w). Directions are last,
+    so each doubling step multiplies contiguous rows.
     """
-    cols = np.empty((n, proj.size), dtype=complex)
-    cols[0] = np.exp(1j * first * proj)
-    factor = np.exp(1j * step * proj)  # z^w
+    half = (n + 1) // 2
+    cols = np.empty((half, proj.size), dtype=complex)
+    phase = -0.5 * k_spacing * proj
+    cols[0].real, cols[0].imag = np.cos(phase), np.sin(phase)  # h, as one exponential
+    factor = cols[0] * cols[0]
+    if n % 2:
+        cols[0] = 1.0
     width = 1
-    while width < n:
-        stop = min(2 * width, n)
+    while width < half:
+        stop = min(2 * width, half)
         np.multiply(cols[: stop - width], factor, out=cols[width:stop])
         width *= 2
-        if width < n:
+        if width < half:
             factor = factor * factor
-    return cols.T
+    rows = np.empty((2, half, proj.size))
+    rows[0], rows[1] = cols.real, cols.imag
+    return rows
 
 
-def _blocks(weights: np.ndarray, geom: ArrayGeometry, carrier_hz: float,
-            theta: np.ndarray, phi: np.ndarray):
-    """The separable sum over the theta-major grid theta x phi, block by block.
+def _fold(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and differences of W's mirrored rows, in :func:`_half_steering`'s order.
 
-    Yields (i_theta, i_phi, a(u)^T weights, b(v)) for each block of at most
-    ``_CHUNK_DIRECTIONS`` directions; the field of a direction is the row sum
-    of the product of its two rows.
+    An odd count's centre row pairs with itself, so its sum is halved back to the row.
+    """
+    n = weights.shape[0]
+    half = (n + 1) // 2
+    inner, outer = weights[half - 1 :: -1], weights[n - half :]
+    total = inner + outer
+    if n % 2:
+        total[0] *= 0.5
+    return total, inner - outer
+
+
+# The factors 1, j, j, -1 of T1..T4 in F(u, v), folded into Q_ss, Q_sd, Q_ds, Q_dd.
+_QUADRANT_FACTORS = np.array([1.0, 1.0j, 1.0j, -1.0])[:, None, None]
+
+# Signs of T1..T4 in the field F(su u, sv v) = T1 + sv T2 + su T3 + su sv T4
+# at the mirrors (su, sv) = (+, +), (-, +), (-, -), (+, -).
+_MIRROR_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], float)
+
+
+def _mirrored_fields(weights: np.ndarray, geom: ArrayGeometry, carrier_hz: float,
+                     theta: np.ndarray, phi: np.ndarray):
+    """The separable sum at (u, v), (-u, v), (-u, -v) and (u, -v) of theta x phi.
+
+    Yields (rows, fields) per block of whole theta rows; ``fields`` is complex
+    (4, rows, len(phi)), the four mirrors in that order. With [c; s] the half
+    steering rows of x, [c'; s'] those of y, and Q_ss, Q_sd, Q_ds, Q_dd the
+    quadrant sums of W (:func:`_fold` along x, then along y), F(u, v) = T1 +
+    j T2 + j T3 - T4 with T1 = c^T Q_ss c', T2 = c^T Q_sd s', T3 = s^T Q_ds c'
+    and T4 = s^T Q_dd s'; mirroring u flips s, and mirroring v flips s'.
     """
     k = 2.0 * math.pi / wavelength(carrier_hz)
-    kx0 = k * (geom.offsets_x()[0] * geom.spacing_x)
-    ky0 = k * (geom.offsets_y()[0] * geom.spacing_y)
-    sin_theta = np.sin(theta)
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    size = theta.size * phi.size
-    for start in range(0, size, _CHUNK_DIRECTIONS):
-        i_theta, i_phi = np.divmod(np.arange(start, min(start + _CHUNK_DIRECTIONS, size)),
-                                   phi.size)
-        s = sin_theta[i_theta]
-        a = _steering_rows(s * cos_phi[i_phi], kx0, k * geom.spacing_x, geom.num_x)  # a(u)
-        b = _steering_rows(s * sin_phi[i_phi], ky0, k * geom.spacing_y, geom.num_y)  # b(v)
-        yield i_theta, i_phi, a @ weights, b
+    x_sum, x_diff = _fold(_weight_grid(weights, geom))
+    q = np.stack([*_fold(x_sum.T), *_fold(x_diff.T)]) * _QUADRANT_FACTORS  # (4, hy, hx)
+    half_y, half_x = q.shape[1:]
+    folded = np.stack([q.real, q.imag], axis=1).reshape(2, -1, half_x)  # rows: y half, re/im, n
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    step = max(1, _CHUNK_DIRECTIONS // phi.size)
+    for start in range(0, theta.size, step):
+        rows = slice(start, min(start + step, theta.size))
+        s = np.sin(theta[rows])[:, None]
+        x = _half_steering((s * cos_phi).ravel(), k * geom.spacing_x, geom.num_x)
+        y = _half_steering((s * sin_phi).ravel(), k * geom.spacing_y, geom.num_y)
+        partial = (folded @ x).reshape(2, 2, 2, half_y, -1)  # [x half, y half, re/im, n, dir]
+        terms = np.einsum("xyrnd,ynd->xydr", partial, y).reshape(4, -1)  # re/im interleaved
+        yield rows, (_MIRROR_SIGNS @ terms).view(complex).reshape(4, -1, phi.size)
 
 
 def radiation_pattern(
@@ -187,10 +218,9 @@ def radiation_pattern(
     """
     theta, phi = _direction_grids(theta, phi)
     element_factor = _element_factor(theta, element_exponent)
-    weights = _weight_grid(weights, geom)
     field = np.empty((theta.size, phi.size), dtype=complex)
-    for i_theta, i_phi, p, b in _blocks(weights, geom, carrier_hz, theta, phi):
-        field[i_theta, i_phi] = np.einsum("ij,ij->i", p, b)
+    for rows, fields in _mirrored_fields(weights, geom, carrier_hz, theta, phi):
+        field[rows] = fields[0]
     field *= element_factor
     return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
 
@@ -206,29 +236,19 @@ def hemisphere_pattern(
     """:func:`radiation_pattern` on ``hemisphere_grid(step_deg)``, from one quadrant.
 
     Only the q + 1 azimuths in [0, 90] deg of the 4q grid azimuths are
-    evaluated. Their rows against [W | W flipped in x] give P = a(u)^T W
-    and P' = a(-u)^T W, and the field at azimuth index j and its mirrors is
-
-        j:      (u, v)   = rowsum(P b(v))
-        2q - j: (-u, v)  = rowsum(P' b(v))
-        2q + j: (-u, -v) = rowsum(P' b(-v))
-        4q - j: (u, -v)  = rowsum(P b(-v)),   with b(-v) = b(v) reversed.
+    evaluated; the field at azimuth index j is (u, v), and its mirrors
+    (-u, v), (-u, -v) and (u, -v) are the azimuth indices 2q - j, 2q + j
+    and 4q - j.
     """
     theta, phi = hemisphere_grid(step_deg)
     element_factor = _element_factor(theta, element_exponent)
-    weights = _weight_grid(weights, geom)
-    quarter = phi.size // 4
-    ny = geom.num_y
+    q = phi.size // 4
     field = np.empty((theta.size, phi.size), dtype=complex)
-    stacked = np.concatenate([weights, weights[::-1]], axis=1)
-    for i_theta, j, p, b in _blocks(stacked, geom, carrier_hz, theta, phi[: quarter + 1]):
-        direct, mirror = p[:, :ny], p[:, ny:]
-        b_mirror = b[:, ::-1]
-        field[i_theta, j] = np.einsum("ij,ij->i", direct, b)
-        field[i_theta, 2 * quarter - j] = np.einsum("ij,ij->i", mirror, b)
-        field[i_theta, 2 * quarter + j] = np.einsum("ij,ij->i", mirror, b_mirror)
-        field[i_theta, (4 * quarter - j) % phi.size] = np.einsum("ij,ij->i", direct, b_mirror)
-        del p, b, direct, mirror, b_mirror  # free this block before the next one is built
+    for rows, fields in _mirrored_fields(weights, geom, carrier_hz, theta, phi[: q + 1]):
+        field[rows, : q + 1] = fields[0]  # (u, v)
+        field[rows, 2 * q : q - 1 : -1] = fields[1]  # (-u, v)
+        field[rows, 2 * q : 3 * q + 1] = fields[2]  # (-u, -v)
+        field[rows, 4 * q - 1 : 3 * q - 1 : -1] = fields[3][:, 1:]  # (u, -v); j = 0 is azimuth 0
     field *= element_factor
     return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
 
@@ -285,8 +305,6 @@ def _hemisphere_integral(pattern: RadiationPattern, stride: int = 1) -> float:
     theta = pattern.theta[::stride]
     power = pattern.power[::stride, ::stride]
     phi = pattern.phi[::stride]
-    if phi.size < 2:
-        raise ValueError("directivity needs a 2-D hemisphere pattern")
     dphi = phi[1] - phi[0]
     per_theta = power.sum(axis=1) * dphi  # periodic azimuth sum
     return float(np.trapezoid(per_theta * np.sin(theta), theta))
@@ -300,12 +318,16 @@ def directivity_and_gain(
     Self-checks the quadrature by re-integrating on every second sample: the
     trapezoid error grows ~4x when the step doubles, so a step-doubling shift
     of 0.3 dB bounds the step-halving change near 0.1 dB. Raises
-    :class:`ResolutionError` beyond that, with both estimates attached.
+    :class:`ResolutionError` beyond that, with both estimates attached, and
+    ValueError unless the pattern is sampled on a ``hemisphere_grid(step)``.
     """
     if not math.isfinite(loss_budget_db):
         raise ValueError(f"loss_budget_db must be finite, got {loss_budget_db}")
-    if pattern.theta.min() < 0:
-        raise ValueError("directivity needs the full forward hemisphere (theta >= 0)")
+    quarter, rest = divmod(pattern.phi.size, 4)  # rtol: hemisphere_grid's step may miss by 1e-9
+    if rest or pattern.theta.size != quarter + 1 or not all(
+            np.all(np.abs(got - want) <= 1e-8 * want)
+            for got, want in zip((pattern.theta, pattern.phi), hemisphere_grid(90.0 / quarter))):
+        raise ValueError("directivity needs a pattern on a hemisphere_grid(step)")
     peak = float(pattern.power.max())
     if peak <= 0:
         raise ValueError("pattern has no power")
@@ -399,15 +421,23 @@ def aperture_efficiency(gain_dbi: float, aperture_area_m2: float, carrier_hz: fl
     return db_to_linear(gain_dbi) * lam**2 / (4.0 * math.pi * aperture_area_m2)
 
 
+@lru_cache(maxsize=4)
+def _axis_labels(grid: bytes) -> tuple[str, ...]:
+    """The "deg," CSV labels of one float64 direction grid, keyed by its bytes.
+
+    Cached, so the E and H cuts of one ``rissim pattern`` run share their theta labels.
+    """
+    return tuple(f"{g:.4f}," for g in np.degrees(np.frombuffer(grid)).tolist())
+
+
 def pattern_to_csv(pattern: RadiationPattern, path: str | Path) -> None:
     """Write (theta_deg, phi_deg, power_db_normalized) rows, theta-major."""
     power = pattern.power
     peak = power.max()
     if peak <= 0:
         raise ValueError("pattern has no power")
-    theta_deg = [f"{th:.4f}," for th in np.degrees(pattern.theta).tolist()]
-    phi_deg = [f"{ph:.4f}," for ph in np.degrees(pattern.phi).tolist()]
-    leads = [th + ph for th in theta_deg for ph in phi_deg]
+    phi_deg = _axis_labels(pattern.phi.tobytes())
+    leads = [th + ph for th in _axis_labels(pattern.theta.tobytes()) for ph in phi_deg]
     ratios = np.maximum(power / peak, 1e-30).ravel().tolist()
     # math.log10 per sample: numpy's vector log10 may differ in the last ulp.
     rows = "".join([f"{lead}{10.0 * math.log10(ratio):.6f}\r\n"

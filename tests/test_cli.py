@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -174,6 +175,44 @@ def test_pattern_steered(tmp_path):
                "--steer-deg", "-30", "--plane", "E") == 0
     metrics = read_csv(tmp_path / "pattern_metrics.csv")
     assert float(metrics[0]["peak_direction_deg"]) == pytest.approx(-30.0, abs=1.0)
+
+
+# sha256 of pattern_cut_e.csv, pattern_cut_h.csv and pattern_metrics.csv, and the last
+# stdout line, of `rissim pattern --plane both`, keyed by (mode, steer angle). Recorded
+# from the complex-arithmetic pattern engine that the real-GEMM kernel replaced, which
+# must reproduce them byte for byte.
+PINNED_PATTERN_OUTPUTS = {
+    ("nominal", "-30"): (
+        "f2063a0d831b58a0813df2cdc9949960725d874c018831be2bc704ccecc1897d",
+        "a845ededfa6218a5bb78a3be462a266a54c3143bae2737fdfc665f7b037519c3",
+        "941493bee2ac48acef15cca26a4f53e1e9845620330ac586c7cb907a3e7da9a2",
+        "directivity 24.83 dBi, gain 24.83 dBi (loss budget 0.00 dB)"),
+    ("nominal", "0"): (
+        "a3ce543f2f2f863672856c35e779fd1175b23bc9342a98947ec6c22deae1232f",
+        "a8ff369a246aa5abf4ab5bd8a9a1a355f041832e26df0a178f80fd8c51accd97",
+        "bb5b4112c221fcc1e47e4c91683fb84d1a400b955587c3168719cda89434aaba",
+        "directivity 25.46 dBi, gain 25.46 dBi (loss budget 0.00 dB)"),
+    ("nominal", "47.5"): (
+        "14da09c6a506b296b8d7ff5a61a5caac89e516bee8ea72c29ff63fba9dd304a0",
+        "169a82811273cb066e304e0fce88b73be19c705cb4cef628267e63c34c3ff0a6",
+        "c9ca881c119f0ff5d69801e8d513d878a1b54241acd66742f99785ca122550dc",
+        "directivity 23.70 dBi, gain 23.70 dBi (loss budget 0.00 dB)"),
+    ("realized", "-30"): (
+        "47fd0a776ea13ac00ede393a85f3fe709803cadbf2c23bbe0b139e793dbbf6ab",
+        "adf9dd62d3e2ff042b7e0e03f30e3b7961d4bc70cf271e4a135572c436b295f7",
+        "3a8784288757db9678f7e46cae0de6b70be4e037c17bf9c051b8aa831831ad78",
+        "directivity 24.83 dBi, gain 24.83 dBi (loss budget 0.00 dB)"),
+}
+
+
+@pytest.mark.parametrize("mode,steer_deg", list(PINNED_PATTERN_OUTPUTS))
+def test_pattern_outputs_match_their_pinned_digests(tmp_path, capsys, mode, steer_deg):
+    assert run("pattern", "--mode", mode, "--steer-deg", steer_deg, "--plane", "both",
+               "--out", str(tmp_path)) == 0
+    *digests, line = PINNED_PATTERN_OUTPUTS[mode, steer_deg]
+    names = ("pattern_cut_e.csv", "pattern_cut_h.csv", "pattern_metrics.csv")
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names] == digests
+    assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 def test_codebook_rejects_bits_range(tmp_path):

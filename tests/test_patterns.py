@@ -148,10 +148,14 @@ def direct_array_sum(weights, geom, carrier_hz, theta, phi, element_exponent):
 def test_steering_rows_match_per_element_exponentials(n, spacing):
     k = 2.0 * math.pi / wavelength(CARRIER_HZ)
     k_offsets = k * ((np.arange(n) - (n - 1) / 2.0) * spacing)
+    half = (n + 1) // 2
     u = np.linspace(-1.0, 1.0, 2001)
-    got = patterns._steering_rows(u, k_offsets[0], k * spacing, n)
-    assert got.shape == (u.size, n)
-    assert np.abs(got - np.exp(1j * np.outer(u, k_offsets))).max() <= 1e-12
+    got = patterns._half_steering(u, k * spacing, n)
+    assert got.shape == (2, half, u.size)
+    want = np.exp(1j * np.outer(k_offsets[half - 1 :: -1], u))  # columns from the centre out
+    assert np.abs(got[0] + 1j * got[1] - want).max() <= 1e-12
+    if n % 2:  # the centre element's column is exactly 1
+        assert np.all(got[0, 0] == 1.0) and np.all(got[1, 0] == 0.0)
 
 
 @pytest.mark.parametrize("nx,ny,dx,dy", [(3, 5, 3.1e-3, 4.9e-3), (1, 7, 4.9e-3, 2.7e-3),
@@ -161,8 +165,8 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
     geom = ArrayGeometry(nx, ny, dx, dy)
     theta = np.linspace(-math.pi / 2, math.pi / 2, 46)
     phi = np.arange(67) * (2.0 * math.pi / 67)
-    n_dir = theta.size * phi.size  # several blocks, the last one partial
-    assert n_dir > patterns._CHUNK_DIRECTIONS and n_dir % patterns._CHUNK_DIRECTIONS
+    rows = patterns._CHUNK_DIRECTIONS // phi.size  # theta rows per block
+    assert theta.size > rows and theta.size % rows  # several blocks, the last one partial
     if excitation == "phases":
         phases = rng.uniform(0.0, 2.0 * math.pi, (nx, ny))
         gamma = 0.0
@@ -212,6 +216,16 @@ def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, 
     assert (got_db[1] is None) == (want_db[1] is None)
     if want_db[1] is not None:
         assert got_db[1] == pytest.approx(want_db[1], abs=1e-12)
+
+
+def test_hemisphere_last_block_of_one_theta_row(panel16, rng):
+    theta, phi = hemisphere_grid(0.5)
+    rows = patterns._CHUNK_DIRECTIONS // (phi.size // 4 + 1)  # quadrant theta rows per block
+    assert theta.size > rows and theta.size % rows == 1
+    weights = fed(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (16, 16))), panel16)
+    want = radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)
+    got = hemisphere_pattern(weights, panel16, CARRIER_HZ, step_deg=0.5)
+    assert np.abs(got.field - want.field).max() <= 1e-12 * np.abs(want.field).max()
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.5])
@@ -379,6 +393,32 @@ def test_directivity_requires_hemisphere(panel16):
         directivity_and_gain(cut)
 
 
+@pytest.mark.parametrize("grid", ["quadrant_azimuths", "theta_to_45_deg", "non_uniform_phi"])
+def test_directivity_requires_a_whole_hemisphere_grid(panel16, grid):
+    """Each of these grids integrates to a directivity, but not that of the pattern."""
+    theta, phi = hemisphere_grid(1.0)
+    if grid == "quadrant_azimuths":
+        phi = phi[:91]
+    elif grid == "theta_to_45_deg":
+        theta = np.radians(np.linspace(0.0, 45.0, theta.size))
+    else:
+        phi = 2.0 * math.pi * (np.arange(phi.size) / phi.size) ** 1.5
+    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
+                                element_exponent=0.0, theta=theta, phi=phi)
+    with pytest.raises(ValueError, match=r"hemisphere_grid\(step\)"):
+        directivity_and_gain(pattern)
+
+
+def test_directivity_accepts_a_grid_whose_step_misses_by_rounding(panel16):
+    estimates = []
+    for step_deg in (1.0, 1.0 + 9e-10):  # hemisphere_grid accepts both steps
+        theta, phi = hemisphere_grid(step_deg)
+        pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
+                                    element_exponent=0.0, theta=theta, phi=phi)
+        estimates.append(directivity_and_gain(pattern)[0])
+    assert estimates[1] == pytest.approx(estimates[0], abs=1e-6)
+
+
 # ----------------------------------------------------------------- metrics
 
 
@@ -504,22 +544,31 @@ def _random_field(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("kind", ["random_cut", "cut_with_zeros", "hemisphere"])
+@pytest.mark.parametrize("kind", ["random_cut", "cut_with_zeros", "hemisphere", "grid_sequence"])
 def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
+    h_plane = np.array([patterns.PLANE_AZIMUTHS["H"]])
     if kind == "hemisphere":
-        theta, phi = hemisphere_grid(10.0)
+        grids = [hemisphere_grid(10.0)]
+    elif kind == "grid_sequence":  # one process, so the labels cached for an axis serve it again
+        patterns._axis_labels.cache_clear()
+        grids = [(cut_grid(1.0), h_plane), (cut_grid(1.0), np.array([0.0])), (cut_grid(0.5), h_plane),
+                 (cut_grid(1.0), h_plane), hemisphere_grid(10.0)]
     else:
-        theta, phi = cut_grid(1.0), np.array([patterns.PLANE_AZIMUTHS["H"]])
-    field = _random_field(rng, (theta.size, phi.size))
-    if kind == "cut_with_zeros":
-        field[::7] = 0.0  # below the 1e-30 floor
-    pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    pattern_to_csv(pattern, got)
-    reference_pattern_to_csv(pattern, want)
-    assert got.read_bytes() == want.read_bytes()
+        grids = [(cut_grid(1.0), h_plane)]
+    for i, (theta, phi) in enumerate(grids):
+        field = _random_field(rng, (theta.size, phi.size))
+        if kind == "cut_with_zeros":
+            field[::7] = 0.0  # below the 1e-30 floor
+        pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        pattern_to_csv(pattern, got)
+        reference_pattern_to_csv(pattern, want)
+        assert got.read_bytes() == want.read_bytes()
     if kind == "cut_with_zeros":
         assert "-300.000000" in got.read_text()
+    if kind == "grid_sequence":
+        # The E cut's theta, the 0.5-degree cut's phi, and both axes of the repeated cut.
+        assert patterns._axis_labels.cache_info().hits == 4
 
 
 def test_power_is_computed_once_and_read_only(rng):
