@@ -76,7 +76,6 @@ from .patterns import (
     cut_grid,
     directivity_and_gain,
     hemisphere_grid,
-    hemisphere_pattern,
     pattern_metrics,
     pattern_to_csv,
     principal_cut,

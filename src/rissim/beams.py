@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (GainProfile, _cascade_prefactor, _path_vector, coherent_power_bound,
-                      unity_gain_profile)
+from .channel import _cascade_prefactor, _path_vector, coherent_power_bound, unity_gain_profile
 from .codebook import RISConfiguration, quantize_phases
 from .elements import ElementStateTable, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
@@ -115,10 +114,8 @@ def optimal_codebook(
     geom: ArrayGeometry,
     carrier_hz: float,
     table: ElementStateTable,
-    *,
-    profile: GainProfile | None = None,
 ) -> tuple[RISConfiguration, float]:
-    """Exact argmax of received power over every code grid, and that power at 1 W sent.
+    """Exact argmax of received power over all code grids, and its power at 1 W with unit gains.
 
     Maximizes |sum_i a_i lut[c_i]| with a_i the cascade path term of element
     i and lut the coefficients of ``table``'s states, as
@@ -133,7 +130,6 @@ def optimal_codebook(
     uses exact distances, so the spec's wavefront models and phase constant
     play no part.
     """
-    profile = profile or unity_gain_profile()
     lut = state_coefficients(table, np.arange(1 << table.bits))
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
     hull = _hull_codes(lut)
@@ -153,7 +149,8 @@ def optimal_codebook(
         vertex[element] = (edge + 1) % hull.size  # in event order, so the last event wins
     codes = hull[vertex]
     total = np.sum(lut[codes] * path)
-    power = _cascade_prefactor(1.0, carrier_hz, profile, spec.tx, spec.rx) * abs(total) ** 2
+    prefactor = _cascade_prefactor(1.0, carrier_hz, unity_gain_profile(), spec.tx, spec.rx)
+    power = prefactor * abs(total) ** 2
     config = RISConfiguration(geom=geom, bits=table.bits,
                               codes=codes.reshape(geom.num_x, geom.num_y))
     return config, power
@@ -164,10 +161,8 @@ def exhaustive_oracle(
     geom: ArrayGeometry,
     carrier_hz: float,
     table: ElementStateTable,
-    *,
-    profile: GainProfile | None = None,
 ) -> tuple[RISConfiguration, float]:
-    """Brute-force argmax of received power over every code grid, and that power at 1 W sent.
+    """Brute-force argmax of received power over all code grids, and its power at 1 W, unit gains.
 
     Reads codes against ``table``. Enumerates lexicographically with element
     (0, 0) as the most significant digit, so argmax ties resolve to the
@@ -179,7 +174,6 @@ def exhaustive_oracle(
         raise SearchSpaceError(
             f"{n_states}^{n} code grids exceed the {ORACLE_SEARCH_CAP} search cap"
         )
-    profile = profile or unity_gain_profile()
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
     lut = state_coefficients(table, np.arange(n_states))
     total_configs = n_states**n
@@ -194,8 +188,8 @@ def exhaustive_oracle(
         [(best // (n_states ** (n - 1 - i))) % n_states for i in range(n)]
     ).reshape(geom.num_x, geom.num_y)
     config = RISConfiguration(geom=geom, bits=table.bits, codes=codes)
-    power = _cascade_prefactor(1.0, carrier_hz, profile, spec.tx, spec.rx) * float(
-        np.abs(field[best])) ** 2
+    prefactor = _cascade_prefactor(1.0, carrier_hz, unity_gain_profile(), spec.tx, spec.rx)
+    power = prefactor * float(np.abs(field[best])) ** 2
     return config, power
 
 
@@ -207,10 +201,8 @@ def quantization_loss(geom: ArrayGeometry, spec: BeamSpec, carrier_hz: float, bi
     sides, so endpoint gains cancel and the result depends only on geometry
     and the phase grid.
     """
-    profile = unity_gain_profile()
-    _, best_power = optimal_codebook(spec, geom, carrier_hz, ElementStateTable.ideal(bits),
-                                     profile=profile)
-    bound = coherent_power_bound(1.0, carrier_hz, profile, geom, spec.tx, spec.rx)
+    _, best_power = optimal_codebook(spec, geom, carrier_hz, ElementStateTable.ideal(bits))
+    bound = coherent_power_bound(1.0, carrier_hz, unity_gain_profile(), geom, spec.tx, spec.rx)
     return 10.0 * math.log10(bound / best_power)
 
 

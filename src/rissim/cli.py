@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .beams import (BeamSpec, exhaustive_oracle, optimal_codebook, quantization_loss,
                     resolve_model, synthesize_codebook, uniform_phase_loss_db)
-from .channel import exponent_from_gain, feed_illuminations, unity_gain_profile
+from .channel import exponent_from_gain, feed_illuminations
 from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream
 from .elements import ElementStateTable, code_table, default_element_table, state_coefficients
 from .errors import ConfigError, ResolutionError, RisSimError
@@ -39,7 +39,6 @@ from .patterns import (
     aperture_efficiency,
     cut_grid,
     hemisphere_grid,
-    hemisphere_pattern,
     pattern_metrics,
     pattern_to_csv,
     principal_cut,
@@ -75,7 +74,7 @@ class RunConfig:
     seed: int = 0
     feed_range_m: float = DEFAULT_FEED_RANGE_M
     feed_exponent: float = exponent_from_gain(DEFAULT_FEED_GAIN_DBI)
-    beam: BeamSpec | None = None
+    beam: dict = field(default_factory=dict)  # the run config's checked `beam` section
     scenario_path: Path | None = None
 
     def single_bits(self) -> int:
@@ -157,17 +156,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if "gain_dbi" in feed:
             cfg.feed_exponent = exponent_from_gain(
                 _parse_number(feed["gain_dbi"], "gain_dbi", "feed"))
-    if "beam" in file_cfg:
-        beam = file_cfg["beam"]
-        far = {"range_m": FAR_FIELD_RANGE_M}
-        cfg.beam = BeamSpec(
-            tx=_parse_pose(beam.get("tx_pose", far), "beam.tx_pose"),
-            rx=_parse_pose(beam.get("rx_pose", far), "beam.rx_pose"),
-            tx_model=str(beam.get("tx_model", "auto")),
-            rx_model=str(beam.get("rx_model", "auto")),
-            phase_offset=math.radians(
-                _parse_number(beam.get("offset_deg", 0.0), "offset_deg", "beam")),
-        )
+    cfg.beam = file_cfg.get("beam", {})
     if "scenario" in file_cfg:
         cfg.scenario_path = Path(file_cfg["scenario"])
 
@@ -200,6 +189,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             grid(step)
         except ValueError:
             raise ConfigError(f"{name} must divide {span_deg} deg, got {step}") from None
+    if cfg.hemisphere_grid_deg > 45:  # directivity_and_gain checks itself on twice the step
+        raise ConfigError(f"hemisphere_grid_deg must be at most 45 deg, so that the directivity "
+                          f"has a step-doubled grid, got {cfg.hemisphere_grid_deg}")
     unread = sorted(map(str, set(file_cfg) - args.config_keys))  # YAML keys may be numbers
     if unread:
         raise ConfigError(f"{args.config}: rissim {args.command} does not read "
@@ -208,11 +200,22 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _pose_from_args(prefix: str, args: argparse.Namespace) -> Pose:
-    raw = {"range_m": getattr(args, f"{prefix}_range"),
-           "polar_deg": getattr(args, f"{prefix}_polar_deg"),
-           "azimuth_deg": getattr(args, f"{prefix}_azimuth_deg")}
-    return _parse_pose(raw, f"{prefix} pose")
+def _beam_spec(beam: dict, args: argparse.Namespace) -> BeamSpec:
+    """The run config's ``beam`` section with each given flag winning, field by field."""
+    poses = []
+    for side in ("tx", "rx"):
+        raw = beam.get(f"{side}_pose", {"range_m": FAR_FIELD_RANGE_M})
+        if isinstance(raw, dict):  # anything else is refused by _parse_pose, naming the field
+            given = {key: getattr(args, f"{side}_{flag}") for key, flag in (
+                ("range_m", "range"), ("polar_deg", "polar_deg"), ("azimuth_deg", "azimuth_deg"))}
+            raw = {**raw, **{key: value for key, value in given.items() if value is not None}}
+        poses.append(_parse_pose(raw, f"beam.{side}_pose"))
+    beam = {**beam, **{key: getattr(args, key) for key in ("tx_model", "rx_model", "offset_deg")
+                       if getattr(args, key) is not None}}
+    return BeamSpec(*poses, tx_model=str(beam.get("tx_model", "auto")),
+                    rx_model=str(beam.get("rx_model", "auto")),
+                    phase_offset=math.radians(
+                        _parse_number(beam.get("offset_deg", 0.0), "offset_deg", "beam")))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -227,13 +230,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
     bits = cfg.single_bits()
-    spec = cfg.beam or BeamSpec(
-        tx=_pose_from_args("tx", args),
-        rx=_pose_from_args("rx", args),
-        tx_model=args.tx_model,
-        rx_model=args.rx_model,
-        phase_offset=math.radians(args.offset_deg),
-    )
+    spec = _beam_spec(cfg.beam, args)
     config = synthesize_codebook(spec, cfg.geometry, cfg.carrier_hz, bits)
     codes_path = cfg.output_dir / "codes.csv"
     config.to_csv(codes_path)
@@ -298,11 +295,10 @@ class _SteerStudy:
         weights = [self.weights(steer_deg, plane) for plane in planes]
         cuts = [self.cut(w, plane, element_exponent) for w, plane in zip(weights, planes)]
         metrics = [pattern_metrics(cut) for cut in cuts]
-        full = hemisphere_pattern(weights[0], self.geom, self.carrier_hz,
-                                  step_deg=self.hemisphere_step_deg,
-                                  element_exponent=element_exponent)
         try:
-            return cuts, metrics, *directivity_and_gain(full, loss_budget_db)
+            return cuts, metrics, *directivity_and_gain(
+                weights[0], self.geom, self.carrier_hz, step_deg=self.hemisphere_step_deg,
+                element_exponent=element_exponent, loss_budget_db=loss_budget_db)
         except ResolutionError as exc:
             raise ConfigError(f"hemisphere_grid_deg {self.hemisphere_step_deg} is too coarse "
                               f"for this beam: {exc}") from None
@@ -621,7 +617,7 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
     # small-panel oracle agreement; the solver may never beat the brute-force optimum
     rng = random.Random(cfg.seed)
     small = ArrayGeometry(2, 2, bundle.geometry.spacing_x, bundle.geometry.spacing_y)
-    profile, ideal = unity_gain_profile(), ElementStateTable.ideal(2)
+    ideal = ElementStateTable.ideal(2)
     worst = 0.0
     dominated = True
     for _ in range(oracle_trials):
@@ -630,8 +626,8 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, math.pi / 3),
                                  rng.uniform(0, 2 * math.pi))
         ospec = BeamSpec(tx=tx, rx=rx)
-        _, p_solver = optimal_codebook(ospec, small, carrier, ideal, profile=profile)
-        _, p_oracle = exhaustive_oracle(ospec, small, carrier, ideal, profile=profile)
+        _, p_solver = optimal_codebook(ospec, small, carrier, ideal)
+        _, p_oracle = exhaustive_oracle(ospec, small, carrier, ideal)
         dominated &= p_oracle >= p_solver * (1 - 1e-12)
         worst = max(worst, 10.0 * math.log10(p_oracle / p_solver))
     judge("codebook-vs-oracle gap", worst,
@@ -709,15 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("codebook", "synthesize a code grid and its bias bitstream",
                    flags=("--bits", "--carrier-hz"), keys=("bits", "geometry", "beam"))
-    p.add_argument("--tx-range", type=float, default=FAR_FIELD_RANGE_M)
-    p.add_argument("--tx-polar-deg", type=float, default=0.0)
-    p.add_argument("--tx-azimuth-deg", type=float, default=0.0)
-    p.add_argument("--rx-range", type=float, default=FAR_FIELD_RANGE_M)
-    p.add_argument("--rx-polar-deg", type=float, default=0.0)
-    p.add_argument("--rx-azimuth-deg", type=float, default=0.0)
-    p.add_argument("--tx-model", choices=("auto", "spherical", "planar"), default="auto")
-    p.add_argument("--rx-model", choices=("auto", "spherical", "planar"), default="auto")
-    p.add_argument("--offset-deg", type=float, default=0.0, help="phase constant C in degrees")
+    # Each given flag wins over the run config's beam field; unset, the field or its default
+    # (100 m, 0 deg, 0 deg, auto, 0 deg) holds.
+    for side in ("tx", "rx"):
+        for flag in ("range", "polar-deg", "azimuth-deg"):
+            p.add_argument(f"--{side}-{flag}", type=float)
+        p.add_argument(f"--{side}-model", choices=("auto", "spherical", "planar"))
+    p.add_argument("--offset-deg", type=float, help="phase constant C in degrees")
     p.set_defaults(func=cmd_codebook)
 
     steer_flags = ("--grid-deg", "--bits", "--mode", "--carrier-hz")

@@ -22,10 +22,11 @@ half row is filled by doubling from one exponential per direction per axis
 (Nx + Ny for per-element exponentials, Nx Ny for the direct sum). One real
 GEMM per x half and a weighted row sum give four terms per direction, whose
 signed sums are the fields at (u, v), (-u, v), (-u, -v) and (u, -v). So the
-hemisphere pattern evaluates only the azimuths of one quadrant, phi in
-[0, 90] deg, and writes the mirror azimuths 180 - phi, 180 + phi and
-360 - phi from the same terms. Directions are evaluated in blocks of whole
-theta rows, so no temporary grows with the grid.
+directivity samples only the azimuths of one quadrant, phi in [0, 90] deg,
+and reads the mirror azimuths 180 - phi, 180 + phi and 360 - phi from the
+same terms, summing the hemisphere's power row by row without storing its
+field. Directions are evaluated in blocks of whole theta rows, so no
+temporary grows with the grid.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ class RadiationPattern:
 
     ``theta`` may be signed for principal cuts (negative theta means the
     mirrored azimuth phi + pi). ``field`` is indexed [theta, phi]. The
-    arrays are stored as read-only views of those given, not copies.
+    arrays are stored as read-only views of those given, not copies. The
+    direction grids are checked where they are sampled, in
+    :func:`radiation_pattern`.
     """
 
     theta: np.ndarray  # rad
@@ -68,7 +71,7 @@ class RadiationPattern:
     carrier_hz: float
 
     def __post_init__(self):
-        theta, phi = _direction_grids(self.theta, self.phi)
+        theta, phi = np.asarray(self.theta, dtype=float), np.asarray(self.phi, dtype=float)
         field = np.asarray(self.field, dtype=complex)
         if field.shape != (theta.size, phi.size):
             raise ValueError(f"field shape {field.shape} != ({theta.size}, {phi.size})")
@@ -225,34 +228,6 @@ def radiation_pattern(
     return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
 
 
-def hemisphere_pattern(
-    weights: np.ndarray,
-    geom: ArrayGeometry,
-    carrier_hz: float,
-    *,
-    step_deg: float = DEFAULT_GRID_STEP_DEG,
-    element_exponent: float = 1.0,
-) -> RadiationPattern:
-    """:func:`radiation_pattern` on ``hemisphere_grid(step_deg)``, from one quadrant.
-
-    Only the q + 1 azimuths in [0, 90] deg of the 4q grid azimuths are
-    evaluated; the field at azimuth index j is (u, v), and its mirrors
-    (-u, v), (-u, -v) and (u, -v) are the azimuth indices 2q - j, 2q + j
-    and 4q - j.
-    """
-    theta, phi = hemisphere_grid(step_deg)
-    element_factor = _element_factor(theta, element_exponent)
-    q = phi.size // 4
-    field = np.empty((theta.size, phi.size), dtype=complex)
-    for rows, fields in _mirrored_fields(weights, geom, carrier_hz, theta, phi[: q + 1]):
-        field[rows, : q + 1] = fields[0]  # (u, v)
-        field[rows, 2 * q : q - 1 : -1] = fields[1]  # (-u, v)
-        field[rows, 2 * q : 3 * q + 1] = fields[2]  # (-u, -v)
-        field[rows, 4 * q - 1 : 3 * q - 1 : -1] = fields[3][:, 1:]  # (u, -v); j = 0 is azimuth 0
-    field *= element_factor
-    return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
-
-
 def _step_count(step_deg: float, span_deg: float, grid: str) -> int:
     """How many grid steps make up the span; the step must divide it exactly."""
     if not (math.isfinite(step_deg) and step_deg > 0):
@@ -300,41 +275,52 @@ def principal_cut(
     )
 
 
-def _hemisphere_integral(pattern: RadiationPattern, stride: int = 1) -> float:
-    """Integral of |E|^2 sin(theta) over the sampled hemisphere."""
-    theta = pattern.theta[::stride]
-    power = pattern.power[::stride, ::stride]
-    phi = pattern.phi[::stride]
-    dphi = phi[1] - phi[0]
-    per_theta = power.sum(axis=1) * dphi  # periodic azimuth sum
-    return float(np.trapezoid(per_theta * np.sin(theta), theta))
-
-
 def directivity_and_gain(
-    pattern: RadiationPattern, loss_budget_db: float = 0.0
+    weights: np.ndarray,
+    geom: ArrayGeometry,
+    carrier_hz: float,
+    *,
+    step_deg: float,
+    element_exponent: float,
+    loss_budget_db: float = 0.0,
 ) -> tuple[float, float]:
-    """Peak directivity (dBi) by hemisphere quadrature, and gain after losses.
+    """Peak directivity (dBi) of W's pattern by quadrature on ``hemisphere_grid(step_deg)``.
 
-    Self-checks the quadrature by re-integrating on every second sample: the
-    trapezoid error grows ~4x when the step doubles, so a step-doubling shift
-    of 0.3 dB bounds the step-halving change near 0.1 dB. Raises
-    :class:`ResolutionError` beyond that, with both estimates attached, and
-    ValueError unless the pattern is sampled on a ``hemisphere_grid(step)``.
+    Returns it with the gain after ``loss_budget_db``. Only the q + 1
+    quadrant azimuths are sampled: azimuth index j is (u, v), and its
+    mirrors (-u, v), (-u, -v) and (u, -v) are the indices 2q - j, 2q + j
+    and 4q - j, each of the parity of j. The trapezoid over theta of each
+    row's periodic azimuth sum of |E|^2 sin(theta) is checked against the
+    same sum on every second theta and azimuth: the error grows ~4x when
+    the step doubles, so a step-doubling shift of 0.3 dB bounds the
+    step-halving change near 0.1 dB. Raises :class:`ResolutionError`
+    beyond that, with both estimates attached, and ValueError for a step
+    above 45 deg, whose doubled grid has one theta row.
     """
     if not math.isfinite(loss_budget_db):
         raise ValueError(f"loss_budget_db must be finite, got {loss_budget_db}")
-    quarter, rest = divmod(pattern.phi.size, 4)  # rtol: hemisphere_grid's step may miss by 1e-9
-    if rest or pattern.theta.size != quarter + 1 or not all(
-            np.all(np.abs(got - want) <= 1e-8 * want)
-            for got, want in zip((pattern.theta, pattern.phi), hemisphere_grid(90.0 / quarter))):
-        raise ValueError("directivity needs a pattern on a hemisphere_grid(step)")
-    peak = float(pattern.power.max())
+    theta, phi = hemisphere_grid(step_deg)
+    if theta.size < 3:
+        raise ValueError(f"directivity needs a hemisphere step of at most 45 deg, so that the "
+                         f"step-doubled grid keeps two theta rows; got {step_deg} deg")
+    q = phi.size // 4
+    element_power = _element_factor(theta, element_exponent) ** 2
+    peak, rows_sum, even_sum = 0.0, np.empty(theta.size), np.empty(theta.size)
+    for rows, fields in _mirrored_fields(weights, geom, carrier_hz, theta, phi[: q + 1]):
+        power = np.abs(fields) ** 2 * element_power[rows]
+        power[1::2, :, 0] = 0.0  # at j = 0, (-u, v) is (-u, -v) and (u, -v) is (u, v)
+        power[0::2, :, q] = 0.0  # at j = q, (u, v) is (-u, v) and (-u, -v) is (u, -v)
+        peak = max(peak, float(power.max()))
+        rows_sum[rows] = power.sum(axis=(0, 2))
+        even_sum[rows] = power[:, :, ::2].sum(axis=(0, 2))
     if peak <= 0:
         raise ValueError("pattern has no power")
-    full = 4.0 * math.pi * peak / _hemisphere_integral(pattern)
-    coarse = 4.0 * math.pi * peak / _hemisphere_integral(pattern, stride=2)
-    full_db = 10.0 * math.log10(full)
-    coarse_db = 10.0 * math.log10(coarse)
+    estimates = []
+    for stride, per_theta in ((1, rows_sum), (2, even_sum)):
+        th = theta[::stride]
+        integral = np.trapezoid(per_theta[::stride] * (phi[stride] - phi[0]) * np.sin(th), th)
+        estimates.append(10.0 * math.log10(4.0 * math.pi * peak / float(integral)))
+    full_db, coarse_db = estimates
     if abs(full_db - coarse_db) >= 0.3:
         raise ResolutionError("directivity grid under-resolved", full_db, coarse_db)
     return full_db, full_db - loss_budget_db

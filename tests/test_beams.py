@@ -139,14 +139,13 @@ def test_oracle_single_element(table):
 
 def test_oracle_dominates_and_solver_closes_gap(rng):
     geom = ArrayGeometry(2, 2)
-    profile = unity_gain_profile()
     table = ElementStateTable.ideal(2)
     for _ in range(10):
         tx = Pose.from_spherical(rng.uniform(0.5, 3.0), rng.uniform(0, 1.0), rng.uniform(0, 6.28))
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, 1.0), rng.uniform(0, 6.28))
         spec = BeamSpec(tx=tx, rx=rx)
-        _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, table, profile=profile)
-        _, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, table, profile=profile)
+        _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, table)
+        _, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, table)
         assert p_oracle >= p_solver * (1 - 1e-12)
         assert 10 * math.log10(p_oracle / p_solver) <= 0.05
 
@@ -251,7 +250,7 @@ def test_solver_never_worse_than_a_phase_constant_sweep(panel16, rx_near, bits):
                        FAR, rx_near)
         for k in range(16)
     )
-    _, power = optimal_codebook(spec, panel16, CARRIER_HZ, table, profile=profile)
+    _, power = optimal_codebook(spec, panel16, CARRIER_HZ, table)
     assert power >= swept * (1 - 1e-12)
 
 

@@ -215,6 +215,28 @@ def test_pattern_outputs_match_their_pinned_digests(tmp_path, capsys, mode, stee
     assert capsys.readouterr().out.splitlines()[-1] == line
 
 
+def test_pattern_loss_budget_gain_line(tmp_path, capsys):
+    assert run("pattern", "--loss-budget-db", "2.5", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "directivity 25.46 dBi, gain 22.96 dBi (loss budget 2.50 dB)")
+
+
+@pytest.mark.parametrize("beam,flags,alone", [
+    ("{rx_pose: {range_m: 1.0}}", ["--rx-range", "0.05"], ["--rx-range", "0.05"]),
+    ("{rx_pose: {range_m: 1.0, polar_deg: 20}, tx_model: spherical, offset_deg: 45}",
+     ["--rx-range", "0.05", "--offset-deg", "90"],
+     ["--rx-range", "0.05", "--rx-polar-deg", "20", "--tx-model", "spherical",
+      "--offset-deg", "90"]),
+], ids=["range", "field-by-field"])
+def test_codebook_flags_win_over_the_run_config_beam(tmp_path, beam, flags, alone):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"beam: {beam}\n")
+    assert run("codebook", "--config", str(cfg), *flags, "--out", str(tmp_path / "merged")) == 0
+    assert run("codebook", *alone, "--out", str(tmp_path / "flags")) == 0
+    merged, given = ((tmp_path / d / "codes.csv").read_bytes() for d in ("merged", "flags"))
+    assert merged == given
+
+
 def test_codebook_rejects_bits_range(tmp_path):
     assert run("codebook", "--out", str(tmp_path), "--bits", "1..3") == 1
 
@@ -269,8 +291,13 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
      "hemisphere_grid_deg 15.0 is too coarse for this beam: directivity grid under-resolved"),
     (["reproduce", "--config", "hemisphere_grid_deg: 15"],
      "hemisphere_grid_deg 15.0 is too coarse for this beam: directivity grid under-resolved"),
+    (["pattern", "--config", "hemisphere_grid_deg: 90"],  # no step-doubled grid to check on
+     "hemisphere_grid_deg must be at most 45 deg"),
+    (["reproduce", "--config", "hemisphere_grid_deg: 90"],
+     "hemisphere_grid_deg must be at most 45 deg"),
 ], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
-        "loss-budget-inf", "steer-95", "hemisphere-grid-15", "reproduce-hemisphere-grid-15"])
+        "loss-budget-inf", "steer-95", "hemisphere-grid-15", "reproduce-hemisphere-grid-15",
+        "hemisphere-grid-90", "reproduce-hemisphere-grid-90"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
     if "--config" in argv:  # the entry after --config is the run config's text
         i = argv.index("--config") + 1

@@ -19,7 +19,6 @@ from rissim import (
     directivity_and_gain,
     feed_illuminations,
     hemisphere_grid,
-    hemisphere_pattern,
     optimal_phases,
     pattern_metrics,
     pattern_to_csv,
@@ -183,12 +182,38 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
     assert np.abs(got.field - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _directivity_estimates(pattern):
+def _directivity_estimates(weights, geom, step_deg, gamma):
     """(fine, coarse) directivity in dBi; coarse is None when the grid resolves it."""
     try:
-        return directivity_and_gain(pattern)[0], None
+        return directivity_and_gain(weights, geom, CARRIER_HZ, step_deg=step_deg,
+                                    element_exponent=gamma)[0], None
     except ResolutionError as err:
         return err.fine_estimate_db, err.coarse_estimate_db
+
+
+def reference_directivity(weights, geom, step_deg, gamma):
+    """(fine, coarse) directivity in dBi: the trapezoid over the whole hemisphere_grid field,
+    and the same on every second theta and azimuth."""
+    theta, phi = hemisphere_grid(step_deg)
+    power = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
+                              theta=theta, phi=phi).power
+    estimates = []
+    for stride in (1, 2):
+        th = theta[::stride]
+        per_theta = power[::stride, ::stride].sum(axis=1) * (phi[stride] - phi[0])
+        integral = np.trapezoid(per_theta * np.sin(th), th)
+        estimates.append(10.0 * math.log10(4.0 * math.pi * power.max() / integral))
+    return tuple(estimates)
+
+
+def assert_directivity_matches_reference(weights, geom, step_deg, gamma):
+    got = _directivity_estimates(weights, geom, step_deg, gamma)
+    fine, coarse = reference_directivity(weights, geom, step_deg, gamma)
+    assert got[0] == pytest.approx(fine, abs=1e-12)
+    assert (got[1] is None) == (abs(fine - coarse) < 0.3)
+    if got[1] is not None:
+        assert got[1] == pytest.approx(coarse, abs=1e-12)
+    return got
 
 
 @pytest.mark.parametrize("nx,ny,dx,dy", [(1, 1, 4.9e-3, 4.9e-3), (1, 7, 4.9e-3, 2.7e-3),
@@ -198,24 +223,14 @@ def _directivity_estimates(pattern):
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
 def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, excitation,
                                                       gamma, rng):
+    """The hemisphere the directivity samples from one quadrant integrates as the full field."""
     geom = ArrayGeometry(nx, ny, dx, dy)
     if excitation == "phases":
         weights = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (nx, ny)))
     else:
         config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
         weights = fed(coefficients(config, "realized"), geom)
-    theta, phi = hemisphere_grid(step_deg)
-    want = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
-                             theta=theta, phi=phi)
-    got = hemisphere_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
-                             step_deg=step_deg)
-    assert np.array_equal(got.theta, want.theta) and np.array_equal(got.phi, want.phi)
-    assert np.abs(got.field - want.field).max() <= 1e-12 * np.abs(want.field).max()
-    got_db, want_db = _directivity_estimates(got), _directivity_estimates(want)
-    assert got_db[0] == pytest.approx(want_db[0], abs=1e-12)
-    assert (got_db[1] is None) == (want_db[1] is None)
-    if want_db[1] is not None:
-        assert got_db[1] == pytest.approx(want_db[1], abs=1e-12)
+    assert_directivity_matches_reference(weights, geom, step_deg, gamma)
 
 
 def test_hemisphere_last_block_of_one_theta_row(panel16, rng):
@@ -223,9 +238,7 @@ def test_hemisphere_last_block_of_one_theta_row(panel16, rng):
     rows = patterns._CHUNK_DIRECTIONS // (phi.size // 4 + 1)  # quadrant theta rows per block
     assert theta.size > rows and theta.size % rows == 1
     weights = fed(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (16, 16))), panel16)
-    want = radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)
-    got = hemisphere_pattern(weights, panel16, CARRIER_HZ, step_deg=0.5)
-    assert np.abs(got.field - want.field).max() <= 1e-12 * np.abs(want.field).max()
+    assert assert_directivity_matches_reference(weights, panel16, 0.5, 1.0)[1] is None
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.5])
@@ -337,11 +350,15 @@ def test_tapered_broadside_sidelobes_and_width(panel16):
 # ------------------------------------------------------------- directivity
 
 
+def directivity_of_ones(geom, step_deg=1.0, loss_budget_db=0.0):
+    """Directivity and gain of the uniform array factor (gamma = 0)."""
+    return directivity_and_gain(np.ones((geom.num_x, geom.num_y)), geom, CARRIER_HZ,
+                                step_deg=step_deg, element_exponent=0.0,
+                                loss_budget_db=loss_budget_db)
+
+
 def test_directivity_uniform_aperture(panel16):
-    theta, phi = hemisphere_grid(1.0)
-    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
-                                element_exponent=0.0, theta=theta, phi=phi)
-    directivity_dbi, gain_dbi = directivity_and_gain(pattern, 0.0)
+    directivity_dbi, gain_dbi = directivity_of_ones(panel16)
     ideal = 10 * math.log10(4 * math.pi * panel16.aperture_area / wavelength(CARRIER_HZ) ** 2)
     assert ideal == pytest.approx(27.97, abs=0.01)
     assert directivity_dbi == pytest.approx(ideal, abs=0.5)
@@ -349,20 +366,13 @@ def test_directivity_uniform_aperture(panel16):
 
 
 def test_directivity_isotropic_hemisphere_element():
-    geom = ArrayGeometry(1, 1)
-    theta, phi = hemisphere_grid(1.0)
-    pattern = radiation_pattern(np.ones((1, 1)), geom, CARRIER_HZ,
-                                element_exponent=0.0, theta=theta, phi=phi)
-    directivity_dbi, _ = directivity_and_gain(pattern)
+    directivity_dbi, _ = directivity_of_ones(ArrayGeometry(1, 1))
     assert directivity_dbi == pytest.approx(10 * math.log10(2.0), abs=0.02)
 
 
 def test_gain_subtracts_loss_budget(panel16):
-    theta, phi = hemisphere_grid(1.0)
-    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
-                                element_exponent=0.0, theta=theta, phi=phi)
-    d0, g0 = directivity_and_gain(pattern, 0.0)
-    d1, g1 = directivity_and_gain(pattern, 2.16)
+    d0, g0 = directivity_of_ones(panel16, loss_budget_db=0.0)
+    d1, g1 = directivity_of_ones(panel16, loss_budget_db=2.16)
     assert d0 == d1
     assert g1 == pytest.approx(g0 - 2.16)
 
@@ -371,52 +381,29 @@ def test_directivity_quadrature_convergence(panel16):
     config = synthesize_codebook(BeamSpec(tx=FEED, rx=FAR), panel16, CARRIER_HZ, 2)
     estimates = []
     for step in (1.0, 0.5):
-        theta, phi = hemisphere_grid(step)
-        pattern = radiation_pattern(fed(coefficients(config), panel16), panel16, CARRIER_HZ,
-                                    element_exponent=1.0, theta=theta, phi=phi)
-        estimates.append(directivity_and_gain(pattern)[0])
+        estimates.append(directivity_and_gain(fed(coefficients(config), panel16), panel16,
+                                              CARRIER_HZ, step_deg=step, element_exponent=1.0)[0])
     assert abs(estimates[0] - estimates[1]) < 0.1
 
 
 def test_directivity_under_resolved_grid_raises(panel16):
-    theta, phi = hemisphere_grid(6.0)
-    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
-                                element_exponent=0.0, theta=theta, phi=phi)
     with pytest.raises(ResolutionError) as err:
-        directivity_and_gain(pattern)
+        directivity_of_ones(panel16, step_deg=6.0)
     assert err.value.fine_estimate_db != err.value.coarse_estimate_db
 
 
-def test_directivity_requires_hemisphere(panel16):
-    cut = broadside_tapered_cut(panel16)
-    with pytest.raises(ValueError):
-        directivity_and_gain(cut)
-
-
-@pytest.mark.parametrize("grid", ["quadrant_azimuths", "theta_to_45_deg", "non_uniform_phi"])
-def test_directivity_requires_a_whole_hemisphere_grid(panel16, grid):
-    """Each of these grids integrates to a directivity, but not that of the pattern."""
-    theta, phi = hemisphere_grid(1.0)
-    if grid == "quadrant_azimuths":
-        phi = phi[:91]
-    elif grid == "theta_to_45_deg":
-        theta = np.radians(np.linspace(0.0, 45.0, theta.size))
-    else:
-        phi = 2.0 * math.pi * (np.arange(phi.size) / phi.size) ** 1.5
-    pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
-                                element_exponent=0.0, theta=theta, phi=phi)
-    with pytest.raises(ValueError, match=r"hemisphere_grid\(step\)"):
-        directivity_and_gain(pattern)
-
-
 def test_directivity_accepts_a_grid_whose_step_misses_by_rounding(panel16):
-    estimates = []
-    for step_deg in (1.0, 1.0 + 9e-10):  # hemisphere_grid accepts both steps
-        theta, phi = hemisphere_grid(step_deg)
-        pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
-                                    element_exponent=0.0, theta=theta, phi=phi)
-        estimates.append(directivity_and_gain(pattern)[0])
+    estimates = [directivity_of_ones(panel16, step_deg)[0]
+                 for step_deg in (1.0, 1.0 + 9e-10)]  # hemisphere_grid accepts both steps
     assert estimates[1] == pytest.approx(estimates[0], abs=1e-6)
+
+
+def test_directivity_needs_two_theta_rows_on_the_doubled_step():
+    """At 90 deg the doubled grid holds only theta = 0, where sin(theta) gives no power."""
+    geom = ArrayGeometry(1, 1)
+    with pytest.raises(ValueError, match="at most 45 deg.*got 90.0 deg"):
+        directivity_of_ones(geom, 90.0)
+    assert_directivity_matches_reference(np.ones((1, 1)), geom, 45.0, 0.0)
 
 
 # ----------------------------------------------------------------- metrics
@@ -448,12 +435,12 @@ def test_metrics_reject_2d_patterns(panel16):
 
 
 def test_radiation_pattern_validation(panel16):
-    with pytest.raises(ValueError):
-        RadiationPattern(theta=np.array([0.2, 0.1]), phi=np.array([0.0]),
-                         field=np.zeros((2, 1), dtype=complex), carrier_hz=CARRIER_HZ)
-    with pytest.raises(ValueError):
-        RadiationPattern(theta=np.array([0.0, 0.1]), phi=np.array([7.0]),
-                         field=np.zeros((2, 1), dtype=complex), carrier_hz=CARRIER_HZ)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
+                          theta=np.array([0.2, 0.1]), phi=np.array([0.0]))
+    with pytest.raises(ValueError, match=r"phi must lie in \[0, 2 pi\)"):
+        radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
+                          theta=np.array([0.0, 0.1]), phi=np.array([7.0]))
     with pytest.raises(ValueError):
         RadiationPattern(theta=np.array([0.0, 0.1]), phi=np.array([0.0]),
                          field=np.zeros((3, 1), dtype=complex), carrier_hz=CARRIER_HZ)
@@ -470,9 +457,6 @@ def test_radiation_pattern_validation(panel16):
 def test_direction_grids_must_be_finite(panel16, name, bad):
     grids = {"theta": np.array([0.0, 0.1]), "phi": np.array([0.0])}
     grids[name] = np.append(grids[name][:-1], bad)
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        RadiationPattern(field=np.zeros((grids["theta"].size, grids["phi"].size), dtype=complex),
-                         carrier_hz=CARRIER_HZ, **grids)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ, **grids)
 
