@@ -34,7 +34,6 @@ from .codebook import (
     unpack_bitstream,
 )
 from .elements import (
-    ElementState,
     ElementStateTable,
     code_table,
     default_element_table,

@@ -30,6 +30,8 @@ from .units import db_to_linear, wavelength
 
 def exponent_from_gain(gain_dbi: float) -> float:
     """Pattern exponent q of a cos^q power pattern with directivity 2(q+1)."""
+    if not math.isfinite(gain_dbi):
+        raise ValueError(f"gain must be finite, got {gain_dbi} dBi")
     q = db_to_linear(gain_dbi) / 2.0 - 1.0
     if q < 0:
         raise ValueError(f"gain {gain_dbi} dBi is below the hemispheric minimum (3.01 dBi)")

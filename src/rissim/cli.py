@@ -130,6 +130,9 @@ def load_run_config(path: str | Path) -> dict:
     _check_keys(raw.get("geometry", {}), _GEOMETRY_KEYS, f"{path}: geometry")
     _check_keys(raw.get("feed", {}), _FEED_KEYS, f"{path}: feed")
     _check_keys(raw.get("beam", {}), _BEAM_KEYS, f"{path}: beam")
+    for key in ("output_dir", "element_table", "scenario"):  # checked before any is opened
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{path}: key '{key}' must be a path, got {raw[key]!r}")
     return raw
 
 
@@ -150,12 +153,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if "element_table" in file_cfg:
         cfg.element_table = ElementStateTable.from_csv(file_cfg["element_table"])
         cfg.element_table_path = str(file_cfg["element_table"])
-    if "feed" in file_cfg:
-        feed = file_cfg["feed"]
-        cfg.feed_range_m = _parse_number(feed.get("range_m", cfg.feed_range_m), "range_m", "feed")
-        if "gain_dbi" in feed:
-            cfg.feed_exponent = exponent_from_gain(
-                _parse_number(feed["gain_dbi"], "gain_dbi", "feed"))
+    feed = {key: _parse_number(value, key, "feed")
+            for key, value in file_cfg.get("feed", {}).items()}
+    for key, value in feed.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"feed: key '{key}' must be finite, got {value}")
+    cfg.feed_range_m = feed.get("range_m", cfg.feed_range_m)
+    if "gain_dbi" in feed:
+        cfg.feed_exponent = exponent_from_gain(feed["gain_dbi"])
     cfg.beam = file_cfg.get("beam", {})
     if "scenario" in file_cfg:
         cfg.scenario_path = Path(file_cfg["scenario"])

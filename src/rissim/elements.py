@@ -32,73 +32,51 @@ def nominal_phase_step(bits: int) -> float:
 
 
 @dataclass(frozen=True)
-class ElementState:
-    """One switchable state: code, realized phase, insertion loss."""
-
-    code: int
-    realized_phase: float  # rad
-    insertion_loss_db: float
-
-    @property
-    def magnitude(self) -> float:
-        """Transmission magnitude in [0, 1] from the insertion loss."""
-        return 10.0 ** (-self.insertion_loss_db / 20.0)
-
-
-@dataclass(frozen=True)
 class ElementStateTable:
-    """The 2^b states of a b-bit element, ordered by code."""
+    """The 2^b states of a b-bit element: phase (rad) and insertion loss (dB) per code.
 
-    bits: int
-    states: tuple[ElementState, ...]
+    Entry i of each column is code i's, so the bit depth b is fixed by the
+    columns' length.
+    """
+
+    phases: tuple[float, ...]  # rad
+    losses_db: tuple[float, ...]
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
-        expected = 1 << self.bits
-        if len(self.states) != expected:
-            raise ValueError(
-                f"{self.bits}-bit table needs {expected} states, got {len(self.states)}"
-            )
-        for i, st in enumerate(self.states):
-            if st.code != i:
-                raise ValueError(f"states must be ordered by code; index {i} has code {st.code}")
-            if not (0.0 <= st.magnitude <= 1.0):
-                raise ValueError(f"code {i} magnitude {st.magnitude} outside [0, 1]")
+        n = len(self.phases)
+        if n < 2 or n & (n - 1) or len(self.losses_db) != n:
+            raise ValueError(f"state table needs a power-of-two count >= 2 of phases and as many "
+                             f"losses, got {n} and {len(self.losses_db)}")
+        for code, (phase, loss) in enumerate(zip(self.phases, self.losses_db)):
+            if not math.isfinite(phase):
+                raise ValueError(f"code {code} phase must be finite, got {phase}")
+            if not loss >= 0.0:  # a magnitude 10^(-loss/20) in [0, 1]; NaN fails too
+                raise ValueError(f"code {code} insertion loss must be >= 0 dB, got {loss}")
+
+    @property
+    def bits(self) -> int:
+        return len(self.phases).bit_length() - 1
 
     def magnitudes(self) -> np.ndarray:
-        return np.array([s.magnitude for s in self.states])
+        return np.array([10.0 ** (-loss / 20.0) for loss in self.losses_db])
 
     def realized_phases(self) -> np.ndarray:
-        return np.array([s.realized_phase for s in self.states])
+        return np.array(self.phases)
 
     def mean_insertion_loss_db(self) -> float:
-        return sum(s.insertion_loss_db for s in self.states) / len(self.states)
+        return sum(self.losses_db) / len(self.losses_db)
 
     @classmethod
     def from_states(cls, entries: list[tuple[float, float]]) -> "ElementStateTable":
         """Build from (realized_phase_deg, insertion_loss_db) rows ordered by code."""
-        n = len(entries)
-        bits = n.bit_length() - 1
-        if n < 2 or (1 << bits) != n:
-            raise ValueError(f"state count must be a power of two >= 2, got {n}")
-        states = tuple(
-            ElementState(code=i, realized_phase=math.radians(phase_deg), insertion_loss_db=loss_db)
-            for i, (phase_deg, loss_db) in enumerate(entries)
-        )
-        return cls(bits=bits, states=states)
+        return cls(tuple(math.radians(phase_deg) for phase_deg, _ in entries),
+                   tuple(loss_db for _, loss_db in entries))
 
     @classmethod
     def ideal(cls, bits: int) -> "ElementStateTable":
         """Lossless table whose realized phases are the nominal grid code * 2 pi / 2^b."""
         step = nominal_phase_step(bits)
-        return cls(
-            bits=bits,
-            states=tuple(
-                ElementState(code=i, realized_phase=i * step, insertion_loss_db=0.0)
-                for i in range(1 << bits)
-            ),
-        )
+        return cls(tuple(i * step for i in range(1 << bits)), (0.0,) * (1 << bits))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ElementStateTable":
@@ -116,7 +94,10 @@ class ElementStateTable:
                 rows[code] = (float(row["phase_deg"]), float(row["loss_db"]))
         if sorted(rows) != list(range(len(rows))):
             raise ValueError(f"codes in {path} must be exactly 0..{len(rows) - 1}")
-        return cls.from_states([rows[i] for i in range(len(rows))])
+        try:
+            return cls.from_states([rows[i] for i in range(len(rows))])
+        except ValueError as exc:
+            raise ValueError(f"element table {path}: {exc}") from None
 
 
 @functools.cache

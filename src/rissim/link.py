@@ -24,7 +24,6 @@ import numpy as np
 
 from .beams import BeamSpec, synthesize_codebook
 from .channel import GainProfile, cos_power_pattern, received_power
-from .codebook import RISConfiguration
 from .elements import ElementStateTable, code_table, state_coefficients
 from .errors import InfeasibleTargetError
 from .geometry import ArrayGeometry, Pose, _require_finite
@@ -134,7 +133,6 @@ class LinkResult:
     received_power_dbm: float
     snr_db: float
     rate_mbps: float
-    codebook: RISConfiguration | None
 
 
 def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -200,7 +198,6 @@ def evaluate_scenario(
     applies.
     """
     table = code_table(bits, "realized", table)
-    codebook = None
     if scenario.ris_present:
         spec = BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose)
         codebook = synthesize_codebook(spec, geom, scenario.carrier_hz, bits)
@@ -217,15 +214,13 @@ def evaluate_scenario(
     else:
         p_w = direct_received_power_w(scenario) * _obstacle_factor(scenario)
     if p_w <= 0:
-        return LinkResult(received_power_dbm=-math.inf, snr_db=-math.inf, rate_mbps=0.0,
-                          codebook=codebook)
+        return LinkResult(received_power_dbm=-math.inf, snr_db=-math.inf, rate_mbps=0.0)
     p_dbm = watts_to_dbm(p_w)
     snr = p_dbm - noise_power(scenario.bandwidth_hz, scenario.noise_figure_db)
     return LinkResult(
         received_power_dbm=p_dbm,
         snr_db=snr,
         rate_mbps=scenario.mcs.rate_for_snr(snr),
-        codebook=codebook,
     )
 
 

@@ -68,7 +68,6 @@ class RadiationPattern:
     theta: np.ndarray  # rad
     phi: np.ndarray  # rad
     field: np.ndarray  # complex, shape (len(theta), len(phi))
-    carrier_hz: float
 
     def __post_init__(self):
         theta, phi = np.asarray(self.theta, dtype=float), np.asarray(self.phi, dtype=float)
@@ -98,7 +97,6 @@ class RadiationPattern:
         return RadiationPattern(
             theta=self.theta, phi=self.phi,
             field=self.field * _element_factor(self.theta, element_exponent),
-            carrier_hz=self.carrier_hz,
         )
 
 
@@ -225,7 +223,7 @@ def radiation_pattern(
     for rows, fields in _mirrored_fields(weights, geom, carrier_hz, theta, phi):
         field[rows] = fields[0]
     field *= element_factor
-    return RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=carrier_hz)
+    return RadiationPattern(theta=theta, phi=phi, field=field)
 
 
 def _step_count(step_deg: float, span_deg: float, grid: str) -> int:
@@ -329,7 +327,6 @@ def directivity_and_gain(
 @dataclass(frozen=True)
 class PatternMetrics:
     peak_direction_deg: float
-    peak_value: float
     sidelobe_level_db: float
     hpbw_deg: float
 
@@ -379,10 +376,12 @@ def pattern_metrics(pattern: RadiationPattern) -> PatternMetrics:
     if j_left == 0 and j_right == power.size - 1:
         raise MetricUndefinedError("no nulls bracket the main lobe inside the grid")
     outside = np.concatenate([power[: j_left + 1], power[j_right:]])
+    if outside.max() == 0.0:
+        raise MetricUndefinedError("sidelobe level undefined: every sample outside the main "
+                                   "lobe is zero")
     sll_db = 10.0 * math.log10(outside.max() / peak)
     return PatternMetrics(
         peak_direction_deg=float(theta_deg[i_peak]),
-        peak_value=float(peak),
         sidelobe_level_db=float(sll_db),
         hpbw_deg=float(hpbw),
     )

@@ -199,10 +199,14 @@ def load_scenario_bundle(path: str | Path) -> ScenarioBundle:
             raise ConfigError(f"{sctx}: each scenario must be a mapping")
         _check_keys(entry, _SCENARIO_KEYS, sctx)
         merged = {**defaults, **entry}
-        obstacle_raw = merged.get("obstacle")
+        name = str(merged.get("name", f"scenario_{i}"))
+        ris_present = merged.get("ris_present", True)
+        if not isinstance(ris_present, bool):  # a YAML boolean, not a string or number
+            raise ConfigError(f"{sctx} ({name}): key 'ris_present' must be true or false, "
+                              f"got {ris_present!r}")
         scenarios.append(
             LinkScenario(
-                name=str(merged.get("name", f"scenario_{i}")),
+                name=name,
                 transmit_power_dbm=_parse_number(
                     _require(merged, "transmit_power_dbm", sctx), "transmit_power_dbm", sctx
                 ),
@@ -216,8 +220,8 @@ def load_scenario_bundle(path: str | Path) -> ScenarioBundle:
                 gains=_parse_gains(_require(merged, "gains", sctx), f"{sctx}: gains"),
                 tx_pose=_parse_pose(_require(merged, "tx_pose", sctx), f"{sctx}: tx_pose"),
                 rx_pose=_parse_pose(_require(merged, "rx_pose", sctx), f"{sctx}: rx_pose"),
-                ris_present=bool(merged.get("ris_present", True)),
-                obstacle=_parse_obstacle(obstacle_raw, f"{sctx}: obstacle"),
+                ris_present=ris_present,
+                obstacle=_parse_obstacle(merged.get("obstacle"), f"{sctx}: obstacle"),
                 mcs=mcs,
                 expected_rate_mbps=(
                     None

@@ -32,6 +32,9 @@ def test_exponent_from_gain_values():
     assert exponent_from_gain(3.0103) == pytest.approx(0.0, abs=1e-4)
     with pytest.raises(ValueError):
         exponent_from_gain(0.0)
+    for gain in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gain must be finite"):
+            exponent_from_gain(gain)
 
 
 def test_cos_power_pattern_shape():

@@ -251,6 +251,37 @@ def test_element_table_override(tmp_path):
     assert run("link", "--config", str(cfg)) == 0
 
 
+@pytest.mark.parametrize("command,phase", [(["scan", "--mode", "realized"], "inf"),
+                                           (["link"], "nan")])
+def test_a_non_finite_table_phase_is_refused(tmp_path, capsys, command, phase):
+    states = tmp_path / "states.csv"
+    states.write_text(f"code,phase_deg,loss_db\n0,0,0\n1,{phase},0\n2,180,0\n3,270,0\n")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"element_table: {states}\n")
+    out = tmp_path / "out"
+    assert run(*command, "--config", str(cfg), "--out", str(out)) == 1
+    assert f"element table {states}: code 1 phase must be finite, got {phase}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key", [("codebook", "element_table"), ("link", "element_table"),
+                                         ("link", "scenario"), ("codebook", "output_dir"),
+                                         ("reproduce", "output_dir")])
+@pytest.mark.parametrize("value", ["0", "3", "null"])
+@pytest.mark.parametrize("with_out", [True, False], ids=["out-flag", "no-out-flag"])
+def test_run_config_paths_must_be_strings(tmp_path, capsys, monkeypatch, command, key, value,
+                                          with_out):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RISSIM_OUT", raising=False)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"{key}: {value}\n")
+    out = ["--out", str(tmp_path / "out")] if with_out else []
+    assert run(command, "--config", str(cfg), *out) == 1
+    assert f"key '{key}' must be a path, got " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]  # nothing written
+
+
 def test_pattern_one_bit_reads_its_own_phases(tmp_path):
     assert run("pattern", "--out", str(tmp_path), "--bits", "1", "--steer-deg", "30",
                "--plane", "E") == 0
@@ -295,9 +326,18 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
      "hemisphere_grid_deg must be at most 45 deg"),
     (["reproduce", "--config", "hemisphere_grid_deg: 90"],
      "hemisphere_grid_deg must be at most 45 deg"),
+    (["pattern", "--config", "feed: {gain_dbi: .nan}"], "feed: key 'gain_dbi' must be finite"),
+    (["pattern", "--config", "feed: {gain_dbi: .inf}"], "feed: key 'gain_dbi' must be finite"),
+    (["pattern", "--config", "feed: {range_m: .nan}"], "feed: key 'range_m' must be finite"),
+    (["reproduce", "--config", "feed: {gain_dbi: .nan}"], "feed: key 'gain_dbi' must be finite"),
+    (["reproduce", "--config", "feed: {range_m: .nan}"], "feed: key 'range_m' must be finite"),
+    (["pattern", "--element-exponent", "400"],  # every sidelobe sample underflows to zero
+     "sidelobe level undefined: every sample outside the main lobe is zero"),
 ], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
         "loss-budget-inf", "steer-95", "hemisphere-grid-15", "reproduce-hemisphere-grid-15",
-        "hemisphere-grid-90", "reproduce-hemisphere-grid-90"])
+        "hemisphere-grid-90", "reproduce-hemisphere-grid-90", "feed-gain-nan", "feed-gain-inf",
+        "feed-range-nan", "reproduce-feed-gain-nan", "reproduce-feed-range-nan",
+        "element-exponent-400"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
     if "--config" in argv:  # the entry after --config is the run config's text
         i = argv.index("--config") + 1

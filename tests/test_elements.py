@@ -62,9 +62,9 @@ def test_code_table_resolves_a_mode_to_one_table(table):
 def test_state_coefficients_vectorized(table):
     codes = np.array([[0, 1], [2, 3]])
     got = state_coefficients(table, codes)
-    # per-code reference straight from the state records
+    # per-code reference straight from the table's two columns
     expected = np.array(
-        [[table.states[c].magnitude * cmath.exp(1j * table.states[c].realized_phase) for c in row]
+        [[10.0 ** (-table.losses_db[c] / 20.0) * cmath.exp(1j * table.phases[c]) for c in row]
          for row in codes]
     )
     np.testing.assert_allclose(got, expected)
@@ -87,17 +87,55 @@ def test_default_table_is_one_frozen_object():
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.bits = 3
     with pytest.raises(dataclasses.FrozenInstanceError):
-        table.states[0].insertion_loss_db = 0.0
+        table.losses_db = (0.0,) * 4
+    with pytest.raises(TypeError):
+        table.losses_db[0] = 0.0
 
 
 def test_table_validation_state_count():
     with pytest.raises(ValueError):
         ElementStateTable.from_states([(0.0, 1.0), (90.0, 1.0), (180.0, 1.0)])
+    with pytest.raises(ValueError, match="power-of-two count"):
+        ElementStateTable((0.0, 1.0, 2.0), (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="got 4 and 2"):
+        ElementStateTable((0.0, 1.0, 2.0, 3.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="got 2 and 4"):
+        ElementStateTable((0.0, 1.0), (0.0,) * 4)
+
+
+def test_bit_depth_is_the_length_of_the_columns():
+    for bits in (1, 2, 3, 4):
+        phases = tuple(float(i) for i in range(1 << bits))
+        assert ElementStateTable(phases, (1.0,) * (1 << bits)).bits == bits
+        assert ElementStateTable.ideal(bits).bits == bits
+
+
+def test_tables_with_equal_columns_compare_equal():
+    rows = [(-141.2, 1.1), (-56.8, 1.3), (34.9, 1.1), (129.0, 1.5)]
+    assert ElementStateTable.from_states(rows) == default_element_table()
+    quarter_turns = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+    assert ElementStateTable(quarter_turns, (0.0,) * 4) == code_table(2, "nominal")
+    assert ElementStateTable.from_states(rows[:2]) != ElementStateTable.from_states(rows[2:])
 
 
 def test_table_validation_magnitude():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="code 0 insertion loss must be >= 0 dB, got -0.5"):
         ElementStateTable.from_states([(0.0, -0.5), (90.0, 0.0), (180.0, 0.0), (270.0, 0.0)])
+    with pytest.raises(ValueError, match="code 2 insertion loss must be >= 0 dB, got nan"):
+        ElementStateTable.from_states([(0.0, 0.0), (90.0, 0.0), (180.0, math.nan), (270.0, 0.0)])
+
+
+@pytest.mark.parametrize("phase_deg", [math.nan, math.inf, -math.inf])
+def test_table_refuses_a_non_finite_phase(tmp_path, phase_deg):
+    rows = [(0.0, 1.0), (90.0, 1.0), (phase_deg, 1.0), (270.0, 1.0)]
+    message = f"code 2 phase must be finite, got {math.radians(phase_deg)}"
+    with pytest.raises(ValueError, match=message):
+        ElementStateTable.from_states(rows)
+    path = tmp_path / "states.csv"
+    path.write_text("code,phase_deg,loss_db\n"
+                    + "".join(f"{code},{p},{loss}\n" for code, (p, loss) in enumerate(rows)))
+    with pytest.raises(ValueError, match=f"element table {path}: code 2 phase must be finite"):
+        ElementStateTable.from_csv(path)
 
 
 def test_opaque_state_allowed():

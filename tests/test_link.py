@@ -146,7 +146,6 @@ def test_direct_link_matches_friis(panel16):
                 * (lam / (4 * math.pi * d)) ** 2)
     assert got == pytest.approx(expected, rel=1e-12)
     result = evaluate_scenario(scenario, panel16, 2)
-    assert result.codebook is None
     assert result.received_power_dbm == pytest.approx(10 * math.log10(expected) + 30, rel=1e-9)
 
 
@@ -161,10 +160,8 @@ def test_direct_link_steer_misalignment_costs_power(panel16):
     assert 1.0 <= drop <= 3.0  # receive-horn pattern at ~30 deg off boresight
 
 
-def test_panel_link_returns_codebook(panel16):
+def test_panel_link_reaches_the_top_rate(panel16):
     result = evaluate_scenario(make_scenario(), panel16, 2)
-    assert result.codebook is not None
-    assert result.codebook.codes.shape == (16, 16)
     assert result.rate_mbps == 1683.0  # SNR far above the simple table's top row
 
 

@@ -112,12 +112,10 @@ def test_linear_cut_matches_dirichlet_kernel():
 
 def test_pattern_scale_invariance(panel16):
     cut = broadside_tapered_cut(panel16)
-    scaled = RadiationPattern(theta=cut.theta, phi=cut.phi, field=cut.field * 3.7j,
-                              carrier_hz=cut.carrier_hz)
+    scaled = RadiationPattern(theta=cut.theta, phi=cut.phi, field=cut.field * 3.7j)
     m1, m2 = pattern_metrics(cut), pattern_metrics(scaled)
     assert m1.sidelobe_level_db == pytest.approx(m2.sidelobe_level_db, abs=1e-12)
     assert m1.hpbw_deg == pytest.approx(m2.hpbw_deg, abs=1e-12)
-    assert m2.peak_value == pytest.approx(m1.peak_value * abs(3.7j) ** 2, rel=1e-12)
 
 
 def test_h_plane_mirror_symmetry(panel16):
@@ -412,10 +410,17 @@ def test_directivity_needs_two_theta_rows_on_the_doubled_step():
 def test_metrics_boundary_peak_rejected():
     theta = np.radians(np.linspace(-60, 60, 241))
     field = np.exp(-((np.degrees(theta) + 60) / 10) ** 2).reshape(-1, 1).astype(complex)
-    monotone = RadiationPattern(theta=theta, phi=np.array([0.0]), field=field,
-                                carrier_hz=CARRIER_HZ)
+    monotone = RadiationPattern(theta=theta, phi=np.array([0.0]), field=field)
     with pytest.raises(MetricUndefinedError):
         pattern_metrics(monotone)
+
+
+def test_metrics_refuse_sidelobes_that_are_all_zero():
+    theta = np.radians(np.linspace(-60, 60, 241))
+    lobe = np.clip(np.cos(4.5 * theta), 0.0, None)  # the main lobe |theta| < 20 deg, zero beyond
+    cut = RadiationPattern(theta=theta, phi=np.array([0.0]), field=lobe.reshape(-1, 1))
+    with pytest.raises(MetricUndefinedError, match="every sample outside the main lobe is zero"):
+        pattern_metrics(cut)
 
 
 def test_metrics_need_a_null_bracket():
@@ -443,7 +448,7 @@ def test_radiation_pattern_validation(panel16):
                           theta=np.array([0.0, 0.1]), phi=np.array([7.0]))
     with pytest.raises(ValueError):
         RadiationPattern(theta=np.array([0.0, 0.1]), phi=np.array([0.0]),
-                         field=np.zeros((3, 1), dtype=complex), carrier_hz=CARRIER_HZ)
+                         field=np.zeros((3, 1), dtype=complex))
     with pytest.raises(ValueError):
         radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
                           theta=np.array([]), phi=np.array([0.0]))
@@ -543,7 +548,7 @@ def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
         field = _random_field(rng, (theta.size, phi.size))
         if kind == "cut_with_zeros":
             field[::7] = 0.0  # below the 1e-30 floor
-        pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
+        pattern = RadiationPattern(theta=theta, phi=phi, field=field)
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
         pattern_to_csv(pattern, got)
         reference_pattern_to_csv(pattern, want)
@@ -558,7 +563,7 @@ def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
 def test_power_is_computed_once_and_read_only(rng):
     theta, phi = hemisphere_grid(10.0)
     field = _random_field(rng, (theta.size, phi.size))
-    pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
+    pattern = RadiationPattern(theta=theta, phi=phi, field=field)
     power = pattern.power
     np.testing.assert_array_equal(power, np.abs(pattern.field) ** 2)  # bit for bit
     assert pattern.power is power
@@ -569,7 +574,7 @@ def test_power_is_computed_once_and_read_only(rng):
 def test_pattern_stores_read_only_views_of_the_arrays_it_is_given(rng):
     theta, phi = hemisphere_grid(10.0)
     field = _random_field(rng, (theta.size, phi.size))
-    pattern = RadiationPattern(theta=theta, phi=phi, field=field, carrier_hz=CARRIER_HZ)
+    pattern = RadiationPattern(theta=theta, phi=phi, field=field)
     for given, stored in ((theta, pattern.theta), (phi, pattern.phi), (field, pattern.field)):
         assert np.shares_memory(stored, given)
         with pytest.raises(ValueError, match="read-only"):

@@ -53,6 +53,22 @@ def test_scenario_overrides_defaults(tmp_path):
     assert scenario.ris_present is False
 
 
+@pytest.mark.parametrize("value", ['"false"', '"no"', "2.5"])
+def test_ris_present_must_be_a_yaml_boolean(tmp_path, value):
+    path = tmp_path / "flag.scenario"
+    path.write_text(MINIMAL + f"    ris_present: {value}\n")
+    with pytest.raises(ConfigError, match=r"scenarios\[0\] \(only\): key 'ris_present' must be "
+                                          r"true or false"):
+        load_scenario_bundle(path)
+
+
+@pytest.mark.parametrize("value,flag", [("true", True), ("false", False)])
+def test_ris_present_accepts_true_and_false(tmp_path, value, flag):
+    path = tmp_path / "flag.scenario"
+    path.write_text(MINIMAL + f"    ris_present: {value}\n")
+    assert load_scenario_bundle(path).scenarios[0].ris_present is flag
+
+
 def test_missing_key_names_it(tmp_path):
     path = tmp_path / "broken.scenario"
     path.write_text(MINIMAL.replace("  transmit_power_dbm: 10.0\n", ""))
