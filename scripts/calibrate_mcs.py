@@ -38,7 +38,7 @@ BANDWIDTH_HZ = 800.0e6
 NOISE_FIGURE_DB = 5.0
 TX_RANGE_M = 2.6  # transmitter-to-panel (obstacle at 2.4 m + 0.2 m)
 RX_RANGE_M = 0.05
-GAINS = GainProfile.from_gains(
+GAINS = GainProfile(
     tx_gain_dbi=22.7, rx_gain_dbi=9.2, ris_rx_side_gain_dbi=5.0, ris_tx_side_gain_dbi=5.0
 )
 STEER_DEG = 30.0

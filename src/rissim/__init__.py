@@ -22,7 +22,6 @@ from .channel import (
     exponent_from_gain,
     feed_illuminations,
     received_power,
-    unity_gain_profile,
 )
 from .codebook import (
     RISConfiguration,

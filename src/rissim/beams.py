@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _cascade_prefactor, _path_vector, coherent_power_bound, unity_gain_profile
+from .channel import _path_vector
 from .codebook import RISConfiguration, quantize_phases
 from .elements import ElementStateTable, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
@@ -115,10 +115,10 @@ def optimal_codebook(
     carrier_hz: float,
     table: ElementStateTable,
 ) -> tuple[RISConfiguration, float]:
-    """Exact argmax of received power over all code grids, and its power at 1 W with unit gains.
+    """Exact argmax of received power over all code grids, and the squared sum it maximizes.
 
-    Maximizes |sum_i a_i lut[c_i]| with a_i the cascade path term of element
-    i and lut the coefficients of ``table``'s states, as
+    Maximizes |sum_i a_i lut[c_i]|^2 (m^-4) with a_i the cascade path term
+    of element i and lut the coefficients of ``table``'s states, as
     :func:`exhaustive_oracle` does, in O(N H log NH) for H convex-hull
     vertices of the state table (Sanchez, Bjornson and Larsson, ICASSP 2022;
     Zhang, Shen, Ren et al., IEEE JSTSP 2022). For a direction psi of the
@@ -148,12 +148,9 @@ def optimal_codebook(
         element, edge = np.divmod(order[: best + 1], hull.size)
         vertex[element] = (edge + 1) % hull.size  # in event order, so the last event wins
     codes = hull[vertex]
-    total = np.sum(lut[codes] * path)
-    prefactor = _cascade_prefactor(1.0, carrier_hz, unity_gain_profile(), spec.tx, spec.rx)
-    power = prefactor * abs(total) ** 2
     config = RISConfiguration(geom=geom, bits=table.bits,
                               codes=codes.reshape(geom.num_x, geom.num_y))
-    return config, power
+    return config, float(abs(np.sum(lut[codes] * path))) ** 2
 
 
 def exhaustive_oracle(
@@ -162,21 +159,22 @@ def exhaustive_oracle(
     carrier_hz: float,
     table: ElementStateTable,
 ) -> tuple[RISConfiguration, float]:
-    """Brute-force argmax of received power over all code grids, and its power at 1 W, unit gains.
+    """Brute-force argmax of received power over all code grids, and the squared sum it maximizes.
 
-    Reads codes against ``table``. Enumerates lexicographically with element
+    Maximizes |sum_i a_i lut[c_i]|^2 as :func:`optimal_codebook` does, reading
+    codes against ``table``. Enumerates lexicographically with element
     (0, 0) as the most significant digit, so argmax ties resolve to the
     lexicographically smallest grid.
     """
     n = geom.num_elements
     n_states = 1 << table.bits
-    if n_states**n > ORACLE_SEARCH_CAP:
+    total_configs = n_states**n
+    if total_configs > ORACLE_SEARCH_CAP:
         raise SearchSpaceError(
             f"{n_states}^{n} code grids exceed the {ORACLE_SEARCH_CAP} search cap"
         )
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
     lut = state_coefficients(table, np.arange(n_states))
-    total_configs = n_states**n
     # enumerate all grids: digit i of each config index selects element i's code
     field = np.zeros(total_configs, dtype=complex)
     idx = np.arange(total_configs)
@@ -188,22 +186,20 @@ def exhaustive_oracle(
         [(best // (n_states ** (n - 1 - i))) % n_states for i in range(n)]
     ).reshape(geom.num_x, geom.num_y)
     config = RISConfiguration(geom=geom, bits=table.bits, codes=codes)
-    prefactor = _cascade_prefactor(1.0, carrier_hz, unity_gain_profile(), spec.tx, spec.rx)
-    power = prefactor * float(np.abs(field[best])) ** 2
-    return config, power
+    return config, float(np.abs(field[best])) ** 2
 
 
 def quantization_loss(geom: ArrayGeometry, spec: BeamSpec, carrier_hz: float, bits: int) -> float:
     """Power lost to b-bit phasing, in dB, for the best b-bit code grid.
 
-    Ratio of the fully coherent (continuous-phase) power to the power of the
-    :func:`optimal_codebook` grid. Ideal unit element magnitude on both
-    sides, so endpoint gains cancel and the result depends only on geometry
-    and the phase grid.
+    Ratio of the fully coherent (continuous-phase) power (sum |a_i|)^2 to
+    the squared sum of the :func:`optimal_codebook` grid, with a_i the
+    cascade path terms and ideal unit element magnitude. The link's power
+    scale cancels, so the result depends only on geometry and the phase grid.
     """
-    _, best_power = optimal_codebook(spec, geom, carrier_hz, ElementStateTable.ideal(bits))
-    bound = coherent_power_bound(1.0, carrier_hz, unity_gain_profile(), geom, spec.tx, spec.rx)
-    return 10.0 * math.log10(bound / best_power)
+    _, best = optimal_codebook(spec, geom, carrier_hz, ElementStateTable.ideal(bits))
+    bound = float(np.sum(np.abs(_path_vector(carrier_hz, geom, spec.tx, spec.rx)))) ** 2
+    return 10.0 * math.log10(bound / best)
 
 
 def uniform_phase_loss_db(bits: int) -> float:

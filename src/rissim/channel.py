@@ -20,7 +20,7 @@ of this model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,48 +48,30 @@ def cos_power_pattern(angle: float | np.ndarray, exponent: float) -> float | np.
 
 @dataclass(frozen=True)
 class GainProfile:
-    """Endpoint and panel-face gains (dBi) with their cos^q pattern exponents.
+    """Endpoint and panel-face gains (dBi); each cos^q exponent follows from its gain.
 
     ``ris_rx_side`` is the panel face illuminated by the transmitter,
-    ``ris_tx_side`` the face radiating toward the receiver.
+    ``ris_tx_side`` the face radiating toward the receiver. The exponents
+    ``q_tx`` .. ``q_ris_tx_side`` are derived at construction by
+    :func:`exponent_from_gain`; a gain it refuses raises naming the field.
     """
 
     tx_gain_dbi: float
     rx_gain_dbi: float
     ris_rx_side_gain_dbi: float
     ris_tx_side_gain_dbi: float
-    q_tx: float
-    q_rx: float
-    q_ris_rx_side: float
-    q_ris_tx_side: float
+    q_tx: float = field(init=False)
+    q_rx: float = field(init=False)
+    q_ris_rx_side: float = field(init=False)
+    q_ris_tx_side: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("tx_gain_dbi", "rx_gain_dbi", "ris_rx_side_gain_dbi", "ris_tx_side_gain_dbi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("q_tx", "q_rx", "q_ris_rx_side", "q_ris_tx_side"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @classmethod
-    def from_gains(
-        cls,
-        tx_gain_dbi: float,
-        rx_gain_dbi: float,
-        ris_rx_side_gain_dbi: float = 5.0,
-        ris_tx_side_gain_dbi: float = 5.0,
-    ) -> "GainProfile":
-        """Derive every pattern exponent from its gain via G = 2(q+1)."""
-        return cls(
-            tx_gain_dbi=tx_gain_dbi,
-            rx_gain_dbi=rx_gain_dbi,
-            ris_rx_side_gain_dbi=ris_rx_side_gain_dbi,
-            ris_tx_side_gain_dbi=ris_tx_side_gain_dbi,
-            q_tx=exponent_from_gain(tx_gain_dbi),
-            q_rx=exponent_from_gain(rx_gain_dbi),
-            q_ris_rx_side=exponent_from_gain(ris_rx_side_gain_dbi),
-            q_ris_tx_side=exponent_from_gain(ris_tx_side_gain_dbi),
-        )
+        for side in ("tx", "rx", "ris_rx_side", "ris_tx_side"):
+            name = f"{side}_gain_dbi"
+            try:
+                object.__setattr__(self, f"q_{side}", exponent_from_gain(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
     def total_gain_linear(self) -> float:
         return db_to_linear(
@@ -105,11 +87,6 @@ class GainProfile:
             cos_power_pattern(tx.polar, self.q_ris_rx_side)
             * cos_power_pattern(rx.polar, self.q_ris_tx_side)
         )
-
-
-def unity_gain_profile() -> GainProfile:
-    """0 dBi isotropic endpoints/faces; useful where gains cancel in ratios."""
-    return GainProfile(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _cascade_prefactor(

@@ -101,6 +101,11 @@ class RunConfig:
         settings = "  ".join(f"{name}: {value}" for name, value in values.items() if name in used)
         return lines + ([settings] if settings else []) + [f"output dir: {self.output_dir}"]
 
+    def output_path(self, name: str) -> Path:
+        """Where output file ``name`` goes; the output dir is made at a command's first write."""
+        self.output_dir.mkdir(parents=True, exist_ok=True)
+        return self.output_dir / name
+
 
 def parse_bits(text: str) -> tuple[int, ...]:
     """Parse '2' or a range '1..4' into a tuple of bit counts."""
@@ -159,8 +164,13 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if not math.isfinite(value):
             raise ConfigError(f"feed: key '{key}' must be finite, got {value}")
     cfg.feed_range_m = feed.get("range_m", cfg.feed_range_m)
+    if not cfg.feed_range_m > 0:  # the feed sits on the panel's normal, in front of it
+        raise ConfigError(f"feed: key 'range_m' must be positive, got {cfg.feed_range_m}")
     if "gain_dbi" in feed:
-        cfg.feed_exponent = exponent_from_gain(feed["gain_dbi"])
+        try:
+            cfg.feed_exponent = exponent_from_gain(feed["gain_dbi"])
+        except ValueError as exc:
+            raise ConfigError(f"feed: key 'gain_dbi': {exc}") from None
     cfg.beam = file_cfg.get("beam", {})
     if "scenario" in file_cfg:
         cfg.scenario_path = Path(file_cfg["scenario"])
@@ -201,7 +211,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if unread:
         raise ConfigError(f"{args.config}: rissim {args.command} does not read "
                           f"run-config key(s) {unread}")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
 
@@ -237,14 +246,14 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
     bits = cfg.single_bits()
     spec = _beam_spec(cfg.beam, args)
     config = synthesize_codebook(spec, cfg.geometry, cfg.carrier_hz, bits)
-    codes_path = cfg.output_dir / "codes.csv"
+    codes_path = cfg.output_path("codes.csv")
     config.to_csv(codes_path)
     outputs = [str(codes_path)]
     if bits == 2:
         bitstream = encode_bias_bitstream(config)
-        bin_path = cfg.output_dir / "bias_bitstream.bin"
+        bin_path = cfg.output_path("bias_bitstream.bin")
         bin_path.write_bytes(pack_bitstream(bitstream))
-        hex_path = cfg.output_dir / "bias_bitstream.hex"
+        hex_path = cfg.output_path("bias_bitstream.hex")
         hex_path.write_text(bitstream_to_hex(bitstream) + "\n")
         outputs += [str(bin_path), str(hex_path)]
     for line in cfg.header_lines("panel", "bits"):
@@ -322,14 +331,14 @@ def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
         args.steer_deg, planes, args.element_exponent, args.loss_budget_db)
     rows = []
     for plane, cut, m in zip(planes, cuts, metrics):
-        path = cfg.output_dir / f"pattern_cut_{plane.lower()}.csv"
+        path = cfg.output_path(f"pattern_cut_{plane.lower()}.csv")
         pattern_to_csv(cut, path)
         rows.append([plane, f"{m.peak_direction_deg:.3f}", f"{m.sidelobe_level_db:.3f}",
                      f"{m.hpbw_deg:.3f}"])
         print(f"{plane}-plane: peak {m.peak_direction_deg:+.2f} deg, "
               f"SLL {m.sidelobe_level_db:.2f} dB, HPBW {m.hpbw_deg:.2f} deg -> {path}")
     _write_csv(
-        cfg.output_dir / "pattern_metrics.csv",
+        cfg.output_path("pattern_metrics.csv"),
         ["plane", "peak_direction_deg", "sidelobe_level_db", "hpbw_deg"],
         rows,
     )
@@ -381,7 +390,7 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows.append(row)
         print(f"steer {angle:5.1f} deg: E loss {row[1]} dB @ {row[2]} deg, "
               f"H loss {row[3]} dB @ {row[4]} deg")
-    path = cfg.output_dir / "scan_loss.csv"
+    path = cfg.output_path("scan_loss.csv")
     _write_csv(
         path,
         ["steer_deg", "e_plane_loss_db", "e_plane_peak_deg", "h_plane_loss_db", "h_plane_peak_deg"],
@@ -414,7 +423,7 @@ def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows.append(_quantloss_row(bits, loss))
         print(f"b={bits}: loss {loss:.3f} dB "
               f"(uniform-phase closed form {uniform_phase_loss_db(bits):.3f} dB)")
-    path = cfg.output_dir / "quantization_loss.csv"
+    path = cfg.output_path("quantization_loss.csv")
     _write_csv(path, _QUANTLOSS_HEADER, rows)
     print(f"wrote: {path}")
     return 0
@@ -471,7 +480,7 @@ def cmd_link(cfg: RunConfig, args: argparse.Namespace) -> int:
     print("  ".join(h.ljust(w) for h, w in zip(_LINK_HEADER, widths)))
     for row in rows:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    out = cfg.output_dir / "link_report.csv"
+    out = cfg.output_path("link_report.csv")
     _write_csv(out, _LINK_HEADER, rows)
     print(f"wrote: {out}")
     mismatches = [r for r in rows if r[-1] == "MISMATCH"]
@@ -646,18 +655,18 @@ def cmd_reproduce(cfg: RunConfig, args: argparse.Namespace) -> int:
     for line in cfg.header_lines("grid", "seed", table=cfg.element_table):
         print(line)
     campaign = measure_campaign(cfg, args.oracle_trials)
-    _write_csv(cfg.output_dir / "link_report.csv", _LINK_HEADER, _link_rows(campaign.link_results))
-    _write_csv(cfg.output_dir / "quantization_loss.csv", _QUANTLOSS_HEADER,
+    _write_csv(cfg.output_path("link_report.csv"), _LINK_HEADER, _link_rows(campaign.link_results))
+    _write_csv(cfg.output_path("quantization_loss.csv"), _QUANTLOSS_HEADER,
                [_quantloss_row(bits, loss)
                 for bits, loss in zip(_QUANTIZATION_BITS, campaign.losses_db)])
     m = campaign.broadside
-    _write_csv(cfg.output_dir / "pattern_metrics.csv",
+    _write_csv(cfg.output_path("pattern_metrics.csv"),
                ["plane", "peak_direction_deg", "sidelobe_level_db", "hpbw_deg",
                 "directivity_dbi", "gain_dbi", "aperture_efficiency_pct"],
                [["E", f"{m.peak_direction_deg:.3f}", f"{m.sidelobe_level_db:.3f}",
                  f"{m.hpbw_deg:.3f}", f"{campaign.directivity_dbi:.3f}",
                  f"{campaign.gain_dbi:.3f}", f"{100 * campaign.aperture_efficiency:.3f}"]])
-    _write_csv(cfg.output_dir / "scan_loss.csv",
+    _write_csv(cfg.output_path("scan_loss.csv"),
                ["plane", "steer_deg", "scan_loss_db", "af_peak_deg"],
                [[plane, f"{angle:.1f}", f"{loss:.3f}", f"{peak_deg:.3f}"]
                 for plane in ("E", "H")

@@ -43,6 +43,8 @@ class ElementStateTable:
     losses_db: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("phases", "losses_db"):  # a frozen copy: the caller's column may change
+            object.__setattr__(self, name, tuple(float(value) for value in getattr(self, name)))
         n = len(self.phases)
         if n < 2 or n & (n - 1) or len(self.losses_db) != n:
             raise ValueError(f"state table needs a power-of-two count >= 2 of phases and as many "

@@ -29,7 +29,10 @@ from .link import LinkScenario, MCSRow, MCSTable, Obstacle
 BUNDLED_SCENARIO_NAME = "tables_4_5_6.scenario"
 
 _GEOMETRY_KEYS = {"num_x", "num_y", "spacing_x_m", "spacing_y_m"}
-_GAIN_KEYS = {"tx_dbi", "rx_dbi", "ris_rx_side_dbi", "ris_tx_side_dbi"}
+_GAIN_FIELDS = {  # bundle key -> GainProfile field
+    "tx_dbi": "tx_gain_dbi", "rx_dbi": "rx_gain_dbi",
+    "ris_rx_side_dbi": "ris_rx_side_gain_dbi", "ris_tx_side_dbi": "ris_tx_side_gain_dbi",
+}
 _POSE_KEYS = {"range_m", "polar_deg", "azimuth_deg"}
 _OBSTACLE_KEYS = {"attenuation_db", "position"}
 _MCS_KEYS = {"min_snr_db", "rate_mbps", "label"}
@@ -96,6 +99,12 @@ def _parse_number(value, key: str, context: str) -> float:
     raise ConfigError(f"{context}: key '{key}' must be a number, got {value!r}")
 
 
+def _number(mapping: dict, key: str, context: str, default: float | None = None) -> float:
+    """``mapping[key]`` as a number; a missing key takes ``default``, or is refused without one."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    return _parse_number(value, key, context)
+
+
 def _parse_count(value, key: str, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{context}: key '{key}' must be an integer, got {value!r}")
@@ -107,35 +116,31 @@ def _parse_geometry(raw: dict, context: str) -> ArrayGeometry:
     return ArrayGeometry(
         num_x=_parse_count(_require(raw, "num_x", context), "num_x", context),
         num_y=_parse_count(_require(raw, "num_y", context), "num_y", context),
-        spacing_x=_parse_number(_require(raw, "spacing_x_m", context), "spacing_x_m", context),
-        spacing_y=_parse_number(_require(raw, "spacing_y_m", context), "spacing_y_m", context),
+        spacing_x=_number(raw, "spacing_x_m", context),
+        spacing_y=_number(raw, "spacing_y_m", context),
     )
 
 
 def _parse_gains(raw: dict, context: str) -> GainProfile:
-    _check_keys(raw, _GAIN_KEYS, context)
-    return GainProfile.from_gains(
-        tx_gain_dbi=_parse_number(_require(raw, "tx_dbi", context), "tx_dbi", context),
-        rx_gain_dbi=_parse_number(_require(raw, "rx_dbi", context), "rx_dbi", context),
-        ris_rx_side_gain_dbi=_parse_number(
-            _require(raw, "ris_rx_side_dbi", context), "ris_rx_side_dbi", context
-        ),
-        ris_tx_side_gain_dbi=_parse_number(
-            _require(raw, "ris_tx_side_dbi", context), "ris_tx_side_dbi", context
-        ),
-    )
+    _check_keys(raw, set(_GAIN_FIELDS), context)
+    gains = {name: _number(raw, key, context) for key, name in _GAIN_FIELDS.items()}
+    try:
+        return GainProfile(**gains)
+    except ValueError as exc:  # it names the field; name the bundle key it was read from instead
+        key, name = next((k, n) for k, n in _GAIN_FIELDS.items() if str(exc).startswith(n))
+        raise ConfigError(f"{context}: {str(exc).replace(name, f'key {key!r}', 1)}") from None
 
 
 def _parse_pose(raw: dict, context: str) -> Pose:
     """A face-local pose: the polar angle lies in [0, 90) deg, in front of the face."""
     _check_keys(raw, _POSE_KEYS, context)
-    polar_deg = _parse_number(raw.get("polar_deg", 0.0), "polar_deg", context)
+    polar_deg = _number(raw, "polar_deg", context, 0.0)
     if not 0.0 <= polar_deg < 90.0:
         raise ConfigError(f"{context}: key 'polar_deg' must lie in [0, 90) deg, got {polar_deg}")
     return Pose.from_spherical(
-        range_m=_parse_number(_require(raw, "range_m", context), "range_m", context),
+        range_m=_number(raw, "range_m", context),
         polar=math.radians(polar_deg),
-        azimuth=math.radians(_parse_number(raw.get("azimuth_deg", 0.0), "azimuth_deg", context)),
+        azimuth=math.radians(_number(raw, "azimuth_deg", context, 0.0)),
     )
 
 
@@ -143,12 +148,9 @@ def _parse_obstacle(raw, context: str) -> Obstacle | None:
     if raw is None:
         return None
     _check_keys(raw, _OBSTACLE_KEYS, context)
-    return Obstacle(
-        attenuation_db=_parse_number(
-            raw.get("attenuation_db", Obstacle().attenuation_db), "attenuation_db", context
-        ),
-        position=str(raw.get("position", "tx_side")),
-    )
+    return Obstacle(attenuation_db=_number(raw, "attenuation_db", context,
+                                           Obstacle().attenuation_db),
+                    position=str(raw.get("position", "tx_side")))
 
 
 def _parse_mcs(raw, context: str) -> MCSTable:
@@ -160,13 +162,9 @@ def _parse_mcs(raw, context: str) -> MCSTable:
         if not isinstance(entry, dict):
             raise ConfigError(f"{ctx}: each row must be a mapping")
         _check_keys(entry, _MCS_KEYS, ctx)
-        rows.append(
-            MCSRow(
-                min_snr_db=_parse_number(_require(entry, "min_snr_db", ctx), "min_snr_db", ctx),
-                rate_mbps=_parse_number(_require(entry, "rate_mbps", ctx), "rate_mbps", ctx),
-                label=str(entry.get("label", "")),
-            )
-        )
+        rows.append(MCSRow(min_snr_db=_number(entry, "min_snr_db", ctx),
+                           rate_mbps=_number(entry, "rate_mbps", ctx),
+                           label=str(entry.get("label", ""))))
     return MCSTable(rows=tuple(rows))
 
 
@@ -207,29 +205,18 @@ def load_scenario_bundle(path: str | Path) -> ScenarioBundle:
         scenarios.append(
             LinkScenario(
                 name=name,
-                transmit_power_dbm=_parse_number(
-                    _require(merged, "transmit_power_dbm", sctx), "transmit_power_dbm", sctx
-                ),
-                carrier_hz=_parse_number(_require(merged, "carrier_hz", sctx), "carrier_hz", sctx),
-                bandwidth_hz=_parse_number(
-                    _require(merged, "bandwidth_hz", sctx), "bandwidth_hz", sctx
-                ),
-                noise_figure_db=_parse_number(
-                    merged.get("noise_figure_db", 0.0), "noise_figure_db", sctx
-                ),
+                transmit_power_dbm=_number(merged, "transmit_power_dbm", sctx),
+                carrier_hz=_number(merged, "carrier_hz", sctx),
+                bandwidth_hz=_number(merged, "bandwidth_hz", sctx),
+                noise_figure_db=_number(merged, "noise_figure_db", sctx, 0.0),
                 gains=_parse_gains(_require(merged, "gains", sctx), f"{sctx}: gains"),
                 tx_pose=_parse_pose(_require(merged, "tx_pose", sctx), f"{sctx}: tx_pose"),
                 rx_pose=_parse_pose(_require(merged, "rx_pose", sctx), f"{sctx}: rx_pose"),
                 ris_present=ris_present,
                 obstacle=_parse_obstacle(merged.get("obstacle"), f"{sctx}: obstacle"),
                 mcs=mcs,
-                expected_rate_mbps=(
-                    None
-                    if merged.get("expected_rate_mbps") is None
-                    else _parse_number(
-                        merged["expected_rate_mbps"], "expected_rate_mbps", sctx
-                    )
-                ),
+                expected_rate_mbps=(None if merged.get("expected_rate_mbps") is None
+                                    else _number(merged, "expected_rate_mbps", sctx)),
             )
         )
     return ScenarioBundle(

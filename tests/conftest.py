@@ -22,7 +22,7 @@ def table():
 
 @pytest.fixture
 def desk_gains():
-    return GainProfile.from_gains(22.7, 9.2, 5.0, 5.0)
+    return GainProfile(22.7, 9.2, 5.0, 5.0)
 
 
 @pytest.fixture

@@ -27,7 +27,6 @@ from rissim import (
     quantize_phases,
     received_power,
     spherical_to_cartesian,
-    unity_gain_profile,
 )
 from rissim.cli import RELEASE_CRITERIA, RunConfig, build_parser, measure_campaign
 
@@ -113,15 +112,14 @@ def test_criterion_7_oracle_equivalence(verdicts):
     report(verdicts, "codebook-vs-oracle gap")
 
 
-def test_criterion_8_numerical_identities():
+def test_criterion_8_numerical_identities(desk_gains):
     # coherent closed form vs direct complex summation
     spec = BeamSpec(tx=Pose.from_spherical(2.6, 0.2, 0.4), rx=RX_NEAR,
                     tx_model="spherical", rx_model="spherical")
-    profile = unity_gain_profile()
     phases = optimal_phases(spec, PANEL, CARRIER_HZ)
-    direct = received_power(1.0, CARRIER_HZ, profile, PANEL, np.exp(1j * phases), spec.tx,
+    direct = received_power(1.0, CARRIER_HZ, desk_gains, PANEL, np.exp(1j * phases), spec.tx,
                             spec.rx)
-    bound = coherent_power_bound(1.0, CARRIER_HZ, profile, PANEL, spec.tx, spec.rx)
+    bound = coherent_power_bound(1.0, CARRIER_HZ, desk_gains, PANEL, spec.tx, spec.rx)
     coherent_rel = abs(direct - bound) / bound
     coherent_ok = coherent_rel <= 1e-9
 

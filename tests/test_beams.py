@@ -16,6 +16,7 @@ from rissim import (
     bundled_scenario_path,
     code_table,
     evaluate_scenario,
+    exact_distances,
     exhaustive_oracle,
     load_scenario_bundle,
     optimal_codebook,
@@ -26,12 +27,19 @@ from rissim import (
     state_coefficients,
     synthesize_codebook,
     uniform_phase_loss_db,
-    unity_gain_profile,
+    wavelength,
 )
 
 from conftest import CARRIER_HZ
 
 FAR = Pose.from_spherical(100.0, 0.0, 0.0)
+
+
+def cascade_sum_squared(geom: ArrayGeometry, weights: np.ndarray, tx: Pose, rx: Pose) -> float:
+    """|sum W exp(-j 2 pi (d^t + d^r) / lambda) / (d^t d^r)|^2, the sum the searches maximize."""
+    dt, dr = exact_distances(tx, geom), exact_distances(rx, geom)
+    path = np.exp(-2j * math.pi * (dt + dr) / wavelength(CARRIER_HZ)) / (dt * dr)
+    return abs(np.sum(weights * path)) ** 2
 
 
 def closed_form_loss_db(bits: int) -> float:
@@ -77,17 +85,16 @@ def test_synthesize_near_focus_has_ring_structure(panel16, rx_near):
     assert len(np.unique(codes)) == 4  # the focus map uses every code
 
 
-def test_quantized_never_beats_continuous(panel16, rx_near):
+def test_quantized_never_beats_continuous(panel16, rx_near, desk_gains):
     spec = BeamSpec(tx=FAR, rx=rx_near)
-    profile = unity_gain_profile()
     continuous = received_power(
-        1.0, CARRIER_HZ, profile, panel16,
+        1.0, CARRIER_HZ, desk_gains, panel16,
         np.exp(1j * optimal_phases(spec, panel16, CARRIER_HZ)), FAR, rx_near,
     )
     last = 0.0
     for bits in (1, 2, 3, 4, 5, 6):
         config = synthesize_codebook(spec, panel16, CARRIER_HZ, bits)
-        p = received_power(1.0, CARRIER_HZ, profile, panel16,
+        p = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                            state_coefficients(ElementStateTable.ideal(bits), config.codes),
                            FAR, rx_near)
         assert p <= continuous * (1 + 1e-12)
@@ -95,16 +102,15 @@ def test_quantized_never_beats_continuous(panel16, rx_near):
         last = p
 
 
-def test_uniform_code_shift_invariance(panel16, rx_near):
+def test_uniform_code_shift_invariance(panel16, rx_near, desk_gains):
     spec = BeamSpec(tx=FAR, rx=rx_near)
     config = synthesize_codebook(spec, panel16, CARRIER_HZ, 2)
-    profile = unity_gain_profile()
     table = ElementStateTable.ideal(2)
-    base = received_power(1.0, CARRIER_HZ, profile, panel16,
+    base = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                           state_coefficients(table, config.codes), FAR, rx_near)
     for shift in (1, 2, 3):
         shifted = RISConfiguration(geom=panel16, bits=2, codes=(config.codes + shift) % 4)
-        p = received_power(1.0, CARRIER_HZ, profile, panel16,
+        p = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                            state_coefficients(table, shifted.codes), FAR, rx_near)
         assert p == pytest.approx(base, rel=1e-12)
 
@@ -129,10 +135,7 @@ def test_oracle_single_element(table):
     for code in range(4):
         steered = synthesize_codebook(replace(spec, phase_offset=code * math.pi / 2), geom,
                                       CARRIER_HZ, 2)
-        p = received_power(
-            1.0, CARRIER_HZ, unity_gain_profile(), geom,
-            state_coefficients(ideal, steered.codes), spec.tx, spec.rx,
-        )
+        p = cascade_sum_squared(geom, state_coefficients(ideal, steered.codes), spec.tx, spec.rx)
         assert power == pytest.approx(p, rel=1e-12)
     assert config.codes.shape == (1, 1)
 
@@ -197,14 +200,12 @@ def test_uniform_phase_loss_closed_form():
 
 def test_solver_returns_the_power_of_its_codebook(panel16, rx_near):
     spec = BeamSpec(tx=FAR, rx=rx_near)
-    profile, table = unity_gain_profile(), ElementStateTable.ideal(2)
+    table = ElementStateTable.ideal(2)
     config, power = optimal_codebook(spec, panel16, CARRIER_HZ, table)
-    assert power == pytest.approx(received_power(
-        1.0, CARRIER_HZ, profile, panel16, state_coefficients(table, config.codes), FAR, rx_near,
-    ), rel=1e-12)
-    assert power >= received_power(
-        1.0, CARRIER_HZ, profile, panel16,
-        state_coefficients(table, synthesize_codebook(spec, panel16, CARRIER_HZ, 2).codes),
+    assert power == pytest.approx(cascade_sum_squared(
+        panel16, state_coefficients(table, config.codes), FAR, rx_near), rel=1e-12)
+    assert power >= cascade_sum_squared(
+        panel16, state_coefficients(table, synthesize_codebook(spec, panel16, CARRIER_HZ, 2).codes),
         FAR, rx_near,
     ) * (1 - 1e-12)
 
@@ -230,24 +231,20 @@ def test_solver_matches_the_exhaustive_oracle(shape, bits, mode, tx, rx):
     _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, table)
     config, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, table)
     assert p_solver == pytest.approx(p_oracle, rel=1e-12)
-    assert p_solver == pytest.approx(received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), geom, state_coefficients(table, config.codes),
-        tx, rx,
-    ), rel=1e-12)
+    assert p_solver == pytest.approx(cascade_sum_squared(
+        geom, state_coefficients(table, config.codes), tx, rx), rel=1e-12)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
 def test_solver_never_worse_than_a_phase_constant_sweep(panel16, rx_near, bits):
     # symmetric broadside pose: many elements share a path length, so switch events tie
     spec = BeamSpec(tx=FAR, rx=rx_near)
-    profile, table = unity_gain_profile(), ElementStateTable.ideal(bits)
+    table = ElementStateTable.ideal(bits)
     step = 2 * math.pi / (1 << bits)
     swept = max(
-        received_power(1.0, CARRIER_HZ, profile, panel16,
-                       state_coefficients(table, synthesize_codebook(
-                           replace(spec, phase_offset=step * k / 16), panel16, CARRIER_HZ,
-                           bits).codes),
-                       FAR, rx_near)
+        cascade_sum_squared(panel16, state_coefficients(table, synthesize_codebook(
+            replace(spec, phase_offset=step * k / 16), panel16, CARRIER_HZ, bits).codes),
+                            FAR, rx_near)
         for k in range(16)
     )
     _, power = optimal_codebook(spec, panel16, CARRIER_HZ, table)
@@ -267,10 +264,8 @@ def test_solver_on_a_degenerate_state_table(panel16, rx_near):
     spec = BeamSpec(tx=FAR, rx=rx_near)
     config, power = optimal_codebook(spec, panel16, CARRIER_HZ, flat)
     assert not config.codes.any()
-    assert power == pytest.approx(received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), panel16, state_coefficients(flat, config.codes),
-        FAR, rx_near,
-    ), rel=1e-12)
+    assert power == pytest.approx(cascade_sum_squared(
+        panel16, state_coefficients(flat, config.codes), FAR, rx_near), rel=1e-12)
 
 
 @pytest.mark.parametrize("optimiser", [exhaustive_oracle, optimal_codebook])
@@ -281,10 +276,8 @@ def test_optimisers_read_codes_as_received_power_does(optimiser, table):
     ideal = ElementStateTable.ideal(1)
     config, power = optimiser(spec, geom, CARRIER_HZ, ideal)
     assert config.bits == 1
-    assert power == pytest.approx(received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), geom, state_coefficients(ideal, config.codes),
-        spec.tx, spec.rx,
-    ), rel=1e-12)
+    assert power == pytest.approx(cascade_sum_squared(
+        geom, state_coefficients(ideal, config.codes), spec.tx, spec.rx), rel=1e-12)
     # a table of another bit depth is refused where codes meet a table
     with pytest.raises(ValueError, match="1-bit codes"):
         code_table(config.bits, "realized", table)

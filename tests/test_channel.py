@@ -19,7 +19,6 @@ from rissim import (
     optimal_phases,
     received_power,
     state_coefficients,
-    unity_gain_profile,
     wavelength,
 )
 
@@ -49,10 +48,28 @@ def test_cos_power_pattern_shape():
 
 
 def test_gain_profile_validation():
-    with pytest.raises(ValueError):
-        GainProfile(math.inf, 0, 0, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        GainProfile(0, 0, 0, 0, -0.1, 0, 0, 0)
+    with pytest.raises(ValueError, match="tx_gain_dbi: gain must be finite"):
+        GainProfile(math.inf, 10.0, 10.0, 10.0)
+
+
+GAIN_FIELDS = ("tx_gain_dbi", "rx_gain_dbi", "ris_rx_side_gain_dbi", "ris_tx_side_gain_dbi")
+
+
+def test_gain_profile_derives_each_exponent_from_its_gain():
+    profile = GainProfile(22.7, 9.2, 5.0, 7.0)
+    exponents = (profile.q_tx, profile.q_rx, profile.q_ris_rx_side, profile.q_ris_tx_side)
+    assert exponents == tuple(map(exponent_from_gain, (22.7, 9.2, 5.0, 7.0)))
+    with pytest.raises(TypeError):  # an exponent is derived, never given
+        GainProfile(22.7, 9.2, 5.0, 7.0, q_tx=1.0)
+
+
+@pytest.mark.parametrize("name", GAIN_FIELDS)
+@pytest.mark.parametrize("gain,reason", [(2.0, "below the hemispheric minimum"),
+                                         (math.nan, "must be finite")])
+def test_gain_profile_refuses_a_gain_naming_the_field(name, gain, reason):
+    gains = dict.fromkeys(GAIN_FIELDS, 10.0)
+    with pytest.raises(ValueError, match=f"^{name}: gain .*{reason}"):
+        GainProfile(**{**gains, name: gain})
 
 
 def hop(distance: float) -> complex:
@@ -78,25 +95,27 @@ def test_channel_coefficient_phase():
     assert np.angle(hop(lam)) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_received_power_single_element_hand_value():
+def test_received_power_single_element_hand_value(desk_gains):
     geom = ArrayGeometry(1, 1)
     lam = wavelength(CARRIER_HZ)
     config = RISConfiguration.uniform(geom, 2)
     p = received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), geom,
+        1.0, CARRIER_HZ, desk_gains, geom,
         state_coefficients(ElementStateTable.ideal(2), config.codes),
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
     )
-    expected = lam**2 / (16 * math.pi**2) / (2.6 * 0.05) ** 2
+    # both endpoints on the normal, so F = 1 and G = 10^((22.7 + 9.2 + 5 + 5) / 10)
+    expected = 10 ** 4.19 * lam**2 / (16 * math.pi**2) / (2.6 * 0.05) ** 2
     assert p == pytest.approx(expected, rel=1e-12)
-    assert p == pytest.approx(4.62e-5, abs=5e-8)
+    # lambda = 11.1034 mm: 15488.17 * 7.8072e-7 / 0.13^2 = 0.7154964 W
+    assert p == pytest.approx(0.7154964, abs=5e-8)
 
 
-def test_received_power_single_element_phase_irrelevant(table):
+def test_received_power_single_element_phase_irrelevant(table, desk_gains):
     geom = ArrayGeometry(1, 1)
     tx, rx = Pose.from_spherical(1.3, 0.2, 0.0), Pose.from_spherical(0.08, 0.0, 0.0)
     powers = {
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), geom,
+        received_power(1.0, CARRIER_HZ, desk_gains, geom,
                        state_coefficients(ElementStateTable.ideal(2),
                                           RISConfiguration.uniform(geom, 2, code=c).codes),
                        tx, rx)
@@ -105,12 +124,12 @@ def test_received_power_single_element_phase_irrelevant(table):
     assert max(powers) == pytest.approx(min(powers), rel=1e-12)
 
 
-def test_received_power_opaque_panel(panel16):
+def test_received_power_opaque_panel(panel16, desk_gains):
     opaque = ElementStateTable.from_states(
         [(0.0, math.inf), (90.0, math.inf), (180.0, math.inf), (270.0, math.inf)]
     )
     p = received_power(
-        1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+        1.0, CARRIER_HZ, desk_gains, panel16,
         state_coefficients(opaque, RISConfiguration.uniform(panel16, 2).codes),
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
     )
@@ -129,8 +148,8 @@ def test_coherent_sum_matches_direct_summation(panel16, desk_gains, tx_far, rx_n
 def test_received_power_reciprocity(panel16):
     tx = Pose.from_spherical(2.6, 0.3, 0.5)
     rx = Pose.from_spherical(0.05, 0.15, 2.0)
-    profile = GainProfile.from_gains(22.7, 9.2, 5.0, 7.0)
-    swapped = GainProfile.from_gains(9.2, 22.7, 7.0, 5.0)
+    profile = GainProfile(22.7, 9.2, 5.0, 7.0)
+    swapped = GainProfile(9.2, 22.7, 7.0, 5.0)
     spec = BeamSpec(tx=tx, rx=rx, tx_model="spherical", rx_model="spherical")
     phases = optimal_phases(spec, panel16, CARRIER_HZ)
     forward = received_power(1.0, CARRIER_HZ, profile, panel16, np.exp(1j * phases), tx, rx)
@@ -138,30 +157,28 @@ def test_received_power_reciprocity(panel16):
     assert forward == pytest.approx(reverse, rel=1e-12)
 
 
-def test_single_phase_perturbation_strictly_decreases(panel16, tx_far, rx_near):
+def test_single_phase_perturbation_strictly_decreases(panel16, tx_far, rx_near, desk_gains):
     spec = BeamSpec(tx=tx_far, rx=rx_near, tx_model="spherical", rx_model="spherical")
     base = optimal_phases(spec, panel16, CARRIER_HZ)
-    profile = unity_gain_profile()
-    p0 = received_power(1.0, CARRIER_HZ, profile, panel16, np.exp(1j * base), tx_far, rx_near)
+    p0 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * base), tx_far, rx_near)
     for eps in (0.05, 0.5, math.pi):
         perturbed = base.copy()
         perturbed[7, 3] += eps
-        p = received_power(1.0, CARRIER_HZ, profile, panel16, np.exp(1j * perturbed), tx_far,
+        p = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * perturbed), tx_far,
                            rx_near)
         assert p < p0
 
 
-def test_magnitude_scaling_quadratic(panel16, tx_far, rx_near):
-    profile = unity_gain_profile()
+def test_magnitude_scaling_quadratic(panel16, tx_far, rx_near, desk_gains):
     # a table with uniform 6.0206 dB loss scales the ideal table's power by 0.25
     damped = ElementStateTable.from_states(
         [(0.0, 6.0206), (90.0, 6.0206), (180.0, 6.0206), (270.0, 6.0206)]
     )
     config = RISConfiguration.uniform(panel16, 2)
-    nominal = received_power(1.0, CARRIER_HZ, profile, panel16,
+    nominal = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                              state_coefficients(ElementStateTable.ideal(2), config.codes),
                              tx_far, rx_near)
-    realized = received_power(1.0, CARRIER_HZ, profile, panel16,
+    realized = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                               state_coefficients(damped, config.codes), tx_far, rx_near)
     assert realized == pytest.approx(0.25 * nominal, rel=1e-4)
 
@@ -173,19 +190,19 @@ def test_transmit_power_linearity(panel16, desk_gains, tx_far, rx_near, table):
     assert p3 == pytest.approx(3 * p1, rel=1e-12)
 
 
-def test_received_power_dimension_mismatch(panel16, table):
+def test_received_power_dimension_mismatch(panel16, table, desk_gains):
     other = ArrayGeometry(8, 8)
     config = RISConfiguration.uniform(other, 2)
     poses = (Pose.from_spherical(1, 0, 0), Pose.from_spherical(0.05, 0, 0))
     with pytest.raises(ValueError):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+        received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                        state_coefficients(table, config.codes), *poses)
     with pytest.raises(ValueError):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+        received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                        np.exp(1j * np.zeros((8, 8))), *poses)
     # as many weights as elements, but not laid out on the panel's grid
     with pytest.raises(ValueError, match=r"weight grid shape \(256,\) does not match panel"):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16, np.ones(256), *poses)
+        received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.ones(256), *poses)
 
 
 def test_feed_illumination_center():
@@ -218,20 +235,20 @@ def test_feed_illumination_validation(panel16):
         feed_illuminations(Pose.from_spherical(0.05, 0, 0), panel16, CARRIER_HZ, exponent=-1.0)
 
 
-def test_received_power_rejects_negative_power(panel16, table, tx_far, rx_near):
+def test_received_power_rejects_negative_power(panel16, table, tx_far, rx_near, desk_gains):
     weights = state_coefficients(table, RISConfiguration.uniform(panel16, 2).codes)
     with pytest.raises(ValueError):
-        received_power(-1.0, CARRIER_HZ, unity_gain_profile(), panel16, weights,
+        received_power(-1.0, CARRIER_HZ, desk_gains, panel16, weights,
                        tx_far, rx_near)
 
 
-def test_channel_coefficient_degenerate_geometry(panel16, tx_far):
+def test_channel_coefficient_degenerate_geometry(panel16, tx_far, desk_gains):
     from rissim import DegenerateGeometryError
 
     xe, ye = panel16.element_grid()
     on_panel = Pose.from_cartesian(xe[2, 2], ye[2, 2], 0.0)
     with pytest.raises(DegenerateGeometryError):
-        received_power(1.0, CARRIER_HZ, unity_gain_profile(), panel16,
+        received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                        np.exp(1j * np.zeros((16, 16))), tx_far, on_panel)
 
 

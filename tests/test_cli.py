@@ -331,13 +331,22 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     (["pattern", "--config", "feed: {range_m: .nan}"], "feed: key 'range_m' must be finite"),
     (["reproduce", "--config", "feed: {gain_dbi: .nan}"], "feed: key 'gain_dbi' must be finite"),
     (["reproduce", "--config", "feed: {range_m: .nan}"], "feed: key 'range_m' must be finite"),
+    (["pattern", "--config", "feed: {range_m: -1}"], "feed: key 'range_m' must be positive"),
+    (["pattern", "--config", "feed: {range_m: 0}"], "feed: key 'range_m' must be positive"),
+    (["pattern", "--config", "feed: {gain_dbi: 2}"],
+     "feed: key 'gain_dbi': gain 2.0 dBi is below the hemispheric minimum (3.01 dBi)"),
+    (["reproduce", "--config", "feed: {range_m: -1}"], "feed: key 'range_m' must be positive"),
+    (["reproduce", "--config", "feed: {range_m: 0}"], "feed: key 'range_m' must be positive"),
+    (["reproduce", "--config", "feed: {gain_dbi: 2}"],
+     "feed: key 'gain_dbi': gain 2.0 dBi is below the hemispheric minimum (3.01 dBi)"),
     (["pattern", "--element-exponent", "400"],  # every sidelobe sample underflows to zero
      "sidelobe level undefined: every sample outside the main lobe is zero"),
 ], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
         "loss-budget-inf", "steer-95", "hemisphere-grid-15", "reproduce-hemisphere-grid-15",
         "hemisphere-grid-90", "reproduce-hemisphere-grid-90", "feed-gain-nan", "feed-gain-inf",
         "feed-range-nan", "reproduce-feed-gain-nan", "reproduce-feed-range-nan",
-        "element-exponent-400"])
+        "feed-range-negative", "feed-range-zero", "feed-gain-2", "reproduce-feed-range-negative",
+        "reproduce-feed-range-zero", "reproduce-feed-gain-2", "element-exponent-400"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
     if "--config" in argv:  # the entry after --config is the run config's text
         i = argv.index("--config") + 1
@@ -347,7 +356,7 @@ def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, messa
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 1
     assert message in capsys.readouterr().err
-    assert list(out.glob("*")) == []  # checked before the first write
+    assert not out.exists()  # checked before the first write
 
 
 @pytest.mark.parametrize("source", ["flag", "run config", "bundle"])
@@ -368,7 +377,21 @@ def test_a_pose_behind_its_face_is_rejected(tmp_path, capsys, source):
         argv = ["link", "--scenario", str(bundle)]
     assert run(*argv, "--out", str(out)) == 1
     assert "'polar_deg' must lie in [0, 90) deg, got 120.0" in capsys.readouterr().err
-    assert list(out.glob("*")) == []
+    assert not out.exists()
+
+
+def test_a_bundle_gain_below_the_hemispheric_minimum_is_rejected(tmp_path, capsys):
+    from rissim import bundled_scenario_path
+
+    bundle = tmp_path / "weak_face.scenario"
+    bundle.write_text(bundled_scenario_path().read_text().replace(
+        "ris_tx_side_dbi: 5.0", "ris_tx_side_dbi: 2", 1))
+    out = tmp_path / "out"
+    assert run("link", "--scenario", str(bundle), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "gains: key 'ris_tx_side_dbi'" in err
+    assert "gain 2.0 dBi is below the hemispheric minimum (3.01 dBi)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section", ["geometry", "feed", "beam"])

@@ -118,6 +118,22 @@ def test_tables_with_equal_columns_compare_equal():
     assert ElementStateTable.from_states(rows[:2]) != ElementStateTable.from_states(rows[2:])
 
 
+def test_table_keeps_its_own_copy_of_the_columns():
+    phases = [0.0, 1.0]
+    t = ElementStateTable(phases, [0.0, 0.0])
+    phases[0] = math.nan  # the caller's list, not the table's column
+    with pytest.raises(TypeError):
+        t.phases[0] = math.nan
+    assert t.realized_phases().tolist() == [0.0, 1.0]
+
+
+def test_tables_from_numpy_columns_compare_equal():
+    a = ElementStateTable(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+    b = ElementStateTable(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+    assert a == b and hash(a) == hash(b)
+    assert a.phases == (0.0, 1.0) and type(a.phases[0]) is float
+
+
 def test_table_validation_magnitude():
     with pytest.raises(ValueError, match="code 0 insertion loss must be >= 0 dB, got -0.5"):
         ElementStateTable.from_states([(0.0, -0.5), (90.0, 0.0), (180.0, 0.0), (270.0, 0.0)])

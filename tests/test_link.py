@@ -50,7 +50,7 @@ def make_scenario(**overrides) -> LinkScenario:
         carrier_hz=CARRIER_HZ,
         bandwidth_hz=800e6,
         noise_figure_db=5.0,
-        gains=GainProfile.from_gains(22.7, 9.2, 5.0, 5.0),
+        gains=GainProfile(22.7, 9.2, 5.0, 5.0),
         tx_pose=Pose.from_spherical(2.6, 0.0, 0.0),
         rx_pose=Pose.from_spherical(0.05, 0.0, 0.0),
         ris_present=True,
