@@ -43,7 +43,6 @@ from .errors import (
     DegenerateGeometryError,
     InfeasibleTargetError,
     MetricUndefinedError,
-    ResolutionError,
     RisSimError,
     SearchSpaceError,
     UnsupportedConfigurationError,
@@ -73,7 +72,6 @@ from .patterns import (
     aperture_efficiency,
     cut_grid,
     directivity_and_gain,
-    hemisphere_grid,
     pattern_metrics,
     pattern_to_csv,
     principal_cut,

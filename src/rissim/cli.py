@@ -28,7 +28,7 @@ from .beams import (BeamSpec, exhaustive_oracle, optimal_codebook, quantization_
 from .channel import exponent_from_gain, feed_illuminations
 from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream
 from .elements import ElementStateTable, code_table, default_element_table, state_coefficients
-from .errors import ConfigError, ResolutionError, RisSimError
+from .errors import ConfigError, RisSimError
 from .geometry import ArrayGeometry, Pose
 from .link import required_transmit_power, evaluate_scenario
 from .patterns import (
@@ -38,7 +38,6 @@ from .patterns import (
     directivity_and_gain,
     aperture_efficiency,
     cut_grid,
-    hemisphere_grid,
     pattern_metrics,
     pattern_to_csv,
     principal_cut,
@@ -68,7 +67,6 @@ class RunConfig:
     element_table_path: str = "(built-in)"
     carrier_hz: float = 27.0e9
     grid_deg: float = 0.25
-    hemisphere_grid_deg: float = 1.0
     bits: tuple[int, ...] = (2,)
     mode: str = "nominal"
     seed: int = 0
@@ -179,9 +177,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg.carrier_hz = flags.get("carrier_hz", cfg.carrier_hz)
     cfg.grid_deg = flags["grid_deg"] if flags.get("grid_deg") is not None else _parse_number(
         file_cfg.get("grid_deg", cfg.grid_deg), "grid_deg", "run config")
-    cfg.hemisphere_grid_deg = _parse_number(
-        file_cfg.get("hemisphere_grid_deg", cfg.hemisphere_grid_deg), "hemisphere_grid_deg",
-        "run config")
     if flags.get("bits") is not None:
         cfg.bits = parse_bits(flags["bits"])
     elif "bits" in file_cfg:
@@ -195,18 +190,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         cfg.mode = mode
     cfg.seed = flags["seed"] if flags.get("seed") is not None else _parse_count(
         file_cfg.get("seed", 0), "seed", "run config")
-    for name, grid, span_deg in (("grid_deg", cut_grid, 180),
-                                 ("hemisphere_grid_deg", hemisphere_grid, 90)):
-        step = getattr(cfg, name)
-        if not (math.isfinite(step) and step > 0):
-            raise ConfigError(f"{name} must be finite and positive, got {step}")
-        try:
-            grid(step)
-        except ValueError:
-            raise ConfigError(f"{name} must divide {span_deg} deg, got {step}") from None
-    if cfg.hemisphere_grid_deg > 45:  # directivity_and_gain checks itself on twice the step
-        raise ConfigError(f"hemisphere_grid_deg must be at most 45 deg, so that the directivity "
-                          f"has a step-doubled grid, got {cfg.hemisphere_grid_deg}")
+    if not (math.isfinite(cfg.grid_deg) and cfg.grid_deg > 0):
+        raise ConfigError(f"grid_deg must be finite and positive, got {cfg.grid_deg}")
+    try:
+        cut_grid(cfg.grid_deg)
+    except ValueError:
+        raise ConfigError(f"grid_deg must divide 180 deg, got {cfg.grid_deg}") from None
     unread = sorted(map(str, set(file_cfg) - args.config_keys))  # YAML keys may be numbers
     if unread:
         raise ConfigError(f"{args.config}: rissim {args.command} does not read "
@@ -286,7 +275,7 @@ class _SteerStudy:
         self.geom, self.carrier_hz, self.table = geom, carrier_hz, table
         self.feed = Pose.from_spherical(cfg.feed_range_m, 0.0, 0.0)
         self.illumination = feed_illuminations(self.feed, geom, carrier_hz, cfg.feed_exponent)
-        self.cut_step_deg, self.hemisphere_step_deg = cfg.grid_deg, cfg.hemisphere_grid_deg
+        self.cut_step_deg = cfg.grid_deg
 
     def weights(self, steer_deg: float, plane: str) -> np.ndarray:
         """W of the codebook from the feed to the far-field target of a signed steer angle."""
@@ -309,13 +298,9 @@ class _SteerStudy:
         weights = [self.weights(steer_deg, plane) for plane in planes]
         cuts = [self.cut(w, plane, element_exponent) for w, plane in zip(weights, planes)]
         metrics = [pattern_metrics(cut) for cut in cuts]
-        try:
-            return cuts, metrics, *directivity_and_gain(
-                weights[0], self.geom, self.carrier_hz, step_deg=self.hemisphere_step_deg,
-                element_exponent=element_exponent, loss_budget_db=loss_budget_db)
-        except ResolutionError as exc:
-            raise ConfigError(f"hemisphere_grid_deg {self.hemisphere_step_deg} is too coarse "
-                              f"for this beam: {exc}") from None
+        return cuts, metrics, *directivity_and_gain(
+            weights[0], self.geom, self.carrier_hz, cut=cuts[0],
+            element_exponent=element_exponent, loss_budget_db=loss_budget_db)
 
 
 def cmd_pattern(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -731,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     steer_flags = ("--grid-deg", "--bits", "--mode", "--carrier-hz")
     steer_keys = ("grid_deg", "bits", "mode", "element_table", "geometry", "feed")
     p = subcommand("pattern", "radiation-pattern cuts and metrics",
-                   flags=steer_flags, keys=(*steer_keys, "hemisphere_grid_deg"))
+                   flags=steer_flags, keys=steer_keys)
     p.add_argument("--steer-deg", type=float, default=0.0, help="signed steer angle")
     p.add_argument("--plane", choices=("E", "H", "both"), default="both")
     p.add_argument("--element-exponent", type=float, default=1.0)
@@ -759,8 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("reproduce", "run the packaged scenario bundle and metric suite",
                    flags=("--grid-deg", "--seed"),
-                   keys=("grid_deg", "hemisphere_grid_deg", "seed", "element_table", "scenario",
-                         "feed"))
+                   keys=("grid_deg", "seed", "element_table", "scenario", "feed"))
     p.add_argument("--oracle-trials", type=int, default=20)
     p.set_defaults(func=cmd_reproduce)
     return parser

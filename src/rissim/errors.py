@@ -17,22 +17,6 @@ class UnsupportedConfigurationError(RisSimError, ValueError):
     """Operation defined only for a specific panel configuration (e.g. 2-bit)."""
 
 
-class ResolutionError(RisSimError):
-    """A sampled pattern is too coarse for the requested computation.
-
-    Carries the two estimates (full grid and decimated grid) so the caller
-    can judge how far off the quadrature is.
-    """
-
-    def __init__(self, message: str, fine_estimate_db: float, coarse_estimate_db: float):
-        super().__init__(
-            f"{message} (fine grid {fine_estimate_db:.3f} dB, "
-            f"coarse grid {coarse_estimate_db:.3f} dB)"
-        )
-        self.fine_estimate_db = fine_estimate_db
-        self.coarse_estimate_db = coarse_estimate_db
-
-
 class MetricUndefinedError(RisSimError, ValueError):
     """A pattern metric has no well-defined value on the given samples."""
 

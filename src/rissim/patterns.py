@@ -21,12 +21,19 @@ sin rows of the first ceil(Nx/2) and ceil(Ny/2) steering columns remain. Each
 half row is filled by doubling from one exponential per direction per axis
 (Nx + Ny for per-element exponentials, Nx Ny for the direct sum). One real
 GEMM per x half and a weighted row sum give four terms per direction, whose
-signed sums are the fields at (u, v), (-u, v), (-u, -v) and (u, -v). So the
-directivity samples only the azimuths of one quadrant, phi in [0, 90] deg,
-and reads the mirror azimuths 180 - phi, 180 + phi and 360 - phi from the
-same terms, summing the hemisphere's power row by row without storing its
-field. Directions are evaluated in blocks of whole theta rows, so no
-temporary grows with the grid.
+sum is the field. Directions are evaluated in blocks of whole theta rows, so
+no temporary grows with the grid.
+
+The power radiated into the hemisphere is a quadratic form in W, not a
+sampled integral: |F|^2 = sum_l R(l) exp(j k l . u_hat), with R(l) the
+autocorrelation of W at the element lag l = (i dx, j dy), so
+
+    P_rad = sum_l R(l) K(l),  K(l) = 2 pi int_0^1 mu^(2 gamma) J0(k |l| sqrt(1 - mu^2)) dmu
+
+with mu = cos(theta); the azimuth integral of exp(j k l . u_hat) is 2 pi J0.
+K depends only on the panel, the carrier and gamma, and is built once for
+them; K = 2 pi sin(k rho) / (k rho) at gamma = 0 and 2 pi j1(k rho) / (k rho)
+at gamma = 1 (Watson, A Treatise on the Theory of Bessel Functions, 12.11).
 """
 
 from __future__ import annotations
@@ -38,18 +45,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MetricUndefinedError, ResolutionError
+from .errors import MetricUndefinedError
 from .geometry import ArrayGeometry, _weight_grid
 from .units import db_to_linear, wavelength
 
 DEFAULT_CUT_STEP_DEG = 0.25
-DEFAULT_GRID_STEP_DEG = 1.0
 
 # Directions per block of the separable sum, in whole theta rows. A 0.25-degree
-# cut (721 directions) fits in one block, as do 8 theta rows of a 1-degree
-# hemisphere quadrant (91 azimuths). The largest temporary, the GEMM output,
+# cut (721 directions) fits in one block. The largest temporary, the GEMM output,
 # holds 4 ceil(Ny/2) reals per direction and x half: 384 KiB on a 16x16 panel.
 _CHUNK_DIRECTIONS = 768
+
+# The lag kernel's tanh-sinh rule in mu: nodes t = i h with |t| <= 4, beyond which
+# the weights fall below 1e-35. h = 1/16 (129 nodes) resolves J0's oscillation up
+# to k rho = 60 to within 2e-14 of K(0), and is halved until h k rho <= 3.75.
+_KERNEL_STEP = 1.0 / 16.0
+_KERNEL_SPAN = 4.0
 
 PLANE_AZIMUTHS = {"E": 0.0, "H": math.pi / 2.0}
 
@@ -118,11 +129,16 @@ def _direction_grids(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return theta, phi
 
 
-def _element_factor(theta: np.ndarray, element_exponent: float) -> np.ndarray:
-    """The (len(theta), 1) column cos^gamma(theta) of the single-element field."""
+def _checked_exponent(element_exponent: float) -> float:
+    """The single-element exponent gamma, which must be finite and >= 0."""
     if not (math.isfinite(element_exponent) and element_exponent >= 0):
         raise ValueError(f"element exponent must be finite and >= 0, got {element_exponent}")
-    return np.cos(theta)[:, None] ** element_exponent
+    return element_exponent
+
+
+def _element_factor(theta: np.ndarray, element_exponent: float) -> np.ndarray:
+    """The (len(theta), 1) column cos^gamma(theta) of the single-element field."""
+    return np.cos(theta)[:, None] ** _checked_exponent(element_exponent)
 
 
 def _half_steering(proj: np.ndarray, k_spacing: float, n: int) -> np.ndarray:
@@ -170,38 +186,6 @@ def _fold(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # The factors 1, j, j, -1 of T1..T4 in F(u, v), folded into Q_ss, Q_sd, Q_ds, Q_dd.
 _QUADRANT_FACTORS = np.array([1.0, 1.0j, 1.0j, -1.0])[:, None, None]
 
-# Signs of T1..T4 in the field F(su u, sv v) = T1 + sv T2 + su T3 + su sv T4
-# at the mirrors (su, sv) = (+, +), (-, +), (-, -), (+, -).
-_MIRROR_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], float)
-
-
-def _mirrored_fields(weights: np.ndarray, geom: ArrayGeometry, carrier_hz: float,
-                     theta: np.ndarray, phi: np.ndarray):
-    """The separable sum at (u, v), (-u, v), (-u, -v) and (u, -v) of theta x phi.
-
-    Yields (rows, fields) per block of whole theta rows; ``fields`` is complex
-    (4, rows, len(phi)), the four mirrors in that order. With [c; s] the half
-    steering rows of x, [c'; s'] those of y, and Q_ss, Q_sd, Q_ds, Q_dd the
-    quadrant sums of W (:func:`_fold` along x, then along y), F(u, v) = T1 +
-    j T2 + j T3 - T4 with T1 = c^T Q_ss c', T2 = c^T Q_sd s', T3 = s^T Q_ds c'
-    and T4 = s^T Q_dd s'; mirroring u flips s, and mirroring v flips s'.
-    """
-    k = 2.0 * math.pi / wavelength(carrier_hz)
-    x_sum, x_diff = _fold(_weight_grid(weights, geom))
-    q = np.stack([*_fold(x_sum.T), *_fold(x_diff.T)]) * _QUADRANT_FACTORS  # (4, hy, hx)
-    half_y, half_x = q.shape[1:]
-    folded = np.stack([q.real, q.imag], axis=1).reshape(2, -1, half_x)  # rows: y half, re/im, n
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    step = max(1, _CHUNK_DIRECTIONS // phi.size)
-    for start in range(0, theta.size, step):
-        rows = slice(start, min(start + step, theta.size))
-        s = np.sin(theta[rows])[:, None]
-        x = _half_steering((s * cos_phi).ravel(), k * geom.spacing_x, geom.num_x)
-        y = _half_steering((s * sin_phi).ravel(), k * geom.spacing_y, geom.num_y)
-        partial = (folded @ x).reshape(2, 2, 2, half_y, -1)  # [x half, y half, re/im, n, dir]
-        terms = np.einsum("xyrnd,ynd->xydr", partial, y).reshape(4, -1)  # re/im interleaved
-        yield rows, (_MIRROR_SIGNS @ terms).view(complex).reshape(4, -1, phi.size)
-
 
 def radiation_pattern(
     weights: np.ndarray,
@@ -215,44 +199,41 @@ def radiation_pattern(
     """Sample the array-theory field of the (Nx, Ny) weight grid W on a direction grid.
 
     ``element_exponent`` (gamma) is the single-element field factor
-    cos^gamma(theta).
+    cos^gamma(theta). With [c; s] the half steering rows of x, [c'; s'] those
+    of y, and Q_ss, Q_sd, Q_ds, Q_dd the quadrant sums of W (:func:`_fold`
+    along x, then along y), F(u, v) = T1 + j T2 + j T3 - T4 with
+    T1 = c^T Q_ss c', T2 = c^T Q_sd s', T3 = s^T Q_ds c' and T4 = s^T Q_dd s'.
     """
     theta, phi = _direction_grids(theta, phi)
     element_factor = _element_factor(theta, element_exponent)
+    k = 2.0 * math.pi / wavelength(carrier_hz)
+    x_sum, x_diff = _fold(_weight_grid(weights, geom))
+    q = np.stack([*_fold(x_sum.T), *_fold(x_diff.T)]) * _QUADRANT_FACTORS  # (4, hy, hx)
+    half_y, half_x = q.shape[1:]
+    folded = np.stack([q.real, q.imag], axis=1).reshape(2, -1, half_x)  # rows: y half, re/im, n
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     field = np.empty((theta.size, phi.size), dtype=complex)
-    for rows, fields in _mirrored_fields(weights, geom, carrier_hz, theta, phi):
-        field[rows] = fields[0]
+    step = max(1, _CHUNK_DIRECTIONS // phi.size)
+    for start in range(0, theta.size, step):
+        rows = slice(start, min(start + step, theta.size))
+        s = np.sin(theta[rows])[:, None]
+        x = _half_steering((s * cos_phi).ravel(), k * geom.spacing_x, geom.num_x)
+        y = _half_steering((s * sin_phi).ravel(), k * geom.spacing_y, geom.num_y)
+        partial = (folded @ x).reshape(2, 2, 2, half_y, -1)  # [x half, y half, re/im, n, dir]
+        terms = np.einsum("xyrnd,ynd->xydr", partial, y).reshape(4, -1)  # re/im interleaved
+        field[rows] = terms.sum(0).view(complex).reshape(-1, phi.size)
     field *= element_factor
     return RadiationPattern(theta=theta, phi=phi, field=field)
 
 
-def _step_count(step_deg: float, span_deg: float, grid: str) -> int:
-    """How many grid steps make up the span; the step must divide it exactly."""
-    if not (math.isfinite(step_deg) and step_deg > 0):
-        raise ValueError(f"grid step must be finite and positive, got {step_deg} deg")
-    n = round(span_deg / step_deg)
-    if n < 1 or not math.isclose(n * step_deg, span_deg, rel_tol=1e-9):
-        raise ValueError(f"{grid} grid step must divide {span_deg:g} deg, got {step_deg} deg")
-    return n
-
-
 def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG) -> np.ndarray:
     """Signed theta grid of a principal cut over [-90, 90] deg; the step must divide 180 deg."""
-    n = _step_count(step_deg, 180.0, "cut")
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValueError(f"grid step must be finite and positive, got {step_deg} deg")
+    n = round(180.0 / step_deg)
+    if n < 1 or not math.isclose(n * step_deg, 180.0, rel_tol=1e-9):
+        raise ValueError(f"cut grid step must divide 180 deg, got {step_deg} deg")
     return np.radians(np.linspace(-90.0, 90.0, n + 1))
-
-
-def hemisphere_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, phi) grids covering the forward hemisphere.
-
-    phi omits the 2 pi endpoint so the azimuth integral is a clean periodic
-    sum; theta includes both poles of the range [0, pi/2]. The step must
-    divide 90 deg, so that both grids keep it and phi closes the circle.
-    """
-    quarter = _step_count(step_deg, 90.0, "hemisphere")
-    theta = np.radians(np.linspace(0.0, 90.0, quarter + 1))
-    phi = np.radians(np.arange(4 * quarter) * step_deg)
-    return theta, phi
 
 
 def principal_cut(
@@ -273,55 +254,72 @@ def principal_cut(
     )
 
 
+@lru_cache(maxsize=8)
+def _lag_kernel(geom: ArrayGeometry, carrier_hz: float, element_exponent: float) -> np.ndarray:
+    """K at the (Nx, Ny) lags (i dx, j dy), i, j >= 0; K is even in each lag.
+
+    mu = cos(theta) is integrated by the tanh-sinh rule, mu = (1 + tanh(pi/2
+    sinh t)) / 2. The azimuth mean of exp(j k l . u_hat) is the midpoint rule
+    on phi in [0, pi/2], where by the panel's mirror symmetry it is
+    cos(k i dx u) cos(k j dy v): so each azimuth's cosines are one row per
+    axis, and the lags are one (Nx, nodes) x (nodes, Ny) product. Its n points
+    act as 4 n round the circle, whose error J_4n(k rho) falls below 1e-17
+    once 4 n >= k rho + 12 (k rho)^(1/3) + 16.
+    """
+    gamma = _checked_exponent(element_exponent)
+    k = 2.0 * math.pi / wavelength(carrier_hz)
+    x_lags, y_lags = np.arange(geom.num_x) * geom.spacing_x, np.arange(geom.num_y) * geom.spacing_y
+    z = k * math.hypot(x_lags[-1], y_lags[-1])
+    step = _KERNEL_STEP
+    while step * z > 3.75:
+        step /= 2.0
+    t = np.arange(-round(_KERNEL_SPAN / step), round(_KERNEL_SPAN / step) + 1) * step
+    s = 0.5 * math.pi * np.sinh(t)
+    mu, one_minus_mu = 1.0 / (1.0 + np.exp(-2.0 * s)), 1.0 / (1.0 + np.exp(2.0 * s))
+    k_sin_theta = k * np.sqrt(one_minus_mu * (1.0 + mu))
+    mu_weights = 0.25 * math.pi * step * np.cosh(t) / np.cosh(s) ** 2 * mu ** (2.0 * gamma)
+    azimuths = 4 + math.ceil(z / 4.0 + 3.0 * z ** (1.0 / 3.0))
+    kernel = np.zeros((geom.num_x, geom.num_y))
+    for i in range(azimuths):
+        phi = (i + 0.5) * 0.5 * math.pi / azimuths
+        x_rows = np.cos(np.multiply.outer(x_lags, k_sin_theta * math.cos(phi))) * mu_weights
+        kernel += x_rows @ np.cos(np.multiply.outer(k_sin_theta * math.sin(phi), y_lags))
+    kernel *= 2.0 * math.pi / azimuths
+    kernel.flags.writeable = False
+    return kernel
+
+
 def directivity_and_gain(
     weights: np.ndarray,
     geom: ArrayGeometry,
     carrier_hz: float,
     *,
-    step_deg: float,
+    cut: RadiationPattern,
     element_exponent: float,
     loss_budget_db: float = 0.0,
 ) -> tuple[float, float]:
-    """Peak directivity (dBi) of W's pattern by quadrature on ``hemisphere_grid(step_deg)``.
+    """Directivity (dBi) of W at the peak of ``cut``, and the gain after ``loss_budget_db``.
 
-    Returns it with the gain after ``loss_budget_db``. Only the q + 1
-    quadrant azimuths are sampled: azimuth index j is (u, v), and its
-    mirrors (-u, v), (-u, -v) and (u, -v) are the indices 2q - j, 2q + j
-    and 4q - j, each of the parity of j. The trapezoid over theta of each
-    row's periodic azimuth sum of |E|^2 sin(theta) is checked against the
-    same sum on every second theta and azimuth: the error grows ~4x when
-    the step doubles, so a step-doubling shift of 0.3 dB bounds the
-    step-halving change near 0.1 dB. Raises :class:`ResolutionError`
-    beyond that, with both estimates attached, and ValueError for a step
-    above 45 deg, whose doubled grid has one theta row.
+    ``cut`` is W's pattern sampled through its beam with the same element
+    exponent; its largest sample is the peak power. The radiated power is the
+    lag-kernel form sum_l R(l) K(l), summed one x lag i at a time: the
+    products W[m + i, n] W*[m, n'] summed over m hold R at the lags (i, n - n'),
+    and those at -i are their conjugates.
     """
     if not math.isfinite(loss_budget_db):
         raise ValueError(f"loss_budget_db must be finite, got {loss_budget_db}")
-    theta, phi = hemisphere_grid(step_deg)
-    if theta.size < 3:
-        raise ValueError(f"directivity needs a hemisphere step of at most 45 deg, so that the "
-                         f"step-doubled grid keeps two theta rows; got {step_deg} deg")
-    q = phi.size // 4
-    element_power = _element_factor(theta, element_exponent) ** 2
-    peak, rows_sum, even_sum = 0.0, np.empty(theta.size), np.empty(theta.size)
-    for rows, fields in _mirrored_fields(weights, geom, carrier_hz, theta, phi[: q + 1]):
-        power = np.abs(fields) ** 2 * element_power[rows]
-        power[1::2, :, 0] = 0.0  # at j = 0, (-u, v) is (-u, -v) and (u, -v) is (u, v)
-        power[0::2, :, q] = 0.0  # at j = q, (u, v) is (-u, v) and (-u, -v) is (u, -v)
-        peak = max(peak, float(power.max()))
-        rows_sum[rows] = power.sum(axis=(0, 2))
-        even_sum[rows] = power[:, :, ::2].sum(axis=(0, 2))
+    peak = float(cut.power.max())
     if peak <= 0:
         raise ValueError("pattern has no power")
-    estimates = []
-    for stride, per_theta in ((1, rows_sum), (2, even_sum)):
-        th = theta[::stride]
-        integral = np.trapezoid(per_theta[::stride] * (phi[stride] - phi[0]) * np.sin(th), th)
-        estimates.append(10.0 * math.log10(4.0 * math.pi * peak / float(integral)))
-    full_db, coarse_db = estimates
-    if abs(full_db - coarse_db) >= 0.3:
-        raise ResolutionError("directivity grid under-resolved", full_db, coarse_db)
-    return full_db, full_db - loss_budget_db
+    kernel = _lag_kernel(geom, carrier_hz, element_exponent)
+    grid = _weight_grid(weights, geom)
+    y_lags = np.abs(np.subtract.outer(np.arange(geom.num_y), np.arange(geom.num_y)))
+    radiated = 0.0
+    for i in range(geom.num_x):
+        products = grid[i:].T @ grid[: geom.num_x - i].conj()
+        radiated += (2.0 if i else 1.0) * float(np.vdot(kernel[i][y_lags], products.real))
+    directivity_dbi = 10.0 * math.log10(4.0 * math.pi * peak / radiated)
+    return directivity_dbi, directivity_dbi - loss_budget_db
 
 
 @dataclass(frozen=True)

@@ -186,12 +186,12 @@ PINNED_PATTERN_OUTPUTS = {
         "f2063a0d831b58a0813df2cdc9949960725d874c018831be2bc704ccecc1897d",
         "a845ededfa6218a5bb78a3be462a266a54c3143bae2737fdfc665f7b037519c3",
         "941493bee2ac48acef15cca26a4f53e1e9845620330ac586c7cb907a3e7da9a2",
-        "directivity 24.83 dBi, gain 24.83 dBi (loss budget 0.00 dB)"),
+        "directivity 24.84 dBi, gain 24.84 dBi (loss budget 0.00 dB)"),
     ("nominal", "0"): (
         "a3ce543f2f2f863672856c35e779fd1175b23bc9342a98947ec6c22deae1232f",
         "a8ff369a246aa5abf4ab5bd8a9a1a355f041832e26df0a178f80fd8c51accd97",
         "bb5b4112c221fcc1e47e4c91683fb84d1a400b955587c3168719cda89434aaba",
-        "directivity 25.46 dBi, gain 25.46 dBi (loss budget 0.00 dB)"),
+        "directivity 25.44 dBi, gain 25.44 dBi (loss budget 0.00 dB)"),
     ("nominal", "47.5"): (
         "14da09c6a506b296b8d7ff5a61a5caac89e516bee8ea72c29ff63fba9dd304a0",
         "169a82811273cb066e304e0fce88b73be19c705cb4cef628267e63c34c3ff0a6",
@@ -201,7 +201,7 @@ PINNED_PATTERN_OUTPUTS = {
         "47fd0a776ea13ac00ede393a85f3fe709803cadbf2c23bbe0b139e793dbbf6ab",
         "adf9dd62d3e2ff042b7e0e03f30e3b7961d4bc70cf271e4a135572c436b295f7",
         "3a8784288757db9678f7e46cae0de6b70be4e037c17bf9c051b8aa831831ad78",
-        "directivity 24.83 dBi, gain 24.83 dBi (loss budget 0.00 dB)"),
+        "directivity 24.84 dBi, gain 24.84 dBi (loss budget 0.00 dB)"),
 }
 
 
@@ -218,7 +218,7 @@ def test_pattern_outputs_match_their_pinned_digests(tmp_path, capsys, mode, stee
 def test_pattern_loss_budget_gain_line(tmp_path, capsys):
     assert run("pattern", "--loss-budget-db", "2.5", "--out", str(tmp_path)) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "directivity 25.46 dBi, gain 22.96 dBi (loss budget 2.50 dB)")
+        "directivity 25.44 dBi, gain 22.94 dBi (loss budget 2.50 dB)")
 
 
 @pytest.mark.parametrize("beam,flags,alone", [
@@ -318,14 +318,6 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     (["scan", "--element-exponent", "inf"], "element exponent must be finite"),
     (["pattern", "--loss-budget-db", "inf"], "loss_budget_db must be finite"),
     (["pattern", "--steer-deg", "95"], "--steer-deg must lie in [-90, 90]"),  # behind the panel
-    (["pattern", "--config", "hemisphere_grid_deg: 15"],
-     "hemisphere_grid_deg 15.0 is too coarse for this beam: directivity grid under-resolved"),
-    (["reproduce", "--config", "hemisphere_grid_deg: 15"],
-     "hemisphere_grid_deg 15.0 is too coarse for this beam: directivity grid under-resolved"),
-    (["pattern", "--config", "hemisphere_grid_deg: 90"],  # no step-doubled grid to check on
-     "hemisphere_grid_deg must be at most 45 deg"),
-    (["reproduce", "--config", "hemisphere_grid_deg: 90"],
-     "hemisphere_grid_deg must be at most 45 deg"),
     (["pattern", "--config", "feed: {gain_dbi: .nan}"], "feed: key 'gain_dbi' must be finite"),
     (["pattern", "--config", "feed: {gain_dbi: .inf}"], "feed: key 'gain_dbi' must be finite"),
     (["pattern", "--config", "feed: {range_m: .nan}"], "feed: key 'range_m' must be finite"),
@@ -342,8 +334,7 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     (["pattern", "--element-exponent", "400"],  # every sidelobe sample underflows to zero
      "sidelobe level undefined: every sample outside the main lobe is zero"),
 ], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
-        "loss-budget-inf", "steer-95", "hemisphere-grid-15", "reproduce-hemisphere-grid-15",
-        "hemisphere-grid-90", "reproduce-hemisphere-grid-90", "feed-gain-nan", "feed-gain-inf",
+        "loss-budget-inf", "steer-95", "feed-gain-nan", "feed-gain-inf",
         "feed-range-nan", "reproduce-feed-gain-nan", "reproduce-feed-range-nan",
         "feed-range-negative", "feed-range-zero", "feed-gain-2", "reproduce-feed-range-negative",
         "reproduce-feed-range-zero", "reproduce-feed-gain-2", "element-exponent-400"])
@@ -408,7 +399,6 @@ def test_config_section_must_be_a_mapping(tmp_path, capsys, section):
     ("feed: {gain_dbi: twelve}", "gain_dbi"),
     ("beam: {offset_deg: true}", "offset_deg"),
     ("grid_deg: true", "grid_deg"),
-    ("hemisphere_grid_deg: true", "hemisphere_grid_deg"),
 ])
 def test_config_numbers_are_not_booleans(tmp_path, capsys, entry, key):
     cfg = tmp_path / "run.yaml"
@@ -434,13 +424,13 @@ def test_feed_exponent_is_not_a_run_config_key(tmp_path, capsys, feed):
 READ_KEYS = {
     "codebook": {"bits", "geometry", "beam"},
     "quantloss": {"bits", "geometry"},
-    "pattern": {"grid_deg", "hemisphere_grid_deg", "bits", "mode", "element_table", "geometry",
-                "feed"},
+    "pattern": {"grid_deg", "bits", "mode", "element_table", "geometry", "feed"},
     "scan": {"grid_deg", "bits", "mode", "element_table", "geometry", "feed"},
     "link": {"element_table", "scenario"},
-    "reproduce": {"grid_deg", "hemisphere_grid_deg", "seed", "element_table", "scenario", "feed"},
+    "reproduce": {"grid_deg", "seed", "element_table", "scenario", "feed"},
 }
-# one valid entry per key; {states} and {scenario} are filled with paths
+# one valid entry per key; {states} and {scenario} are filled with paths. No subcommand reads
+# hemisphere_grid_deg, the step of the grid the directivity once sampled, so each refuses it.
 KEY_ENTRIES = {
     "grid_deg": "grid_deg: 1.0",
     "hemisphere_grid_deg": "hemisphere_grid_deg: 2.0",
@@ -507,7 +497,6 @@ def test_oracle_verdict_fails_when_solver_beats_the_oracle(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("entry", [
-    "hemisphere_grid_deg: 0", "hemisphere_grid_deg: -1", "hemisphere_grid_deg: .nan",
     "grid_deg: 0", "grid_deg: .inf",
 ])
 def test_config_grid_steps_must_be_positive(tmp_path, capsys, entry):
@@ -515,14 +504,6 @@ def test_config_grid_steps_must_be_positive(tmp_path, capsys, entry):
     cfg.write_text(f"output_dir: {tmp_path / 'results'}\n{entry}\n")
     assert run("pattern", "--config", str(cfg)) == 1
     assert f"{entry.split(':')[0]} must be finite and positive" in capsys.readouterr().err
-    assert not (tmp_path / "results" / "pattern_metrics.csv").exists()
-
-
-def test_config_hemisphere_step_must_divide_a_right_angle(tmp_path, capsys):
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text(f"output_dir: {tmp_path / 'results'}\nhemisphere_grid_deg: 0.7\n")
-    assert run("pattern", "--config", str(cfg)) == 1
-    assert "hemisphere_grid_deg must divide 90 deg, got 0.7" in capsys.readouterr().err
     assert not (tmp_path / "results" / "pattern_metrics.csv").exists()
 
 

@@ -10,7 +10,6 @@ from rissim import (
     MetricUndefinedError,
     Pose,
     RadiationPattern,
-    ResolutionError,
     RISConfiguration,
     aperture_efficiency,
     code_table,
@@ -18,7 +17,6 @@ from rissim import (
     default_element_table,
     directivity_and_gain,
     feed_illuminations,
-    hemisphere_grid,
     optimal_phases,
     pattern_metrics,
     pattern_to_csv,
@@ -180,38 +178,33 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
     assert np.abs(got.field - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _directivity_estimates(weights, geom, step_deg, gamma):
-    """(fine, coarse) directivity in dBi; coarse is None when the grid resolves it."""
-    try:
-        return directivity_and_gain(weights, geom, CARRIER_HZ, step_deg=step_deg,
-                                    element_exponent=gamma)[0], None
-    except ResolutionError as err:
-        return err.fine_estimate_db, err.coarse_estimate_db
+def hemisphere_directions(step_deg):
+    """(theta, phi) over the forward hemisphere: theta from 0 to 90 deg with both ends, and
+    phi round the circle without its 360-deg end, both at the step, which divides 90 deg."""
+    quarter = round(90.0 / step_deg)
+    theta = np.radians(np.linspace(0.0, 90.0, quarter + 1))
+    return theta, np.radians(np.arange(4 * quarter) * step_deg)
 
 
 def reference_directivity(weights, geom, step_deg, gamma):
-    """(fine, coarse) directivity in dBi: the trapezoid over the whole hemisphere_grid field,
-    and the same on every second theta and azimuth."""
-    theta, phi = hemisphere_grid(step_deg)
-    power = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
-                              theta=theta, phi=phi).power
+    """(fine, coarse) directivity in dBi by quadrature of |F|^2 on the hemisphere grid of the
+    step: the periodic sum over phi and the trapezoid over theta, on the whole grid and on
+    every second theta and azimuth, each at the grid's largest sample. The field is sampled
+    32 theta rows at a time."""
+    theta, phi = hemisphere_directions(step_deg)
+    peak, per_theta = 0.0, np.empty((2, theta.size))
+    for start in range(0, theta.size, 32):
+        rows = slice(start, start + 32)
+        power = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
+                                  theta=theta[rows], phi=phi).power
+        peak = max(peak, power.max())
+        per_theta[:, rows] = power.sum(axis=1), power[:, ::2].sum(axis=1)
     estimates = []
-    for stride in (1, 2):
+    for stride, sums in zip((1, 2), per_theta):
         th = theta[::stride]
-        per_theta = power[::stride, ::stride].sum(axis=1) * (phi[stride] - phi[0])
-        integral = np.trapezoid(per_theta * np.sin(th), th)
-        estimates.append(10.0 * math.log10(4.0 * math.pi * power.max() / integral))
+        integral = np.trapezoid(sums[::stride] * (phi[stride] - phi[0]) * np.sin(th), th)
+        estimates.append(10.0 * math.log10(4.0 * math.pi * peak / integral))
     return tuple(estimates)
-
-
-def assert_directivity_matches_reference(weights, geom, step_deg, gamma):
-    got = _directivity_estimates(weights, geom, step_deg, gamma)
-    fine, coarse = reference_directivity(weights, geom, step_deg, gamma)
-    assert got[0] == pytest.approx(fine, abs=1e-12)
-    assert (got[1] is None) == (abs(fine - coarse) < 0.3)
-    if got[1] is not None:
-        assert got[1] == pytest.approx(coarse, abs=1e-12)
-    return got
 
 
 @pytest.mark.parametrize("nx,ny,dx,dy", [(1, 1, 4.9e-3, 4.9e-3), (1, 7, 4.9e-3, 2.7e-3),
@@ -221,22 +214,20 @@ def assert_directivity_matches_reference(weights, geom, step_deg, gamma):
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
 def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, excitation,
                                                       gamma, rng):
-    """The hemisphere the directivity samples from one quadrant integrates as the full field."""
+    """The lag kernel's directivity is what the quadrature of the full field converges to: at
+    the same peak, it lies within the quadrature's step-doubling change of the fine grid."""
     geom = ArrayGeometry(nx, ny, dx, dy)
     if excitation == "phases":
         weights = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (nx, ny)))
     else:
         config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
         weights = fed(coefficients(config, "realized"), geom)
-    assert_directivity_matches_reference(weights, geom, step_deg, gamma)
-
-
-def test_hemisphere_last_block_of_one_theta_row(panel16, rng):
-    theta, phi = hemisphere_grid(0.5)
-    rows = patterns._CHUNK_DIRECTIONS // (phi.size // 4 + 1)  # quadrant theta rows per block
-    assert theta.size > rows and theta.size % rows == 1
-    weights = fed(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (16, 16))), panel16)
-    assert assert_directivity_matches_reference(weights, panel16, 0.5, 1.0)[1] is None
+    theta, phi = hemisphere_directions(step_deg)
+    grid = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
+                             theta=theta, phi=phi)
+    got = directivity_and_gain(weights, geom, CARRIER_HZ, cut=grid, element_exponent=gamma)[0]
+    fine, coarse = reference_directivity(weights, geom, step_deg, gamma)
+    assert abs(got - fine) <= abs(fine - coarse)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.5])
@@ -348,10 +339,11 @@ def test_tapered_broadside_sidelobes_and_width(panel16):
 # ------------------------------------------------------------- directivity
 
 
-def directivity_of_ones(geom, step_deg=1.0, loss_budget_db=0.0):
-    """Directivity and gain of the uniform array factor (gamma = 0)."""
-    return directivity_and_gain(np.ones((geom.num_x, geom.num_y)), geom, CARRIER_HZ,
-                                step_deg=step_deg, element_exponent=0.0,
+def directivity_of_ones(geom, loss_budget_db=0.0):
+    """Directivity and gain of the uniform array factor (gamma = 0), whose E cut peaks at 0 deg."""
+    weights = np.ones((geom.num_x, geom.num_y))
+    cut = principal_cut(weights, geom, CARRIER_HZ, element_exponent=0.0)
+    return directivity_and_gain(weights, geom, CARRIER_HZ, cut=cut, element_exponent=0.0,
                                 loss_budget_db=loss_budget_db)
 
 
@@ -365,7 +357,7 @@ def test_directivity_uniform_aperture(panel16):
 
 def test_directivity_isotropic_hemisphere_element():
     directivity_dbi, _ = directivity_of_ones(ArrayGeometry(1, 1))
-    assert directivity_dbi == pytest.approx(10 * math.log10(2.0), abs=0.02)
+    assert directivity_dbi == pytest.approx(10 * math.log10(2.0), abs=1e-9)
 
 
 def test_gain_subtracts_loss_budget(panel16):
@@ -375,33 +367,71 @@ def test_gain_subtracts_loss_budget(panel16):
     assert g1 == pytest.approx(g0 - 2.16)
 
 
-def test_directivity_quadrature_convergence(panel16):
-    config = synthesize_codebook(BeamSpec(tx=FEED, rx=FAR), panel16, CARRIER_HZ, 2)
-    estimates = []
-    for step in (1.0, 0.5):
-        estimates.append(directivity_and_gain(fed(coefficients(config), panel16), panel16,
-                                              CARRIER_HZ, step_deg=step, element_exponent=1.0)[0])
-    assert abs(estimates[0] - estimates[1]) < 0.1
+def closed_form_kernel(x, gamma):
+    """2 pi sin(x) / x at gamma = 0 and 2 pi j1(x) / x at gamma = 1, with x = k |l|."""
+    z = np.where(x == 0, 1.0, x)
+    if gamma == 0:
+        return 2.0 * math.pi * np.where(x == 0, 1.0, np.sin(z) / z)
+    return 2.0 * math.pi * np.where(x == 0, 1.0 / 3.0, (np.sin(z) / z**2 - np.cos(z) / z) / z)
 
 
-def test_directivity_under_resolved_grid_raises(panel16):
-    with pytest.raises(ResolutionError) as err:
-        directivity_of_ones(panel16, step_deg=6.0)
-    assert err.value.fine_estimate_db != err.value.coarse_estimate_db
+@pytest.mark.parametrize("geom", [ArrayGeometry(16, 16), ArrayGeometry(64, 2, 4.9e-3, 11e-3)],
+                         ids=["16x16", "64x2"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_lag_kernel_matches_its_closed_forms(geom, gamma):
+    """To 1e-12 of K(0); the 64x2 panel reaches k |l| = 175, three times the 16x16 panel's 59."""
+    x = 2.0 * math.pi / wavelength(CARRIER_HZ) * np.hypot(
+        np.arange(geom.num_x)[:, None] * geom.spacing_x, np.arange(geom.num_y) * geom.spacing_y)
+    got = patterns._lag_kernel(geom, CARRIER_HZ, gamma)
+    assert got.shape == (geom.num_x, geom.num_y)  # the lags (i dx, j dy), i, j >= 0
+    assert np.abs(got - closed_form_kernel(x, gamma)).max() <= 1e-12 * got[0, 0]
+    assert not got.flags.writeable
 
 
-def test_directivity_accepts_a_grid_whose_step_misses_by_rounding(panel16):
-    estimates = [directivity_of_ones(panel16, step_deg)[0]
-                 for step_deg in (1.0, 1.0 + 9e-10)]  # hemisphere_grid accepts both steps
-    assert estimates[1] == pytest.approx(estimates[0], abs=1e-6)
+@pytest.mark.parametrize("nx,ny,dx,dy", [(3, 5, 3.1e-3, 4.9e-3), (16, 16, 4.9e-3, 4.9e-3)])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_radiated_power_is_the_double_sum_over_element_pairs(nx, ny, dx, dy, gamma, rng):
+    """sum_nm W_n W_m* K(|r_n - r_m|), summed pair by pair with the closed-form kernel."""
+    geom = ArrayGeometry(nx, ny, dx, dy)
+    weights = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+    cut = principal_cut(weights, geom, CARRIER_HZ, element_exponent=gamma)
+    xe, ye = (c.ravel() for c in geom.element_grid())
+    distances = np.hypot(np.subtract.outer(xe, xe), np.subtract.outer(ye, ye))
+    kernel = closed_form_kernel(2.0 * math.pi / wavelength(CARRIER_HZ) * distances, gamma)
+    radiated = np.vdot(weights.ravel(), kernel @ weights.ravel()).real
+    want = 10.0 * math.log10(4.0 * math.pi * cut.power.max() / radiated)
+    got = directivity_and_gain(weights, geom, CARRIER_HZ, cut=cut, element_exponent=gamma)[0]
+    assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_directivity_needs_two_theta_rows_on_the_doubled_step():
-    """At 90 deg the doubled grid holds only theta = 0, where sin(theta) gives no power."""
-    geom = ArrayGeometry(1, 1)
-    with pytest.raises(ValueError, match="at most 45 deg.*got 90.0 deg"):
-        directivity_of_ones(geom, 90.0)
-    assert_directivity_matches_reference(np.ones((1, 1)), geom, 45.0, 0.0)
+@pytest.mark.parametrize("gamma", [0.3, 400.0])
+def test_lag_kernel_is_converged_in_its_step(panel16, gamma, monkeypatch):
+    """Halving the tanh-sinh step moves K by less than 1e-9 of K(0), also where mu^(2 gamma)
+    has an infinite slope at mu = 0 or is a spike of width 1/800 at mu = 1."""
+    kernel = patterns._lag_kernel(panel16, CARRIER_HZ, gamma)
+    monkeypatch.setattr(patterns, "_KERNEL_STEP", patterns._KERNEL_STEP / 2.0)
+    halved = patterns._lag_kernel.__wrapped__(panel16, CARRIER_HZ, gamma)  # past the cache
+    assert np.abs(halved - kernel).max() <= 1e-9 * kernel[0, 0]
+
+
+@pytest.mark.parametrize("mode,steer_deg", [("nominal", -30.0), ("nominal", 0.0),
+                                            ("nominal", 47.5), ("realized", -30.0)])
+def test_directivity_matches_a_fine_quadrature(panel16, table, mode, steer_deg):
+    """The beams of the pinned pattern outputs, each at the peak of its 0.25-deg E cut."""
+    config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(steer_deg)), panel16,
+                                 CARRIER_HZ, 2)
+    weights = fed(coefficients(config, mode, table), panel16)
+    cut = principal_cut(weights, panel16, CARRIER_HZ, element_exponent=1.0)
+    got = directivity_and_gain(weights, panel16, CARRIER_HZ, cut=cut, element_exponent=1.0)[0]
+    assert got == pytest.approx(reference_directivity(weights, panel16, 0.125, 1.0)[0], abs=0.005)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_directivity_refuses_a_bad_element_exponent(panel16, bad):
+    cut = broadside_tapered_cut(panel16)
+    with pytest.raises(ValueError, match="element exponent must be finite and >= 0"):
+        directivity_and_gain(np.ones((16, 16)), panel16, CARRIER_HZ, cut=cut,
+                             element_exponent=bad)
 
 
 # ----------------------------------------------------------------- metrics
@@ -432,7 +462,7 @@ def test_metrics_need_a_null_bracket():
 
 
 def test_metrics_reject_2d_patterns(panel16):
-    theta, phi = hemisphere_grid(2.0)
+    theta, phi = hemisphere_directions(2.0)
     pattern = radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ,
                                 element_exponent=0.0, theta=theta, phi=phi)
     with pytest.raises(ValueError):
@@ -470,8 +500,6 @@ def test_direction_grids_must_be_finite(panel16, name, bad):
 def test_grids_reject_bad_steps(step_deg):
     with pytest.raises(ValueError, match=f"grid step .*got {step_deg} deg"):
         cut_grid(step_deg)  # 0.7 and 100 do not divide 180 deg
-    with pytest.raises(ValueError, match=f"grid step .*got {step_deg} deg"):
-        hemisphere_grid(step_deg)  # nor 90 deg
 
 
 def test_cut_grid_keeps_its_step():
@@ -537,11 +565,11 @@ def _random_field(rng, shape):
 def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
     h_plane = np.array([patterns.PLANE_AZIMUTHS["H"]])
     if kind == "hemisphere":
-        grids = [hemisphere_grid(10.0)]
+        grids = [hemisphere_directions(10.0)]
     elif kind == "grid_sequence":  # one process, so the labels cached for an axis serve it again
         patterns._axis_labels.cache_clear()
         grids = [(cut_grid(1.0), h_plane), (cut_grid(1.0), np.array([0.0])), (cut_grid(0.5), h_plane),
-                 (cut_grid(1.0), h_plane), hemisphere_grid(10.0)]
+                 (cut_grid(1.0), h_plane), hemisphere_directions(10.0)]
     else:
         grids = [(cut_grid(1.0), h_plane)]
     for i, (theta, phi) in enumerate(grids):
@@ -561,7 +589,7 @@ def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
 
 
 def test_power_is_computed_once_and_read_only(rng):
-    theta, phi = hemisphere_grid(10.0)
+    theta, phi = hemisphere_directions(10.0)
     field = _random_field(rng, (theta.size, phi.size))
     pattern = RadiationPattern(theta=theta, phi=phi, field=field)
     power = pattern.power
@@ -572,7 +600,7 @@ def test_power_is_computed_once_and_read_only(rng):
 
 
 def test_pattern_stores_read_only_views_of_the_arrays_it_is_given(rng):
-    theta, phi = hemisphere_grid(10.0)
+    theta, phi = hemisphere_directions(10.0)
     field = _random_field(rng, (theta.size, phi.size))
     pattern = RadiationPattern(theta=theta, phi=phi, field=field)
     for given, stored in ((theta, pattern.theta), (phi, pattern.phi), (field, pattern.field)):
