@@ -26,11 +26,9 @@ from .channel import (
 from .codebook import (
     RISConfiguration,
     bitstream_to_hex,
-    decode_bias_bitstream,
     encode_bias_bitstream,
     pack_bitstream,
     quantize_phases,
-    unpack_bitstream,
 )
 from .elements import (
     ElementStateTable,

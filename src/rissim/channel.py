@@ -38,12 +38,11 @@ def exponent_from_gain(gain_dbi: float) -> float:
     return q
 
 
-def cos_power_pattern(angle: float | np.ndarray, exponent: float) -> float | np.ndarray:
-    """Normalized power pattern cos^q(angle), zero beyond 90 degrees."""
+def cos_power_pattern(angle: float, exponent: float) -> float:
+    """Normalized power pattern cos^q(angle) of one angle, zero beyond 90 degrees."""
     if exponent < 0:
         raise ValueError(f"pattern exponent must be >= 0, got {exponent}")
-    c = np.clip(np.cos(angle), 0.0, None)
-    return c**exponent
+    return max(math.cos(angle), 0.0) ** exponent
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,8 @@ class GainProfile:
 
     def panel_pattern_factor(self, tx: Pose, rx: Pose) -> float:
         """F of the panel link: both face patterns at their endpoint's polar angle."""
-        return float(
-            cos_power_pattern(tx.polar, self.q_ris_rx_side)
-            * cos_power_pattern(rx.polar, self.q_ris_tx_side)
-        )
+        return (cos_power_pattern(tx.polar, self.q_ris_rx_side)
+                * cos_power_pattern(rx.polar, self.q_ris_tx_side))
 
 
 def _cascade_prefactor(

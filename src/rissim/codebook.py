@@ -100,28 +100,9 @@ def encode_bias_bitstream(config: RISConfiguration) -> np.ndarray:
     return bits
 
 
-def decode_bias_bitstream(bits: np.ndarray, geom: ArrayGeometry) -> RISConfiguration:
-    """Exact inverse of :func:`encode_bias_bitstream`."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    expected = 2 * geom.num_elements
-    if bits.ndim != 1 or bits.size != expected:
-        raise ValueError(f"bitstream must hold {expected} bits, got {bits.size}")
-    if bits.size and bits.max() > 1:
-        raise ValueError("bitstream values must be 0 or 1")
-    codes = (bits[0::2].astype(np.int64) << 1) | bits[1::2]
-    return RISConfiguration(geom=geom, bits=2, codes=codes.reshape(geom.num_x, geom.num_y))
-
-
 def pack_bitstream(bits: np.ndarray) -> bytes:
     """Pack bits into bytes, first bit into the MSB of the first byte."""
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
-def unpack_bitstream(data: bytes, num_bits: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if bits.size < num_bits:
-        raise ValueError(f"buffer holds {bits.size} bits, need {num_bits}")
-    return bits[:num_bits]
 
 
 def bitstream_to_hex(bits: np.ndarray) -> str:

@@ -65,6 +65,13 @@ class ElementStateTable:
     def realized_phases(self) -> np.ndarray:
         return np.array(self.phases)
 
+    @functools.cached_property
+    def _coefficients(self) -> np.ndarray:
+        """Gamma * exp(j phi) per code, built on the first read; read-only, as it is shared."""
+        lut = self.magnitudes() * np.exp(1j * self.realized_phases())
+        lut.flags.writeable = False
+        return lut
+
     def mean_insertion_loss_db(self) -> float:
         return sum(self.losses_db) / len(self.losses_db)
 
@@ -135,10 +142,10 @@ def code_table(bits: int, mode: Mode, table: ElementStateTable | None = None) ->
 def state_coefficients(table: ElementStateTable, codes: np.ndarray) -> np.ndarray:
     """Complex transmission coefficients Gamma * exp(j phi) of an integer code array.
 
-    Each code reads its state's magnitude and realized phase from ``table``.
+    Each code reads its state's magnitude and realized phase from ``table``;
+    the result is a new array.
     """
     codes = np.asarray(codes)
     if codes.size and (codes.min() < 0 or codes.max() >= (1 << table.bits)):
         raise ValueError(f"codes outside [0, {1 << table.bits})")
-    lut = table.magnitudes() * np.exp(1j * table.realized_phases())
-    return lut[codes]
+    return table._coefficients[codes]

@@ -160,8 +160,9 @@ def exact_distances(point: Pose, geom: ArrayGeometry) -> np.ndarray:
     Raises :class:`DegenerateGeometryError` if the point coincides with an element.
     """
     xe, ye = geom.element_grid()
-    d = np.sqrt((point.x - xe) ** 2 + (point.y - ye) ** 2 + point.z**2)
-    if np.any(d == 0.0):
+    # separable: the same operands, summed in the same order, as on the full grids
+    d = np.sqrt(np.add.outer((point.x - xe[:, 0]) ** 2, (point.y - ye[0]) ** 2) + point.z**2)
+    if not d.all():  # on d itself: z**2 underflows to 0 for a tiny z
         raise DegenerateGeometryError("point lies on the panel surface at an element")
     return d
 

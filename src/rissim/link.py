@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .beams import BeamSpec, synthesize_codebook
 from .channel import GainProfile, cos_power_pattern, received_power
 from .elements import ElementStateTable, code_table, state_coefficients
@@ -142,11 +140,6 @@ def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def _mirrored_rx(rx: Pose) -> np.ndarray:
-    """Receiver position in the transmitter's frame (through-panel)."""
-    return np.array([rx.x, rx.y, -rx.z])
-
-
 def direct_received_power_w(scenario: LinkScenario) -> float:
     """Friis power of the horn-to-horn link, with pattern misalignment.
 
@@ -154,22 +147,20 @@ def direct_received_power_w(scenario: LinkScenario) -> float:
     cos^q power pattern evaluated at the angle between that boresight and
     the line between the horns.
     """
-    tx = np.array([scenario.tx_pose.x, scenario.tx_pose.y, scenario.tx_pose.z])
-    rx = _mirrored_rx(scenario.rx_pose)
-    sep = rx - tx
-    d = float(np.linalg.norm(sep))
+    tx, rx = scenario.tx_pose, scenario.rx_pose
+    # Tx-to-Rx separation, with the receiver mirrored through the panel plane
+    sx, sy, sz = rx.x - tx.x, rx.y - tx.y, -rx.z - tx.z
+    d = math.hypot(sx, sy, sz)
     if d <= 0:
         raise ValueError("transmitter and receiver coincide")
     lam = wavelength(scenario.carrier_hz)
-    to_rx = sep / d
-    tx_bore = -tx / np.linalg.norm(tx)
-    rx_bore = -rx / np.linalg.norm(rx)
-    angle_tx = math.acos(float(np.clip(np.dot(tx_bore, to_rx), -1.0, 1.0)))
-    angle_rx = math.acos(float(np.clip(np.dot(rx_bore, -to_rx), -1.0, 1.0)))
+    # each boresight points from its horn to the panel center
+    cos_tx = -(tx.x * sx + tx.y * sy + tx.z * sz) / (math.hypot(tx.x, tx.y, tx.z) * d)
+    cos_rx = (rx.x * sx + rx.y * sy - rx.z * sz) / (math.hypot(rx.x, rx.y, rx.z) * d)
+    angle_tx = math.acos(min(max(cos_tx, -1.0), 1.0))
+    angle_rx = math.acos(min(max(cos_rx, -1.0), 1.0))
     g = scenario.gains
-    pattern = float(
-        cos_power_pattern(angle_tx, g.q_tx) * cos_power_pattern(angle_rx, g.q_rx)
-    )
+    pattern = cos_power_pattern(angle_tx, g.q_tx) * cos_power_pattern(angle_rx, g.q_rx)
     p_tx = dbm_to_watts(scenario.transmit_power_dbm)
     gain = 10.0 ** ((g.tx_gain_dbi + g.rx_gain_dbi) / 10.0)
     return p_tx * gain * pattern * (lam / (4.0 * math.pi * d)) ** 2

@@ -37,14 +37,17 @@ def test_exponent_from_gain_values():
 
 
 def test_cos_power_pattern_shape():
-    angles = np.linspace(0, math.pi / 2, 200)
+    angles = np.linspace(0, math.pi / 2, 200).tolist()
     for q in (0.0, 0.58, 3.16, 92.0):
-        pat = cos_power_pattern(angles, q)
+        pat = [cos_power_pattern(angle, q) for angle in angles]
+        assert all(type(value) is float for value in pat)
         assert pat[0] == pytest.approx(1.0)
         assert np.all(np.diff(pat) <= 1e-15)
     assert cos_power_pattern(math.pi / 2 + 0.3, 2.0) == 0.0
     with pytest.raises(ValueError):
         cos_power_pattern(0.2, -1.0)
+    with pytest.raises(TypeError):  # one angle per call
+        cos_power_pattern(np.zeros(2), 2.0)
 
 
 def test_gain_profile_validation():
@@ -254,8 +257,8 @@ def test_channel_coefficient_degenerate_geometry(panel16, tx_far, desk_gains):
 
 @given(exponent=st.floats(0.0, 200.0))
 def test_cos_power_pattern_monotone_any_exponent(exponent):
-    angles = np.linspace(0.0, math.pi / 2, 91)
-    pattern = cos_power_pattern(angles, exponent)
+    angles = np.linspace(0.0, math.pi / 2, 91).tolist()
+    pattern = np.array([cos_power_pattern(angle, exponent) for angle in angles])
     assert pattern[0] == pytest.approx(1.0)
     assert np.all(np.diff(pattern) <= 1e-12)
     assert np.all((0.0 <= pattern) & (pattern <= 1.0))

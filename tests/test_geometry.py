@@ -130,8 +130,19 @@ def test_exact_distances_never_below_z(panel16):
 def test_exact_distance_degenerate(panel16):
     xe, ye = panel16.element_grid()
     x, y = xe[4, 9], ye[4, 9]
-    with pytest.raises(DegenerateGeometryError):
-        exact_distances(Pose.from_cartesian(x, y, 0.0), panel16)
+    for z in (0.0, 1e-200):  # 1e-200 ** 2 underflows to 0.0, so the distance itself is 0
+        with pytest.raises(DegenerateGeometryError):
+            exact_distances(Pose.from_cartesian(x, y, z), panel16)
+
+
+@pytest.mark.parametrize("geom", [ArrayGeometry(16, 16), ArrayGeometry(15, 7, 3.1e-3, 4.9e-3),
+                                  ArrayGeometry(1, 1)], ids=["16x16", "15x7", "1x1"])
+def test_exact_distances_equal_the_full_grid_formula(geom):
+    xe, ye = geom.element_grid()
+    for point in (Pose.from_cartesian(0.013, -0.021, 0.05), Pose.from_spherical(2.6, 0.9, 4.0),
+                  Pose.from_cartesian(-0.3, 0.0, 1e-3)):
+        grid = np.sqrt((point.x - xe) ** 2 + (point.y - ye) ** 2 + point.z**2)
+        assert np.array_equal(exact_distances(point, geom), grid)
 
 
 def test_exact_distance_relabel_invariance(panel16):

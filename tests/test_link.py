@@ -160,6 +160,45 @@ def test_direct_link_steer_misalignment_costs_power(panel16):
     assert 1.0 <= drop <= 3.0  # receive-horn pattern at ~30 deg off boresight
 
 
+def direct_power_from_vectors_w(scenario: LinkScenario) -> float:
+    """The direct link in 3-vector arithmetic: norms, unit vectors and clipped dot products."""
+    tx = np.array([scenario.tx_pose.x, scenario.tx_pose.y, scenario.tx_pose.z])
+    rx = np.array([scenario.rx_pose.x, scenario.rx_pose.y, -scenario.rx_pose.z])  # mirrored
+    sep = rx - tx
+    d = np.linalg.norm(sep)
+    to_rx = sep / d
+    tx_bore, rx_bore = -tx / np.linalg.norm(tx), -rx / np.linalg.norm(rx)
+    angle_tx = np.arccos(np.clip(np.dot(tx_bore, to_rx), -1.0, 1.0))
+    angle_rx = np.arccos(np.clip(np.dot(rx_bore, -to_rx), -1.0, 1.0))
+    g = scenario.gains
+    pattern = (np.clip(np.cos(angle_tx), 0.0, None) ** g.q_tx
+               * np.clip(np.cos(angle_rx), 0.0, None) ** g.q_rx)
+    lam = wavelength(scenario.carrier_hz)
+    return float(dbm_to_watts(scenario.transmit_power_dbm) * 10 ** ((g.tx_gain_dbi + g.rx_gain_dbi) / 10)
+                 * pattern * (lam / (4 * math.pi * d)) ** 2)
+
+
+@given(tx_range=st.floats(0.5, 5.0), tx_polar=st.floats(0.0, 60.0), tx_azimuth=st.floats(0.0, 360.0),
+       rx_range=st.floats(0.03, 0.5), rx_polar=st.floats(0.0, 60.0), rx_azimuth=st.floats(0.0, 360.0))
+def test_direct_link_matches_the_vector_formula(tx_range, tx_polar, tx_azimuth,
+                                                rx_range, rx_polar, rx_azimuth):
+    scenario = make_scenario(
+        ris_present=False,
+        tx_pose=Pose.from_spherical(tx_range, math.radians(tx_polar), math.radians(tx_azimuth)),
+        rx_pose=Pose.from_spherical(rx_range, math.radians(rx_polar), math.radians(rx_azimuth)),
+    )
+    assert direct_received_power_w(scenario) == pytest.approx(
+        direct_power_from_vectors_w(scenario), rel=1e-12)
+
+
+def test_direct_link_refuses_coincident_horns():
+    # an Rx pose behind its face mirrors onto the transmitter
+    scenario = make_scenario(ris_present=False, tx_pose=Pose.from_cartesian(0.1, -0.2, 1.0),
+                             rx_pose=Pose.from_cartesian(0.1, -0.2, -1.0))
+    with pytest.raises(ValueError, match="transmitter and receiver coincide"):
+        direct_received_power_w(scenario)
+
+
 def test_panel_link_reaches_the_top_rate(panel16):
     result = evaluate_scenario(make_scenario(), panel16, 2)
     assert result.rate_mbps == 1683.0  # SNR far above the simple table's top row
