@@ -11,7 +11,6 @@ from .beams import (
     optimal_codebook,
     optimal_phases,
     quantization_loss,
-    resolve_model,
     synthesize_codebook,
     uniform_phase_loss_db,
 )
@@ -50,8 +49,6 @@ from .geometry import (
     Pose,
     cartesian_to_spherical,
     exact_distances,
-    fraunhofer_distance,
-    planar_distances,
     spherical_to_cartesian,
 )
 from .link import (

@@ -1,12 +1,11 @@
 """Codebook synthesis: continuous-optimal phases, quantization, the exact optimiser, the oracle.
 
 The power-maximizing element phase is C + 2 pi (d^t + d^r) / lambda (mod
-2 pi) for an arbitrary constant C. Each side's distance model is selectable:
-``spherical`` (exact), ``planar`` (far-field expansion), or ``auto``, which
-picks planar when the endpoint range reaches the Fraunhofer distance.
-Distances enter relative to the panel-center path, so a far-field broadside
-pair maps to phase C exactly; the dropped constant shifts every element
-equally and cancels in the received power.
+2 pi) for an arbitrary constant C, with d^t and d^r the exact distances
+from each element to the two endpoints (the per-element cascade of Tang et
+al., IEEE TWC 2021). Distances enter relative to the panel-center path, so
+a broadside pair maps to phase C at the center; the dropped constant shifts
+every element equally and cancels in the received power.
 """
 
 from __future__ import annotations
@@ -20,62 +19,33 @@ from .channel import _path_vector
 from .codebook import RISConfiguration, quantize_phases
 from .elements import ElementStateTable, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
-from .geometry import (
-    ArrayGeometry,
-    Pose,
-    exact_distances,
-    fraunhofer_distance,
-    planar_distances,
-)
+from .geometry import ArrayGeometry, Pose, exact_distances
 from .units import wavelength
 
 TWO_PI = 2.0 * math.pi
-
-_MODELS = ("auto", "spherical", "planar")
 
 ORACLE_SEARCH_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """Endpoint pair, per-side wavefront models, and the free phase constant."""
+    """Endpoint pair and the free phase constant."""
 
     tx: Pose
     rx: Pose
-    tx_model: str = "auto"
-    rx_model: str = "auto"
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.tx_model not in _MODELS or self.rx_model not in _MODELS:
-            raise ValueError(f"wavefront models must be one of {_MODELS}")
         if not math.isfinite(self.phase_offset):
             raise ValueError(f"phase_offset must be finite, got {self.phase_offset}")
         object.__setattr__(self, "phase_offset", self.phase_offset % TWO_PI)
 
 
-def resolve_model(pose: Pose, model: str, geom: ArrayGeometry, carrier_hz: float) -> str:
-    """Apply the auto rule: planar at or beyond the Fraunhofer distance."""
-    if model not in _MODELS:
-        raise ValueError(f"wavefront model must be one of {_MODELS}")
-    if model != "auto":
-        return model
-    return "planar" if pose.range >= fraunhofer_distance(geom, carrier_hz) else "spherical"
-
-
-def _relative_distances(pose: Pose, model: str, geom: ArrayGeometry, carrier_hz: float) -> np.ndarray:
-    """Per-element path length minus the center path length, per the side's model."""
-    resolved = resolve_model(pose, model, geom, carrier_hz)
-    if resolved == "planar":
-        return planar_distances(pose, geom) - pose.range
-    return exact_distances(pose, geom) - pose.range
-
-
 def optimal_phases(spec: BeamSpec, geom: ArrayGeometry, carrier_hz: float) -> np.ndarray:
     """(Nx, Ny) grid of continuous power-maximizing phases in [0, 2 pi)."""
     lam = wavelength(carrier_hz)
-    dt = _relative_distances(spec.tx, spec.tx_model, geom, carrier_hz)
-    dr = _relative_distances(spec.rx, spec.rx_model, geom, carrier_hz)
+    dt = exact_distances(spec.tx, geom) - spec.tx.range
+    dr = exact_distances(spec.rx, geom) - spec.rx.range
     return (spec.phase_offset + TWO_PI * (dt + dr) / lam) % TWO_PI
 
 
@@ -127,8 +97,7 @@ def optimal_codebook(
     plus each hull edge's outward-normal angle. The optimal grid is the grid
     of one of the arcs between these events. Events at equal angles fire
     together: a grid between two of them lies on no arc. Like the oracle it
-    uses exact distances, so the spec's wavefront models and phase constant
-    play no part.
+    leaves the spec's phase constant out.
     """
     lut = state_coefficients(table, np.arange(1 << table.bits))
     path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)

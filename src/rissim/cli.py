@@ -23,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beams import (BeamSpec, exhaustive_oracle, optimal_codebook, quantization_loss,
-                    resolve_model, synthesize_codebook, uniform_phase_loss_db)
+from .beams import (TWO_PI, BeamSpec, exhaustive_oracle, optimal_codebook, quantization_loss,
+                    synthesize_codebook, uniform_phase_loss_db)
 from .channel import exponent_from_gain, feed_illuminations
-from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream
+from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream, quantize_phases
 from .elements import ElementStateTable, code_table, default_element_table, state_coefficients
 from .errors import ConfigError, RisSimError
-from .geometry import ArrayGeometry, Pose
+from .geometry import ArrayGeometry, Pose, exact_distances
 from .link import required_transmit_power, evaluate_scenario
 from .patterns import (
     PLANE_AZIMUTHS,
@@ -45,6 +45,7 @@ from .patterns import (
 )
 from .scenario_io import (_GEOMETRY_KEYS, _check_keys, _load_yaml, _parse_count, _parse_geometry,
                           _parse_number, _parse_pose, bundled_scenario_path, load_scenario_bundle)
+from .units import wavelength
 
 OUT_DIR_ENV = "RISSIM_OUT"
 
@@ -53,7 +54,7 @@ DEFAULT_FEED_GAIN_DBI = 12.7  # panel feed horn; exponent follows from G = 2(q+1
 FAR_FIELD_RANGE_M = 100.0
 
 _FEED_KEYS = {"range_m", "gain_dbi"}
-_BEAM_KEYS = {"tx_pose", "rx_pose", "tx_model", "rx_model", "offset_deg"}
+_BEAM_KEYS = {"tx_pose", "rx_pose", "offset_deg"}
 _GEOMETRY_DEFAULTS = {"num_x": 16, "num_y": 16, "spacing_x_m": 4.9e-3, "spacing_y_m": 4.9e-3}
 
 
@@ -213,12 +214,9 @@ def _beam_spec(beam: dict, args: argparse.Namespace) -> BeamSpec:
                 ("range_m", "range"), ("polar_deg", "polar_deg"), ("azimuth_deg", "azimuth_deg"))}
             raw = {**raw, **{key: value for key, value in given.items() if value is not None}}
         poses.append(_parse_pose(raw, f"beam.{side}_pose"))
-    beam = {**beam, **{key: getattr(args, key) for key in ("tx_model", "rx_model", "offset_deg")
-                       if getattr(args, key) is not None}}
-    return BeamSpec(*poses, tx_model=str(beam.get("tx_model", "auto")),
-                    rx_model=str(beam.get("rx_model", "auto")),
-                    phase_offset=math.radians(
-                        _parse_number(beam.get("offset_deg", 0.0), "offset_deg", "beam")))
+    offset_deg = args.offset_deg if args.offset_deg is not None else _parse_number(
+        beam.get("offset_deg", 0.0), "offset_deg", "beam")
+    return BeamSpec(*poses, phase_offset=math.radians(offset_deg))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -247,11 +245,9 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
         outputs += [str(bin_path), str(hex_path)]
     for line in cfg.header_lines("panel", "bits"):
         print(line)
-    tx_model, rx_model = (resolve_model(pose, model, cfg.geometry, cfg.carrier_hz)
-                          for pose, model in ((spec.tx, spec.tx_model), (spec.rx, spec.rx_model)))
-    print(f"tx: d={spec.tx.range} m polar={math.degrees(spec.tx.polar):.2f} deg "
-          f"({tx_model}); rx: d={spec.rx.range} m polar={math.degrees(spec.rx.polar):.2f} deg "
-          f"({rx_model}); C={math.degrees(spec.phase_offset):.2f} deg")
+    print(f"tx: d={spec.tx.range} m polar={math.degrees(spec.tx.polar):.2f} deg; "
+          f"rx: d={spec.rx.range} m polar={math.degrees(spec.rx.polar):.2f} deg; "
+          f"C={math.degrees(spec.phase_offset):.2f} deg")
     hist = np.bincount(config.codes.reshape(-1), minlength=1 << bits)
     print("code histogram: " + " ".join(f"{c}:{n}" for c, n in enumerate(hist)))
     print("wrote: " + ", ".join(outputs))
@@ -262,27 +258,33 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 class _SteerStudy:
-    """Beams steered from the feed horn to far-field targets, and their patterns.
+    """Beams steered from the feed horn into far-field directions, and their patterns.
 
-    The feed illumination A is computed once per study, and one study serves
-    a whole command: each steer's codebook, read against the state table,
-    becomes the weight grid W = Gamma exp(j phi) A its patterns are sampled from.
-    The codes have the table's bit depth.
+    The feed is a point and a steer target a direction: each element's code
+    quantizes 2 pi / lambda times its feed path less the center path, plus the
+    plane-wave path -(x sin(theta) cos(phi) + y sin(theta) sin(phi)) toward
+    the direction. The feed path and illumination A are computed once per
+    study, and one study serves a whole command: each steer's codes, read
+    against the state table, become the weight grid W = Gamma exp(j phi) A its
+    patterns are sampled from. The codes have the table's bit depth.
     """
 
     def __init__(self, cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float,
                  table: ElementStateTable):
         self.geom, self.carrier_hz, self.table = geom, carrier_hz, table
-        self.feed = Pose.from_spherical(cfg.feed_range_m, 0.0, 0.0)
-        self.illumination = feed_illuminations(self.feed, geom, carrier_hz, cfg.feed_exponent)
+        feed = Pose.from_spherical(cfg.feed_range_m, 0.0, 0.0)
+        self.feed_path = exact_distances(feed, geom) - feed.range
+        self.illumination = feed_illuminations(feed, geom, carrier_hz, cfg.feed_exponent)
         self.cut_step_deg = cfg.grid_deg
 
     def weights(self, steer_deg: float, plane: str) -> np.ndarray:
-        """W of the codebook from the feed to the far-field target of a signed steer angle."""
+        """W of the codes that steer the feed's beam to a signed steer angle in a plane."""
         azimuth = PLANE_AZIMUTHS[plane] + (0.0 if steer_deg >= 0 else math.pi)
-        target = Pose.from_spherical(FAR_FIELD_RANGE_M, math.radians(abs(steer_deg)), azimuth)
-        spec = BeamSpec(tx=self.feed, rx=target)
-        codes = synthesize_codebook(spec, self.geom, self.carrier_hz, self.table.bits).codes
+        st = math.sin(math.radians(abs(steer_deg)))
+        xe, ye = self.geom.element_grid()
+        plane_wave = -(xe * st * math.cos(azimuth) + ye * st * math.sin(azimuth))
+        phases = TWO_PI * (self.feed_path + plane_wave) / wavelength(self.carrier_hz)
+        codes = quantize_phases(phases, self.table.bits)
         return state_coefficients(self.table, codes) * self.illumination
 
     def cut(self, weights: np.ndarray, plane: str, element_exponent: float) -> RadiationPattern:
@@ -705,11 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("codebook", "synthesize a code grid and its bias bitstream",
                    flags=("--bits", "--carrier-hz"), keys=("bits", "geometry", "beam"))
     # Each given flag wins over the run config's beam field; unset, the field or its default
-    # (100 m, 0 deg, 0 deg, auto, 0 deg) holds.
+    # (100 m, 0 deg, 0 deg, 0 deg) holds.
     for side in ("tx", "rx"):
         for flag in ("range", "polar-deg", "azimuth-deg"):
             p.add_argument(f"--{side}-{flag}", type=float)
-        p.add_argument(f"--{side}-model", choices=("auto", "spherical", "planar"))
     p.add_argument("--offset-deg", type=float, help="phase constant C in degrees")
     p.set_defaults(func=cmd_codebook)
 

@@ -72,14 +72,6 @@ class RISConfiguration:
             for m in range(self.geom.num_x):
                 writer.writerow([int(c) for c in self.codes[m]])
 
-    @classmethod
-    def from_csv(cls, path: str | Path, geom: ArrayGeometry, bits: int) -> "RISConfiguration":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # header
-            rows = [[int(v) for v in row] for row in reader if row]
-        return cls(geom=geom, bits=bits, codes=np.array(rows))
-
 
 # Bias-line bit assignment for the 2-bit element, per element in code order:
 # bit 0 drives the 180-degree current-reversing pair (code bit 1), bit 1 the

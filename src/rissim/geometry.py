@@ -1,10 +1,14 @@
-"""Panel layout, coordinate conversions, and per-element distance models.
+"""Panel layout, coordinate conversions, and exact element-to-point distances.
 
 Conventions: the panel lies in the x-y plane with its geometric center at
 the origin. The polar angle ``theta`` is measured from the +z axis (panel
 normal) and the azimuth ``phi`` in the x-y plane from +x. Element (m, n)
 sits at (delta_m * dx, delta_n * dy, 0) with delta_m = m - (Nx - 1) / 2,
 so even-sized panels have half-integer offsets and no center element.
+
+A point (the feed, a link endpoint) is reached along its exact distance to
+each element; a steer direction has no distance and is phased as a plane
+wave where it is used.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .units import wavelength
 
 _POSE_RTOL = 1e-9
 
@@ -80,10 +83,6 @@ class ArrayGeometry:
     @property
     def aperture_area(self) -> float:
         return self.aperture_width * self.aperture_height
-
-    @property
-    def aperture_diagonal(self) -> float:
-        return math.hypot(self.aperture_width, self.aperture_height)
 
 
 @dataclass(frozen=True)
@@ -165,23 +164,3 @@ def exact_distances(point: Pose, geom: ArrayGeometry) -> np.ndarray:
     if not d.all():  # on d itself: z**2 underflows to 0 for a tiny z
         raise DegenerateGeometryError("point lies on the panel surface at an element")
     return d
-
-
-def planar_distances(source: Pose, geom: ArrayGeometry) -> np.ndarray:
-    """(Nx, Ny) array of planar-wave (far-field) distance approximations.
-
-    Entry [m, n] is r - delta_m dx sin(theta) cos(phi) - delta_n dy sin(theta)
-    sin(phi): the first-order expansion of :func:`exact_distances` in element
-    offset, with (r, theta, phi) the source's spherical coordinates.
-    """
-    if source.range <= 0:
-        raise ValueError("planar model requires a source with positive range")
-    xe, ye = geom.element_grid()
-    st = math.sin(source.polar)
-    return source.range - xe * st * math.cos(source.azimuth) - ye * st * math.sin(source.azimuth)
-
-
-def fraunhofer_distance(geom: ArrayGeometry, carrier_hz: float) -> float:
-    """Far-field boundary 2 D^2 / lambda with D the aperture diagonal."""
-    d = geom.aperture_diagonal
-    return 2.0 * d * d / wavelength(carrier_hz)

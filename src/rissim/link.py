@@ -5,7 +5,9 @@ other directly through a Friis link, including any pattern misalignment when
 the transmitter sits off the panel axis (both horns stay boresighted on the
 panel center). With the panel, the link is the per-element cascade of
 :mod:`rissim.channel` driven by a codebook synthesized for the scenario's
-endpoint poses, and the direct path is ignored.
+endpoint poses, and the direct path is ignored. Both endpoints are points at
+a finite range, so the codebook phases each by its exact element distances,
+however far it sits.
 
 Endpoint poses are face-local: each side's coordinates are relative to the
 panel face it illuminates, with z positive away from that face. The direct
@@ -18,7 +20,7 @@ link, plus the panel hop on whichever side it sits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .beams import BeamSpec, synthesize_codebook
 from .channel import GainProfile, cos_power_pattern, received_power
@@ -122,9 +124,6 @@ class LinkScenario:
         """Polar angle of the transmitter off the panel normal, in degrees."""
         return math.degrees(self.tx_pose.polar)
 
-    def with_power(self, transmit_power_dbm: float) -> "LinkScenario":
-        return replace(self, transmit_power_dbm=transmit_power_dbm)
-
 
 @dataclass(frozen=True)
 class LinkResult:
@@ -182,11 +181,11 @@ def evaluate_scenario(
     """Received power, SNR, and achievable rate for one scenario.
 
     With the panel present, a codebook is synthesized for the scenario's
-    poses (auto near/far model per side) and read against ``table``, the
-    bundled realized element when none is given, whose bit depth must be
-    ``bits``; the obstacle, if any, attenuates the panel hop on its side.
-    Without the panel the direct Friis link is used and the obstacle always
-    applies.
+    poses, each phased by its exact element distances, and read against
+    ``table``, the bundled realized element when none is given, whose bit
+    depth must be ``bits``; the obstacle, if any, attenuates the panel hop
+    on its side. Without the panel the direct Friis link is used and the
+    obstacle always applies.
     """
     table = code_table(bits, "realized", table)
     if scenario.ris_present:
@@ -226,14 +225,15 @@ def required_transmit_power(
     """Minimum transmit power (dBm, on the 0.1 dB step grid) reaching the rate.
 
     Received power is linear in transmit power on both link types, so the
-    SNR in dB is exactly ``p + c``. One evaluation at 0 dBm gives ``c``; the
-    answer is ``threshold - c`` rounded up to the next multiple of
+    SNR in dB is exactly ``p + c``. One evaluation of the scenario at its
+    own power gives ``c`` as its SNR less that power; the answer is
+    ``threshold - c`` rounded up to the next multiple of
     ``TRANSMIT_POWER_STEP_DB``, and never below ``MIN_TRANSMIT_POWER_DBM``.
     Raises :class:`InfeasibleTargetError` if even the +60 dBm cap falls short.
     """
     threshold = scenario.mcs.threshold_for_rate(target_rate_mbps)
-    snr_at_0dbm = evaluate_scenario(scenario.with_power(0.0), geom, bits, table=table).snr_db
-    minimum = threshold - snr_at_0dbm
+    snr_db = evaluate_scenario(scenario, geom, bits, table=table).snr_db
+    minimum = threshold - (snr_db - scenario.transmit_power_dbm)
     if minimum > MAX_TRANSMIT_POWER_DBM:  # +inf when the link carries no power
         raise InfeasibleTargetError(
             f"rate {target_rate_mbps} Mbps unreachable at {MAX_TRANSMIT_POWER_DBM} dBm"

@@ -114,8 +114,7 @@ def test_criterion_7_oracle_equivalence(verdicts):
 
 def test_criterion_8_numerical_identities(desk_gains):
     # coherent closed form vs direct complex summation
-    spec = BeamSpec(tx=Pose.from_spherical(2.6, 0.2, 0.4), rx=RX_NEAR,
-                    tx_model="spherical", rx_model="spherical")
+    spec = BeamSpec(tx=Pose.from_spherical(2.6, 0.2, 0.4), rx=RX_NEAR)
     phases = optimal_phases(spec, PANEL, CARRIER_HZ)
     direct = received_power(1.0, CARRIER_HZ, desk_gains, PANEL, np.exp(1j * phases), spec.tx,
                             spec.rx)

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
 from rissim.cli import Verdict, build_parser, main, parse_bits
@@ -40,9 +42,8 @@ def test_codebook_near_focus_uses_all_codes(tmp_path, capsys):
     rows = read_csv(tmp_path / "codes.csv")
     codes = {v for row in rows for v in row.values()}
     assert codes == {"0", "1", "2", "3"}
-    # each side's resolved wavefront model: the 100 m Tx lies past the Fraunhofer distance
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("tx: "))
-    assert "deg (planar); rx: " in line and line.endswith("deg (spherical); C=0.00 deg")
+    assert line == "tx: d=100.0 m polar=0.00 deg; rx: d=0.05 m polar=0.00 deg; C=0.00 deg"
 
 
 def test_quantloss_ladder(tmp_path):
@@ -170,6 +171,27 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "from_env" / "codes.csv").exists()
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_steer_codes_quantize_the_feed_path_plus_a_plane_wave(tmp_path, bits):
+    from rissim import ElementStateTable, state_coefficients, wavelength
+    from rissim.cli import RunConfig, _SteerStudy
+
+    cfg = RunConfig(output_dir=tmp_path)
+    table = ElementStateTable.ideal(bits)
+    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, table)
+    xe, ye = cfg.geometry.element_grid()
+    feed_path = np.sqrt(xe**2 + ye**2 + 0.05**2) - 0.05  # the 5 cm feed on the axis
+    step = 2 * math.pi / (1 << bits)
+    for plane, (ux, uy) in {"E": (1.0, 0.0), "H": (0.0, 1.0)}.items():
+        for steer_deg in (-60.0, -23.4, -0.5, 0.0, 17.3, 47.5, 60.0):
+            s = math.sin(math.radians(steer_deg))  # signed: a negative angle turns the azimuth
+            phase = 2 * math.pi * (feed_path - (xe * s * ux + ye * s * uy)) / wavelength(
+                cfg.carrier_hz)
+            codes = np.ceil(np.mod(phase, 2 * math.pi) / step - 0.5).astype(int) % (1 << bits)
+            expected = state_coefficients(table, codes) * study.illumination
+            assert np.array_equal(study.weights(steer_deg, plane), expected), (plane, steer_deg)
+
+
 def test_pattern_steered(tmp_path):
     assert run("pattern", "--out", str(tmp_path), "--grid-deg", "0.5",
                "--steer-deg", "-30", "--plane", "E") == 0
@@ -223,10 +245,9 @@ def test_pattern_loss_budget_gain_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("beam,flags,alone", [
     ("{rx_pose: {range_m: 1.0}}", ["--rx-range", "0.05"], ["--rx-range", "0.05"]),
-    ("{rx_pose: {range_m: 1.0, polar_deg: 20}, tx_model: spherical, offset_deg: 45}",
+    ("{rx_pose: {range_m: 1.0, polar_deg: 20}, offset_deg: 45}",
      ["--rx-range", "0.05", "--offset-deg", "90"],
-     ["--rx-range", "0.05", "--rx-polar-deg", "20", "--tx-model", "spherical",
-      "--offset-deg", "90"]),
+     ["--rx-range", "0.05", "--rx-polar-deg", "20", "--offset-deg", "90"]),
 ], ids=["range", "field-by-field"])
 def test_codebook_flags_win_over_the_run_config_beam(tmp_path, beam, flags, alone):
     cfg = tmp_path / "run.yaml"
@@ -333,11 +354,14 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
      "feed: key 'gain_dbi': gain 2.0 dBi is below the hemispheric minimum (3.01 dBi)"),
     (["pattern", "--element-exponent", "400"],  # every sidelobe sample underflows to zero
      "sidelobe level undefined: every sample outside the main lobe is zero"),
+    (["codebook", "--config", "beam: {tx_model: spherical}"],  # every point is phased exactly
+     "beam: unknown key(s) ['tx_model']"),
 ], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
         "loss-budget-inf", "steer-95", "feed-gain-nan", "feed-gain-inf",
         "feed-range-nan", "reproduce-feed-gain-nan", "reproduce-feed-range-nan",
         "feed-range-negative", "feed-range-zero", "feed-gain-2", "reproduce-feed-range-negative",
-        "reproduce-feed-range-zero", "reproduce-feed-gain-2", "element-exponent-400"])
+        "reproduce-feed-range-zero", "reproduce-feed-gain-2", "element-exponent-400",
+        "beam-tx-model"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
     if "--config" in argv:  # the entry after --config is the run config's text
         i = argv.index("--config") + 1
@@ -566,6 +590,7 @@ def test_a_verdict_over_no_values_fails():
     ["codebook", "--mode", "realized"],
     ["codebook", "--grid-deg", "1"],
     ["codebook", "--seed", "4"],
+    ["codebook", "--tx-model", "planar"],  # no per-side wavefront model
     ["pattern", "--seed", "1"],
     ["scan", "--seed", "1"],
 ], ids=" ".join)

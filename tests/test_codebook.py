@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -94,8 +95,10 @@ def test_configuration_csv_round_trip(tmp_path):
     config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, size=(4, 5)))
     path = tmp_path / "codes.csv"
     config.to_csv(path)
-    loaded = RISConfiguration.from_csv(path, geom, 2)
-    assert loaded.codes.tolist() == config.codes.tolist()
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [f"code_n{n}" for n in range(5)]
+    assert [[int(v) for v in row] for row in rows] == config.codes.tolist()
 
 
 def test_bitstream_all_zero(panel16):

@@ -11,13 +11,8 @@ from rissim import (
     Pose,
     cartesian_to_spherical,
     exact_distances,
-    fraunhofer_distance,
-    planar_distances,
     spherical_to_cartesian,
-    wavelength,
 )
-
-from conftest import CARRIER_HZ
 
 
 def test_spherical_to_cartesian_on_axis():
@@ -150,58 +145,6 @@ def test_exact_distance_relabel_invariance(panel16):
     flipped = Pose.from_cartesian(-0.13, 0.07, 0.4)
     d = exact_distances(point, panel16)
     assert np.allclose(d, exact_distances(flipped, panel16)[::-1, ::-1], rtol=1e-14)
-
-
-def test_planar_distance_broadside(panel16):
-    src = Pose.from_spherical(2.6, 0.0, 0.0)
-    assert np.allclose(planar_distances(src, panel16), 2.6)
-
-
-def test_planar_distance_hand_value(panel16):
-    src = Pose.from_spherical(2.6, math.radians(30.0), 0.0)
-    # element m=15 has offset +7.5 -> 7.5 * 4.9 mm = 36.75 mm along x
-    assert planar_distances(src, panel16)[15, 0] == pytest.approx(2.6 - 0.03675 * 0.5, rel=1e-12)
-
-
-def test_planar_distance_requires_positive_range(panel16):
-    origin = Pose.from_cartesian(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        planar_distances(origin, panel16)
-
-
-def test_fresnel_remainder_bound(panel16):
-    xe, ye = panel16.element_grid()
-    rho_sq = xe**2 + ye**2
-    for r in (0.5, 1.0, 2.6, 10.0):
-        for theta_deg in (0.0, 15.0, 30.0, 45.0, 60.0):
-            for phi_deg in (0.0, 45.0, 90.0):
-                src = Pose.from_spherical(r, math.radians(theta_deg), math.radians(phi_deg))
-                gap = np.abs(planar_distances(src, panel16) - exact_distances(src, panel16))
-                # the second-order term can exceed the leading bound by O((rho/r)^2)
-                assert np.all(gap <= rho_sq / (2 * r) * 1.01)
-
-
-def test_planar_matches_exact_far_out(panel16):
-    r = 1000.0 * panel16.aperture_diagonal
-    src = Pose.from_spherical(r, math.radians(25.0), math.radians(40.0))
-    rel = np.abs(planar_distances(src, panel16) - exact_distances(src, panel16)) / r
-    assert np.all(rel <= 1e-6)
-
-
-def test_fraunhofer_16x16(panel16):
-    assert fraunhofer_distance(panel16, CARRIER_HZ) == pytest.approx(2.214, abs=1e-3)
-
-
-def test_fraunhofer_scales_with_carrier(panel16):
-    assert fraunhofer_distance(panel16, 2 * CARRIER_HZ) == pytest.approx(
-        2 * fraunhofer_distance(panel16, CARRIER_HZ), rel=1e-12
-    )
-
-
-def test_fraunhofer_single_element_half_wave():
-    lam = wavelength(CARRIER_HZ)
-    geom = ArrayGeometry(1, 1, lam / 2, lam / 2)
-    assert fraunhofer_distance(geom, CARRIER_HZ) == pytest.approx(lam, rel=1e-12)
 
 
 def test_geometry_validation():

@@ -226,7 +226,7 @@ def test_rate_monotone_in_transmit_power(panel16):
     scenario = make_scenario(ris_present=False, mcs=MCSTable(rows=(
         MCSRow(50.0, 450.0), MCSRow(55.0, 1024.0), MCSRow(60.0, 1683.0))))
     rates = [
-        evaluate_scenario(scenario.with_power(p), panel16, 2).rate_mbps
+        evaluate_scenario(replace(scenario, transmit_power_dbm=p), panel16, 2).rate_mbps
         for p in np.linspace(0.0, 25.0, 26)
     ]
     assert all(b >= a for a, b in zip(rates, rates[1:]))
@@ -247,7 +247,7 @@ BUNDLE_TABLE = code_table(BUNDLE.bits, BUNDLE.mode)
 
 def bundle_rate_at(scenario, p_dbm):
     return evaluate_scenario(
-        scenario.with_power(p_dbm), BUNDLE.geometry, BUNDLE.bits, table=BUNDLE_TABLE
+        replace(scenario, transmit_power_dbm=p_dbm), BUNDLE.geometry, BUNDLE.bits, table=BUNDLE_TABLE
     ).rate_mbps
 
 
@@ -298,7 +298,7 @@ def test_required_power_evaluates_the_link_once(panel16, monkeypatch):
     monkeypatch.setattr(rissim.link, "evaluate_scenario", counting)
     scenario = make_scenario(ris_present=False, mcs=MCSTable(rows=(MCSRow(50.0, 450.0),)))
     required_transmit_power(scenario, panel16, 2, 450.0)
-    assert calls == [0.0]
+    assert calls == [scenario.transmit_power_dbm]  # the scenario as given, not moved to 0 dBm
 
 
 def test_required_power_floor_and_tolerance(panel16):
