@@ -6,7 +6,6 @@ end-to-end link budgets with SNR-to-rate mapping.
 """
 
 from .beams import (
-    BeamSpec,
     exhaustive_oracle,
     optimal_codebook,
     optimal_phases,
@@ -24,7 +23,6 @@ from .channel import (
 )
 from .codebook import (
     RISConfiguration,
-    bitstream_to_hex,
     encode_bias_bitstream,
     pack_bitstream,
     quantize_phases,

@@ -1,59 +1,41 @@
 """Codebook synthesis: continuous-optimal phases, quantization, the exact optimiser, the oracle.
 
-The power-maximizing element phase is C + 2 pi (d^t + d^r) / lambda (mod
-2 pi) for an arbitrary constant C, with d^t and d^r the exact distances
-from each element to the two endpoints (the per-element cascade of Tang et
-al., IEEE TWC 2021). Distances enter relative to the panel-center path, so
-a broadside pair maps to phase C at the center; the dropped constant shifts
-every element equally and cancels in the received power.
+The power-maximizing element phase is 2 pi (d^t + d^r) / lambda (mod 2 pi),
+with d^t and d^r the exact distances from each element to the two endpoints
+(the per-element cascade of Tang et al., IEEE TWC 2021). Distances enter
+relative to the panel-center path, so a broadside pair maps to phase 0 at
+the center; a constant added to every element cancels in the received power.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _path_vector
-from .codebook import RISConfiguration, quantize_phases
+from .codebook import TWO_PI, RISConfiguration, quantize_phases
 from .elements import ElementStateTable, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
 from .geometry import ArrayGeometry, Pose, exact_distances
 from .units import wavelength
 
-TWO_PI = 2.0 * math.pi
-
 ORACLE_SEARCH_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class BeamSpec:
-    """Endpoint pair and the free phase constant."""
-
-    tx: Pose
-    rx: Pose
-    phase_offset: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.phase_offset):
-            raise ValueError(f"phase_offset must be finite, got {self.phase_offset}")
-        object.__setattr__(self, "phase_offset", self.phase_offset % TWO_PI)
-
-
-def optimal_phases(spec: BeamSpec, geom: ArrayGeometry, carrier_hz: float) -> np.ndarray:
+def optimal_phases(tx: Pose, rx: Pose, geom: ArrayGeometry, carrier_hz: float) -> np.ndarray:
     """(Nx, Ny) grid of continuous power-maximizing phases in [0, 2 pi)."""
     lam = wavelength(carrier_hz)
-    dt = exact_distances(spec.tx, geom) - spec.tx.range
-    dr = exact_distances(spec.rx, geom) - spec.rx.range
-    return (spec.phase_offset + TWO_PI * (dt + dr) / lam) % TWO_PI
+    dt = exact_distances(tx, geom) - tx.range
+    dr = exact_distances(rx, geom) - rx.range
+    return (TWO_PI * (dt + dr) / lam) % TWO_PI
 
 
 def synthesize_codebook(
-    spec: BeamSpec, geom: ArrayGeometry, carrier_hz: float, bits: int
+    tx: Pose, rx: Pose, geom: ArrayGeometry, carrier_hz: float, bits: int
 ) -> RISConfiguration:
     """Quantize the continuous-optimal phase grid onto the b-bit code grid."""
-    codes = quantize_phases(optimal_phases(spec, geom, carrier_hz), bits)
+    codes = quantize_phases(optimal_phases(tx, rx, geom, carrier_hz), bits)
     return RISConfiguration(geom=geom, bits=bits, codes=codes)
 
 
@@ -80,7 +62,8 @@ def _hull_codes(lut: np.ndarray) -> np.ndarray:
 
 
 def optimal_codebook(
-    spec: BeamSpec,
+    tx: Pose,
+    rx: Pose,
     geom: ArrayGeometry,
     carrier_hz: float,
     table: ElementStateTable,
@@ -96,11 +79,10 @@ def optimal_codebook(
     as psi turns once round, element i moves to the next vertex at arg(a_i)
     plus each hull edge's outward-normal angle. The optimal grid is the grid
     of one of the arcs between these events. Events at equal angles fire
-    together: a grid between two of them lies on no arc. Like the oracle it
-    leaves the spec's phase constant out.
+    together: a grid between two of them lies on no arc.
     """
     lut = state_coefficients(table, np.arange(1 << table.bits))
-    path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
+    path = _path_vector(carrier_hz, geom, tx, rx).reshape(-1)
     hull = _hull_codes(lut)
     vertex = np.zeros(path.size, dtype=np.int64)  # hull index per element
     if hull.size > 1:
@@ -123,7 +105,8 @@ def optimal_codebook(
 
 
 def exhaustive_oracle(
-    spec: BeamSpec,
+    tx: Pose,
+    rx: Pose,
     geom: ArrayGeometry,
     carrier_hz: float,
     table: ElementStateTable,
@@ -142,7 +125,7 @@ def exhaustive_oracle(
         raise SearchSpaceError(
             f"{n_states}^{n} code grids exceed the {ORACLE_SEARCH_CAP} search cap"
         )
-    path = _path_vector(carrier_hz, geom, spec.tx, spec.rx).reshape(-1)
+    path = _path_vector(carrier_hz, geom, tx, rx).reshape(-1)
     lut = state_coefficients(table, np.arange(n_states))
     # enumerate all grids: digit i of each config index selects element i's code
     field = np.zeros(total_configs, dtype=complex)
@@ -158,7 +141,8 @@ def exhaustive_oracle(
     return config, float(np.abs(field[best])) ** 2
 
 
-def quantization_loss(geom: ArrayGeometry, spec: BeamSpec, carrier_hz: float, bits: int) -> float:
+def quantization_loss(geom: ArrayGeometry, tx: Pose, rx: Pose, carrier_hz: float,
+                      bits: int) -> float:
     """Power lost to b-bit phasing, in dB, for the best b-bit code grid.
 
     Ratio of the fully coherent (continuous-phase) power (sum |a_i|)^2 to
@@ -166,8 +150,8 @@ def quantization_loss(geom: ArrayGeometry, spec: BeamSpec, carrier_hz: float, bi
     cascade path terms and ideal unit element magnitude. The link's power
     scale cancels, so the result depends only on geometry and the phase grid.
     """
-    _, best = optimal_codebook(spec, geom, carrier_hz, ElementStateTable.ideal(bits))
-    bound = float(np.sum(np.abs(_path_vector(carrier_hz, geom, spec.tx, spec.rx)))) ** 2
+    _, best = optimal_codebook(tx, rx, geom, carrier_hz, ElementStateTable.ideal(bits))
+    bound = float(np.sum(np.abs(_path_vector(carrier_hz, geom, tx, rx)))) ** 2
     return 10.0 * math.log10(bound / best)
 
 

@@ -23,15 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beams import (TWO_PI, BeamSpec, exhaustive_oracle, optimal_codebook, quantization_loss,
-                    synthesize_codebook, uniform_phase_loss_db)
+from .beams import (exhaustive_oracle, optimal_codebook, quantization_loss, synthesize_codebook,
+                    uniform_phase_loss_db)
 from .channel import exponent_from_gain, feed_illuminations
-from .codebook import bitstream_to_hex, encode_bias_bitstream, pack_bitstream, quantize_phases
+from .codebook import TWO_PI, encode_bias_bitstream, pack_bitstream, quantize_phases
 from .elements import ElementStateTable, code_table, default_element_table, state_coefficients
 from .errors import ConfigError, RisSimError
 from .geometry import ArrayGeometry, Pose, exact_distances
 from .link import required_transmit_power, evaluate_scenario
 from .patterns import (
+    DEFAULT_CUT_STEP_DEG,
     PLANE_AZIMUTHS,
     PatternMetrics,
     RadiationPattern,
@@ -54,7 +55,7 @@ DEFAULT_FEED_GAIN_DBI = 12.7  # panel feed horn; exponent follows from G = 2(q+1
 FAR_FIELD_RANGE_M = 100.0
 
 _FEED_KEYS = {"range_m", "gain_dbi"}
-_BEAM_KEYS = {"tx_pose", "rx_pose", "offset_deg"}
+_BEAM_KEYS = {"tx_pose", "rx_pose"}
 _GEOMETRY_DEFAULTS = {"num_x": 16, "num_y": 16, "spacing_x_m": 4.9e-3, "spacing_y_m": 4.9e-3}
 
 
@@ -204,8 +205,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _beam_spec(beam: dict, args: argparse.Namespace) -> BeamSpec:
-    """The run config's ``beam`` section with each given flag winning, field by field."""
+def _beam_poses(beam: dict, args: argparse.Namespace) -> tuple[Pose, Pose]:
+    """The run config's (tx, rx) poses with each given flag winning, field by field."""
     poses = []
     for side in ("tx", "rx"):
         raw = beam.get(f"{side}_pose", {"range_m": FAR_FIELD_RANGE_M})
@@ -214,9 +215,7 @@ def _beam_spec(beam: dict, args: argparse.Namespace) -> BeamSpec:
                 ("range_m", "range"), ("polar_deg", "polar_deg"), ("azimuth_deg", "azimuth_deg"))}
             raw = {**raw, **{key: value for key, value in given.items() if value is not None}}
         poses.append(_parse_pose(raw, f"beam.{side}_pose"))
-    offset_deg = args.offset_deg if args.offset_deg is not None else _parse_number(
-        beam.get("offset_deg", 0.0), "offset_deg", "beam")
-    return BeamSpec(*poses, phase_offset=math.radians(offset_deg))
+    return tuple(poses)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -231,23 +230,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
     bits = cfg.single_bits()
-    spec = _beam_spec(cfg.beam, args)
-    config = synthesize_codebook(spec, cfg.geometry, cfg.carrier_hz, bits)
+    tx, rx = _beam_poses(cfg.beam, args)
+    config = synthesize_codebook(tx, rx, cfg.geometry, cfg.carrier_hz, bits)
     codes_path = cfg.output_path("codes.csv")
     config.to_csv(codes_path)
     outputs = [str(codes_path)]
     if bits == 2:
-        bitstream = encode_bias_bitstream(config)
+        packed = pack_bitstream(encode_bias_bitstream(config))
         bin_path = cfg.output_path("bias_bitstream.bin")
-        bin_path.write_bytes(pack_bitstream(bitstream))
+        bin_path.write_bytes(packed)
         hex_path = cfg.output_path("bias_bitstream.hex")
-        hex_path.write_text(bitstream_to_hex(bitstream) + "\n")
+        hex_path.write_text(packed.hex() + "\n")
         outputs += [str(bin_path), str(hex_path)]
     for line in cfg.header_lines("panel", "bits"):
         print(line)
-    print(f"tx: d={spec.tx.range} m polar={math.degrees(spec.tx.polar):.2f} deg; "
-          f"rx: d={spec.rx.range} m polar={math.degrees(spec.rx.polar):.2f} deg; "
-          f"C={math.degrees(spec.phase_offset):.2f} deg")
+    print(f"tx: d={tx.range} m polar={math.degrees(tx.polar):.2f} deg; "
+          f"rx: d={rx.range} m polar={math.degrees(rx.polar):.2f} deg")
     hist = np.bincount(config.codes.reshape(-1), minlength=1 << bits)
     print("code histogram: " + " ".join(f"{c}:{n}" for c, n in enumerate(hist)))
     print("wrote: " + ", ".join(outputs))
@@ -295,13 +293,19 @@ class _SteerStudy:
                  loss_budget_db: float):
         """(cuts, metrics) per plane and (directivity_dbi, gain_dbi) of the first plane's beam.
 
-        All computed before a caller writes, so a rejected input writes no file.
+        The peak comes from the first plane's cut, sampled again at the default
+        step when the study's is coarser. All computed before a caller writes,
+        so a rejected input writes no file.
         """
         weights = [self.weights(steer_deg, plane) for plane in planes]
         cuts = [self.cut(w, plane, element_exponent) for w, plane in zip(weights, planes)]
         metrics = [pattern_metrics(cut) for cut in cuts]
+        peak_cut = cuts[0]
+        if self.cut_step_deg > DEFAULT_CUT_STEP_DEG:  # a coarse cut can step over the peak
+            peak_cut = principal_cut(weights[0], self.geom, self.carrier_hz, plane=planes[0],
+                                     element_exponent=element_exponent)
         return cuts, metrics, *directivity_and_gain(
-            weights[0], self.geom, self.carrier_hz, cut=cuts[0],
+            weights[0], self.geom, self.carrier_hz, cut=peak_cut,
             element_exponent=element_exponent, loss_budget_db=loss_budget_db)
 
 
@@ -398,15 +402,13 @@ def _quantloss_row(bits: int, loss_db: float) -> list[str]:
 
 
 def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = BeamSpec(
-        tx=Pose.from_spherical(args.tx_range, 0.0, 0.0),
-        rx=Pose.from_spherical(args.rx_range, 0.0, 0.0),
-    )
+    tx = Pose.from_spherical(args.tx_range, 0.0, 0.0)
+    rx = Pose.from_spherical(args.rx_range, 0.0, 0.0)
     for line in cfg.header_lines("panel", "bits"):
         print(line)
     rows = []
     for bits in cfg.bits:
-        loss = quantization_loss(cfg.geometry, spec, cfg.carrier_hz, bits)
+        loss = quantization_loss(cfg.geometry, tx, rx, cfg.carrier_hz, bits)
         rows.append(_quantloss_row(bits, loss))
         print(f"b={bits}: loss {loss:.3f} dB "
               f"(uniform-phase closed form {uniform_phase_loss_db(bits):.3f} dB)")
@@ -578,9 +580,9 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
 
     # quantization loss ladder, judged at the 4 decimals the CSV holds
     carrier = bundle.scenarios[0].carrier_hz
-    spec = BeamSpec(tx=Pose.from_spherical(FAR_FIELD_RANGE_M, 0.0, 0.0),
-                    rx=Pose.from_spherical(0.05, 0.0, 0.0))
-    losses = [quantization_loss(bundle.geometry, spec, carrier, bits)
+    tx = Pose.from_spherical(FAR_FIELD_RANGE_M, 0.0, 0.0)
+    rx = Pose.from_spherical(0.05, 0.0, 0.0)
+    losses = [quantization_loss(bundle.geometry, tx, rx, carrier, bits)
               for bits in _QUANTIZATION_BITS]
     loss1, loss2 = round(losses[0], 4), round(losses[1], 4)
     judge("2-bit quantization loss", loss2,
@@ -626,9 +628,8 @@ def measure_campaign(cfg: RunConfig, oracle_trials: int) -> Campaign:
                                  rng.uniform(0, 2 * math.pi))
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, math.pi / 3),
                                  rng.uniform(0, 2 * math.pi))
-        ospec = BeamSpec(tx=tx, rx=rx)
-        _, p_solver = optimal_codebook(ospec, small, carrier, ideal)
-        _, p_oracle = exhaustive_oracle(ospec, small, carrier, ideal)
+        _, p_solver = optimal_codebook(tx, rx, small, carrier, ideal)
+        _, p_oracle = exhaustive_oracle(tx, rx, small, carrier, ideal)
         dominated &= p_oracle >= p_solver * (1 - 1e-12)
         worst = max(worst, 10.0 * math.log10(p_oracle / p_solver))
     judge("codebook-vs-oracle gap", worst,
@@ -711,7 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     for side in ("tx", "rx"):
         for flag in ("range", "polar-deg", "azimuth-deg"):
             p.add_argument(f"--{side}-{flag}", type=float)
-    p.add_argument("--offset-deg", type=float, help="phase constant C in degrees")
     p.set_defaults(func=cmd_codebook)
 
     steer_flags = ("--grid-deg", "--bits", "--mode", "--carrier-hz")

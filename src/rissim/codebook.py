@@ -95,7 +95,3 @@ def encode_bias_bitstream(config: RISConfiguration) -> np.ndarray:
 def pack_bitstream(bits: np.ndarray) -> bytes:
     """Pack bits into bytes, first bit into the MSB of the first byte."""
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
-def bitstream_to_hex(bits: np.ndarray) -> str:
-    return pack_bitstream(bits).hex()

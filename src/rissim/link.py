@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .beams import BeamSpec, synthesize_codebook
+from .beams import synthesize_codebook
 from .channel import GainProfile, cos_power_pattern, received_power
 from .elements import ElementStateTable, code_table, state_coefficients
 from .errors import InfeasibleTargetError
@@ -189,8 +189,8 @@ def evaluate_scenario(
     """
     table = code_table(bits, "realized", table)
     if scenario.ris_present:
-        spec = BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose)
-        codebook = synthesize_codebook(spec, geom, scenario.carrier_hz, bits)
+        codebook = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, geom,
+                                       scenario.carrier_hz, bits)
         p_w = received_power(
             dbm_to_watts(scenario.transmit_power_dbm),
             scenario.carrier_hz,

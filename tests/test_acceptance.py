@@ -19,7 +19,6 @@ import pytest
 
 from rissim import (
     ArrayGeometry,
-    BeamSpec,
     Pose,
     cartesian_to_spherical,
     coherent_power_bound,
@@ -114,11 +113,10 @@ def test_criterion_7_oracle_equivalence(verdicts):
 
 def test_criterion_8_numerical_identities(desk_gains):
     # coherent closed form vs direct complex summation
-    spec = BeamSpec(tx=Pose.from_spherical(2.6, 0.2, 0.4), rx=RX_NEAR)
-    phases = optimal_phases(spec, PANEL, CARRIER_HZ)
-    direct = received_power(1.0, CARRIER_HZ, desk_gains, PANEL, np.exp(1j * phases), spec.tx,
-                            spec.rx)
-    bound = coherent_power_bound(1.0, CARRIER_HZ, desk_gains, PANEL, spec.tx, spec.rx)
+    tx = Pose.from_spherical(2.6, 0.2, 0.4)
+    phases = optimal_phases(tx, RX_NEAR, PANEL, CARRIER_HZ)
+    direct = received_power(1.0, CARRIER_HZ, desk_gains, PANEL, np.exp(1j * phases), tx, RX_NEAR)
+    bound = coherent_power_bound(1.0, CARRIER_HZ, desk_gains, PANEL, tx, RX_NEAR)
     coherent_rel = abs(direct - bound) / bound
     coherent_ok = coherent_rel <= 1e-9
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from rissim import (
     ArrayGeometry,
-    BeamSpec,
     ElementStateTable,
     Pose,
     RISConfiguration,
@@ -22,6 +20,7 @@ from rissim import (
     optimal_codebook,
     optimal_phases,
     quantization_loss,
+    quantize_phases,
     received_power,
     state_coefficients,
     synthesize_codebook,
@@ -48,34 +47,30 @@ def closed_form_loss_db(bits: int) -> float:
 
 
 def test_broadside_far_field_phases_equal_offset(panel16):
-    spec = BeamSpec(tx=FAR, rx=FAR, phase_offset=0.7)
-    phases = optimal_phases(spec, panel16, CARRIER_HZ)
+    phases = optimal_phases(FAR, FAR, panel16, CARRIER_HZ)
     xe, ye = panel16.element_grid()
-    # the offset, plus each 100 m endpoint's exact path past the center path
+    # each 100 m endpoint's exact path past the center path
     excess = 2.0 * (np.sqrt(xe**2 + ye**2 + 100.0**2) - 100.0)
-    np.testing.assert_allclose(phases, 0.7 + 2 * math.pi * excess / wavelength(CARRIER_HZ),
+    np.testing.assert_allclose(phases, 2 * math.pi * excess / wavelength(CARRIER_HZ),
                                rtol=0, atol=1e-9)
-    assert 0.7 < phases.max() < 0.7 + 0.02  # within 0.02 rad of a plane wave, not equal to it
+    assert 0.0 < phases.max() < 0.02  # within 0.02 rad of a plane wave, not equal to it
 
 
 def test_offset_shifts_phase_map_and_preserves_power(panel16, rx_near, desk_gains):
-    spec1 = BeamSpec(tx=FAR, rx=rx_near, phase_offset=0.0)
-    spec2 = replace(spec1, phase_offset=1.234)
-    p1 = optimal_phases(spec1, panel16, CARRIER_HZ)
-    p2 = optimal_phases(spec2, panel16, CARRIER_HZ)
-    np.testing.assert_allclose((p2 - p1) % (2 * math.pi), 1.234, atol=1e-9)
+    p1 = optimal_phases(FAR, rx_near, panel16, CARRIER_HZ)
+    p2 = p1 + 1.234  # a phase constant on every element
     pw1 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * p1), FAR, rx_near)
     pw2 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * p2), FAR, rx_near)
     assert pw1 == pytest.approx(pw2, rel=1e-12)
 
 
 def test_synthesize_broadside_all_zero(panel16):
-    config = synthesize_codebook(BeamSpec(tx=FAR, rx=FAR), panel16, CARRIER_HZ, 2)
+    config = synthesize_codebook(FAR, FAR, panel16, CARRIER_HZ, 2)
     assert not config.codes.any()
 
 
 def test_synthesize_near_focus_has_ring_structure(panel16, rx_near):
-    config = synthesize_codebook(BeamSpec(tx=FAR, rx=rx_near), panel16, CARRIER_HZ, 2)
+    config = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, 2)
     xe, ye = panel16.element_grid()
     radius = np.round((xe**2 + ye**2) * 1e9).astype(np.int64)  # ring id
     codes = config.codes
@@ -86,14 +81,13 @@ def test_synthesize_near_focus_has_ring_structure(panel16, rx_near):
 
 
 def test_quantized_never_beats_continuous(panel16, rx_near, desk_gains):
-    spec = BeamSpec(tx=FAR, rx=rx_near)
     continuous = received_power(
         1.0, CARRIER_HZ, desk_gains, panel16,
-        np.exp(1j * optimal_phases(spec, panel16, CARRIER_HZ)), FAR, rx_near,
+        np.exp(1j * optimal_phases(FAR, rx_near, panel16, CARRIER_HZ)), FAR, rx_near,
     )
     last = 0.0
     for bits in (1, 2, 3, 4, 5, 6):
-        config = synthesize_codebook(spec, panel16, CARRIER_HZ, bits)
+        config = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, bits)
         p = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                            state_coefficients(ElementStateTable.ideal(bits), config.codes),
                            FAR, rx_near)
@@ -103,8 +97,7 @@ def test_quantized_never_beats_continuous(panel16, rx_near, desk_gains):
 
 
 def test_uniform_code_shift_invariance(panel16, rx_near, desk_gains):
-    spec = BeamSpec(tx=FAR, rx=rx_near)
-    config = synthesize_codebook(spec, panel16, CARRIER_HZ, 2)
+    config = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, 2)
     table = ElementStateTable.ideal(2)
     base = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                           state_coefficients(table, config.codes), FAR, rx_near)
@@ -117,13 +110,12 @@ def test_uniform_code_shift_invariance(panel16, rx_near, desk_gains):
 
 def test_oracle_single_element(table):
     geom = ArrayGeometry(1, 1)
-    spec = BeamSpec(tx=Pose.from_spherical(1.0, 0.1, 0.0), rx=Pose.from_spherical(0.06, 0, 0))
+    tx, rx = Pose.from_spherical(1.0, 0.1, 0.0), Pose.from_spherical(0.06, 0, 0)
     ideal = ElementStateTable.ideal(2)
-    config, power = exhaustive_oracle(spec, geom, CARRIER_HZ, ideal)
+    config, power = exhaustive_oracle(tx, rx, geom, CARRIER_HZ, ideal)
     for code in range(4):
-        steered = synthesize_codebook(replace(spec, phase_offset=code * math.pi / 2), geom,
-                                      CARRIER_HZ, 2)
-        p = cascade_sum_squared(geom, state_coefficients(ideal, steered.codes), spec.tx, spec.rx)
+        steered = quantize_phases(optimal_phases(tx, rx, geom, CARRIER_HZ) + code * math.pi / 2, 2)
+        p = cascade_sum_squared(geom, state_coefficients(ideal, steered), tx, rx)
         assert power == pytest.approx(p, rel=1e-12)
     assert config.codes.shape == (1, 1)
 
@@ -134,9 +126,8 @@ def test_oracle_dominates_and_solver_closes_gap(rng):
     for _ in range(10):
         tx = Pose.from_spherical(rng.uniform(0.5, 3.0), rng.uniform(0, 1.0), rng.uniform(0, 6.28))
         rx = Pose.from_spherical(rng.uniform(0.03, 0.5), rng.uniform(0, 1.0), rng.uniform(0, 6.28))
-        spec = BeamSpec(tx=tx, rx=rx)
-        _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, table)
-        _, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, table)
+        _, p_oracle = exhaustive_oracle(tx, rx, geom, CARRIER_HZ, table)
+        _, p_solver = optimal_codebook(tx, rx, geom, CARRIER_HZ, table)
         assert p_oracle >= p_solver * (1 - 1e-12)
         assert 10 * math.log10(p_oracle / p_solver) <= 0.05
 
@@ -144,37 +135,33 @@ def test_oracle_dominates_and_solver_closes_gap(rng):
 def test_oracle_tie_break_lexicographic():
     # broadside far-far 1x2: optimum is any uniform grid; first enumerated wins
     geom = ArrayGeometry(1, 2)
-    config, _ = exhaustive_oracle(BeamSpec(tx=FAR, rx=FAR), geom, CARRIER_HZ,
-                                  ElementStateTable.ideal(1))
+    config, _ = exhaustive_oracle(FAR, FAR, geom, CARRIER_HZ, ElementStateTable.ideal(1))
     assert config.codes.tolist() == [[0, 0]]
 
 
 def test_oracle_capacity_error():
     with pytest.raises(SearchSpaceError):
-        exhaustive_oracle(BeamSpec(tx=FAR, rx=FAR), ArrayGeometry(3, 3), CARRIER_HZ,
-                          ElementStateTable.ideal(3))
+        exhaustive_oracle(FAR, FAR, ArrayGeometry(3, 3), CARRIER_HZ, ElementStateTable.ideal(3))
 
 
 def test_quantization_loss_two_bit(panel16, rx_near):
-    spec = BeamSpec(tx=FAR, rx=rx_near)
-    loss = quantization_loss(panel16, spec, CARRIER_HZ, 2)
+    loss = quantization_loss(panel16, FAR, rx_near, CARRIER_HZ, 2)
     assert loss <= 1.0
     assert loss == pytest.approx(closed_form_loss_db(2), abs=0.3)
 
 
 def test_quantization_loss_one_bit(panel16, rx_near):
-    loss = quantization_loss(panel16, BeamSpec(tx=FAR, rx=rx_near), CARRIER_HZ, 1)
+    loss = quantization_loss(panel16, FAR, rx_near, CARRIER_HZ, 1)
     assert 3.0 <= loss <= 4.5
 
 
 def test_quantization_loss_fine_grids_vanish(panel16, rx_near):
-    loss = quantization_loss(panel16, BeamSpec(tx=FAR, rx=rx_near), CARRIER_HZ, 8)
+    loss = quantization_loss(panel16, FAR, rx_near, CARRIER_HZ, 8)
     assert loss < 1e-3
 
 
 def test_quantization_loss_monotone_in_bits(panel16, rx_near):
-    spec = BeamSpec(tx=FAR, rx=rx_near)
-    losses = [quantization_loss(panel16, spec, CARRIER_HZ, b) for b in (1, 2, 3, 4)]
+    losses = [quantization_loss(panel16, FAR, rx_near, CARRIER_HZ, b) for b in (1, 2, 3, 4)]
     assert all(a >= b for a, b in zip(losses, losses[1:]))
 
 
@@ -187,13 +174,13 @@ def test_uniform_phase_loss_closed_form():
 
 
 def test_solver_returns_the_power_of_its_codebook(panel16, rx_near):
-    spec = BeamSpec(tx=FAR, rx=rx_near)
     table = ElementStateTable.ideal(2)
-    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, table)
+    config, power = optimal_codebook(FAR, rx_near, panel16, CARRIER_HZ, table)
     assert power == pytest.approx(cascade_sum_squared(
         panel16, state_coefficients(table, config.codes), FAR, rx_near), rel=1e-12)
     assert power >= cascade_sum_squared(
-        panel16, state_coefficients(table, synthesize_codebook(spec, panel16, CARRIER_HZ, 2).codes),
+        panel16, state_coefficients(table, synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ,
+                                                        2).codes),
         FAR, rx_near,
     ) * (1 - 1e-12)
 
@@ -215,9 +202,8 @@ poses = st.builds(
 def test_solver_matches_the_exhaustive_oracle(shape, bits, mode, tx, rx):
     geom = ArrayGeometry(*shape)
     table = code_table(bits, mode)
-    spec = BeamSpec(tx=tx, rx=rx)
-    _, p_oracle = exhaustive_oracle(spec, geom, CARRIER_HZ, table)
-    config, p_solver = optimal_codebook(spec, geom, CARRIER_HZ, table)
+    _, p_oracle = exhaustive_oracle(tx, rx, geom, CARRIER_HZ, table)
+    config, p_solver = optimal_codebook(tx, rx, geom, CARRIER_HZ, table)
     assert p_solver == pytest.approx(p_oracle, rel=1e-12)
     assert p_solver == pytest.approx(cascade_sum_squared(
         geom, state_coefficients(table, config.codes), tx, rx), rel=1e-12)
@@ -226,31 +212,29 @@ def test_solver_matches_the_exhaustive_oracle(shape, bits, mode, tx, rx):
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
 def test_solver_never_worse_than_a_phase_constant_sweep(panel16, rx_near, bits):
     # symmetric broadside pose: many elements share a path length, so switch events tie
-    spec = BeamSpec(tx=FAR, rx=rx_near)
     table = ElementStateTable.ideal(bits)
     step = 2 * math.pi / (1 << bits)
+    phases = optimal_phases(FAR, rx_near, panel16, CARRIER_HZ)
     swept = max(
-        cascade_sum_squared(panel16, state_coefficients(table, synthesize_codebook(
-            replace(spec, phase_offset=step * k / 16), panel16, CARRIER_HZ, bits).codes),
-                            FAR, rx_near)
+        cascade_sum_squared(panel16, state_coefficients(
+            table, quantize_phases(phases + step * k / 16, bits)), FAR, rx_near)
         for k in range(16)
     )
-    _, power = optimal_codebook(spec, panel16, CARRIER_HZ, table)
+    _, power = optimal_codebook(FAR, rx_near, panel16, CARRIER_HZ, table)
     assert power >= swept * (1 - 1e-12)
 
 
 def test_solver_fires_tied_events_together(panel16, rx_near):
     # many switch events coincide at this symmetric pose; they must fire together,
     # and the optimum is the 3.493 dB the phase-constant sweep also finds here
-    loss = quantization_loss(panel16, BeamSpec(tx=FAR, rx=rx_near), CARRIER_HZ, 1)
+    loss = quantization_loss(panel16, FAR, rx_near, CARRIER_HZ, 1)
     assert loss == pytest.approx(3.493, abs=5e-4)
 
 
 def test_solver_on_a_degenerate_state_table(panel16, rx_near):
     # every state the same coefficient: one hull vertex, the lowest code everywhere
     flat = ElementStateTable.from_states([(10.0, 1.0)] * 4)
-    spec = BeamSpec(tx=FAR, rx=rx_near)
-    config, power = optimal_codebook(spec, panel16, CARRIER_HZ, flat)
+    config, power = optimal_codebook(FAR, rx_near, panel16, CARRIER_HZ, flat)
     assert not config.codes.any()
     assert power == pytest.approx(cascade_sum_squared(
         panel16, state_coefficients(flat, config.codes), FAR, rx_near), rel=1e-12)
@@ -259,13 +243,13 @@ def test_solver_on_a_degenerate_state_table(panel16, rx_near):
 @pytest.mark.parametrize("optimiser", [exhaustive_oracle, optimal_codebook])
 def test_optimisers_read_codes_as_received_power_does(optimiser, table):
     geom = ArrayGeometry(2, 2)
-    spec = BeamSpec(tx=Pose.from_spherical(1.0, 0.3, 0.2), rx=Pose.from_spherical(0.1, 0.2, 1.0))
+    tx, rx = Pose.from_spherical(1.0, 0.3, 0.2), Pose.from_spherical(0.1, 0.2, 1.0)
     # the ideal 1-bit table gives 1-bit codes, read at their own phases
     ideal = ElementStateTable.ideal(1)
-    config, power = optimiser(spec, geom, CARRIER_HZ, ideal)
+    config, power = optimiser(tx, rx, geom, CARRIER_HZ, ideal)
     assert config.bits == 1
     assert power == pytest.approx(cascade_sum_squared(
-        geom, state_coefficients(ideal, config.codes), spec.tx, spec.rx), rel=1e-12)
+        geom, state_coefficients(ideal, config.codes), tx, rx), rel=1e-12)
     # a table of another bit depth is refused where codes meet a table
     with pytest.raises(ValueError, match="1-bit codes"):
         code_table(config.bits, "realized", table)

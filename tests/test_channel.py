@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rissim import (
     ArrayGeometry,
-    BeamSpec,
     ElementStateTable,
     GainProfile,
     Pose,
@@ -140,8 +139,7 @@ def test_received_power_opaque_panel(panel16, desk_gains):
 
 
 def test_coherent_sum_matches_direct_summation(panel16, desk_gains, tx_far, rx_near):
-    spec = BeamSpec(tx=tx_far, rx=rx_near)
-    phases = optimal_phases(spec, panel16, CARRIER_HZ)
+    phases = optimal_phases(tx_far, rx_near, panel16, CARRIER_HZ)
     direct = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * phases), tx_far,
                             rx_near)
     bound = coherent_power_bound(1.0, CARRIER_HZ, desk_gains, panel16, tx_far, rx_near)
@@ -153,16 +151,14 @@ def test_received_power_reciprocity(panel16):
     rx = Pose.from_spherical(0.05, 0.15, 2.0)
     profile = GainProfile(22.7, 9.2, 5.0, 7.0)
     swapped = GainProfile(9.2, 22.7, 7.0, 5.0)
-    spec = BeamSpec(tx=tx, rx=rx)
-    phases = optimal_phases(spec, panel16, CARRIER_HZ)
+    phases = optimal_phases(tx, rx, panel16, CARRIER_HZ)
     forward = received_power(1.0, CARRIER_HZ, profile, panel16, np.exp(1j * phases), tx, rx)
     reverse = received_power(1.0, CARRIER_HZ, swapped, panel16, np.exp(1j * phases), rx, tx)
     assert forward == pytest.approx(reverse, rel=1e-12)
 
 
 def test_single_phase_perturbation_strictly_decreases(panel16, tx_far, rx_near, desk_gains):
-    spec = BeamSpec(tx=tx_far, rx=rx_near)
-    base = optimal_phases(spec, panel16, CARRIER_HZ)
+    base = optimal_phases(tx_far, rx_near, panel16, CARRIER_HZ)
     p0 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, np.exp(1j * base), tx_far, rx_near)
     for eps in (0.05, 0.5, math.pi):
         perturbed = base.copy()

@@ -43,7 +43,7 @@ def test_codebook_near_focus_uses_all_codes(tmp_path, capsys):
     codes = {v for row in rows for v in row.values()}
     assert codes == {"0", "1", "2", "3"}
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("tx: "))
-    assert line == "tx: d=100.0 m polar=0.00 deg; rx: d=0.05 m polar=0.00 deg; C=0.00 deg"
+    assert line == "tx: d=100.0 m polar=0.00 deg; rx: d=0.05 m polar=0.00 deg"
 
 
 def test_quantloss_ladder(tmp_path):
@@ -237,6 +237,14 @@ def test_pattern_outputs_match_their_pinned_digests(tmp_path, capsys, mode, stee
     assert capsys.readouterr().out.splitlines()[-1] == line
 
 
+@pytest.mark.parametrize("grid_deg", ["0.25", "5", "10"])
+def test_directivity_does_not_depend_on_the_cut_step(tmp_path, capsys, grid_deg):
+    assert run("pattern", "--steer-deg", "47.5", "--grid-deg", grid_deg,
+               "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "directivity 23.70 dBi, gain 23.70 dBi (loss budget 0.00 dB)")
+
+
 def test_pattern_loss_budget_gain_line(tmp_path, capsys):
     assert run("pattern", "--loss-budget-db", "2.5", "--out", str(tmp_path)) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
@@ -245,9 +253,9 @@ def test_pattern_loss_budget_gain_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("beam,flags,alone", [
     ("{rx_pose: {range_m: 1.0}}", ["--rx-range", "0.05"], ["--rx-range", "0.05"]),
-    ("{rx_pose: {range_m: 1.0, polar_deg: 20}, offset_deg: 45}",
-     ["--rx-range", "0.05", "--offset-deg", "90"],
-     ["--rx-range", "0.05", "--rx-polar-deg", "20", "--offset-deg", "90"]),
+    ("{tx_pose: {range_m: 2.0, polar_deg: 10}, rx_pose: {range_m: 1.0, polar_deg: 20}}",
+     ["--tx-polar-deg", "30", "--rx-range", "0.05"],
+     ["--tx-range", "2.0", "--tx-polar-deg", "30", "--rx-range", "0.05", "--rx-polar-deg", "20"]),
 ], ids=["range", "field-by-field"])
 def test_codebook_flags_win_over_the_run_config_beam(tmp_path, beam, flags, alone):
     cfg = tmp_path / "run.yaml"
@@ -334,8 +342,6 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
 @pytest.mark.parametrize("argv,message", [
     (["quantloss", "--carrier-hz", "nan"], "carrier_hz must be finite"),
     (["pattern", "--carrier-hz", "inf"], "carrier_hz must be finite"),
-    (["codebook", "--offset-deg", "nan"], "phase_offset must be finite"),
-    (["codebook", "--offset-deg", "inf"], "phase_offset must be finite"),
     (["scan", "--element-exponent", "inf"], "element exponent must be finite"),
     (["pattern", "--loss-budget-db", "inf"], "loss_budget_db must be finite"),
     (["pattern", "--steer-deg", "95"], "--steer-deg must lie in [-90, 90]"),  # behind the panel
@@ -356,12 +362,14 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
      "sidelobe level undefined: every sample outside the main lobe is zero"),
     (["codebook", "--config", "beam: {tx_model: spherical}"],  # every point is phased exactly
      "beam: unknown key(s) ['tx_model']"),
-], ids=["carrier-nan", "carrier-inf", "offset-nan", "offset-inf", "element-exponent-inf",
+    (["codebook", "--config", "beam: {offset_deg: 10}"],  # no free phase constant
+     "beam: unknown key(s) ['offset_deg']"),
+], ids=["carrier-nan", "carrier-inf", "element-exponent-inf",
         "loss-budget-inf", "steer-95", "feed-gain-nan", "feed-gain-inf",
         "feed-range-nan", "reproduce-feed-gain-nan", "reproduce-feed-range-nan",
         "feed-range-negative", "feed-range-zero", "feed-gain-2", "reproduce-feed-range-negative",
         "reproduce-feed-range-zero", "reproduce-feed-gain-2", "element-exponent-400",
-        "beam-tx-model"])
+        "beam-tx-model", "beam-offset-deg"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
     if "--config" in argv:  # the entry after --config is the run config's text
         i = argv.index("--config") + 1
@@ -421,7 +429,6 @@ def test_config_section_must_be_a_mapping(tmp_path, capsys, section):
 @pytest.mark.parametrize("entry,key", [
     ("feed: {range_m: true}", "range_m"),
     ("feed: {gain_dbi: twelve}", "gain_dbi"),
-    ("beam: {offset_deg: true}", "offset_deg"),
     ("grid_deg: true", "grid_deg"),
 ])
 def test_config_numbers_are_not_booleans(tmp_path, capsys, entry, key):
@@ -464,7 +471,7 @@ KEY_ENTRIES = {
     "element_table": "element_table: {states}",
     "geometry": "geometry: {{num_x: 8, num_y: 8}}",
     "feed": "feed: {{gain_dbi: 12.7}}",
-    "beam": "beam: {{offset_deg: 10}}",
+    "beam": "beam: {{rx_pose: {{range_m: 1.0}}}}",
     "scenario": "scenario: {scenario}",
 }
 
@@ -591,6 +598,7 @@ def test_a_verdict_over_no_values_fails():
     ["codebook", "--grid-deg", "1"],
     ["codebook", "--seed", "4"],
     ["codebook", "--tx-model", "planar"],  # no per-side wavefront model
+    ["codebook", "--offset-deg", "10"],  # no free phase constant
     ["pattern", "--seed", "1"],
     ["scan", "--seed", "1"],
 ], ids=" ".join)

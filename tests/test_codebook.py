@@ -10,7 +10,6 @@ from rissim import (
     ArrayGeometry,
     RISConfiguration,
     UnsupportedConfigurationError,
-    bitstream_to_hex,
     encode_bias_bitstream,
     pack_bitstream,
     quantize_phases,
@@ -106,7 +105,7 @@ def test_bitstream_all_zero(panel16):
     assert bits.size == 512
     assert not bits.any()
     assert pack_bitstream(bits) == b"\x00" * 64
-    assert bitstream_to_hex(bits) == "00" * 64
+    assert pack_bitstream(bits).hex() == "00" * 64
 
 
 def test_bitstream_single_element(panel16):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rissim import (
     ArrayGeometry,
-    BeamSpec,
     ElementStateTable,
     GainProfile,
     InfeasibleTargetError,
@@ -24,7 +23,9 @@ from rissim import (
     evaluate_scenario,
     load_scenario_bundle,
     noise_power,
+    optimal_phases,
     quantization_loss,
+    quantize_phases,
     received_power,
     required_transmit_power,
     state_coefficients,
@@ -341,8 +342,7 @@ def test_array_gain_single_element_reference_is_zero():
     # one element has no phase to get wrong: its 2-bit codebook reaches the coherent bound
     geom = ArrayGeometry(1, 1)
     scenario = make_scenario()
-    config = synthesize_codebook(BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose), geom,
-                                 CARRIER_HZ, 2)
+    config = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, geom, CARRIER_HZ, 2)
     quantized = panel_power_w(scenario, geom,
                               state_coefficients(ElementStateTable.ideal(2), config.codes))
     assert quantized == pytest.approx(panel_power_w(scenario, geom), rel=1e-12)
@@ -358,8 +358,7 @@ def test_array_gain_regression_16x16(panel16):
 def test_array_gain_direct_reference_positive(panel16):
     # the per-element cascade model strongly favors the panel link
     scenario = make_scenario()
-    config = synthesize_codebook(BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose), panel16,
-                                 CARRIER_HZ, 2)
+    config = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, panel16, CARRIER_HZ, 2)
     panel = panel_power_w(scenario, panel16,
                           state_coefficients(default_element_table(), config.codes))
     assert 10.0 * math.log10(panel / direct_received_power_w(scenario)) > 40.0
@@ -367,13 +366,13 @@ def test_array_gain_direct_reference_positive(panel16):
 
 def test_quantization_cost_consistent_across_modules(panel16):
     scenario = make_scenario()
-    spec = BeamSpec(tx=scenario.tx_pose, rx=scenario.rx_pose)
-    loss = quantization_loss(panel16, spec, CARRIER_HZ, 2)
+    tx, rx = scenario.tx_pose, scenario.rx_pose
+    loss = quantization_loss(panel16, tx, rx, CARRIER_HZ, 2)
     table = ElementStateTable.ideal(2)
+    phases = optimal_phases(tx, rx, panel16, CARRIER_HZ)
     quantized = max(
         panel_power_w(scenario, panel16,
-                      state_coefficients(table, synthesize_codebook(
-                          replace(spec, phase_offset=offset), panel16, CARRIER_HZ, 2).codes))
+                      state_coefficients(table, quantize_phases(phases + offset, 2)))
         for offset in np.linspace(0.0, math.pi / 2, 16, endpoint=False))
     continuous = panel_power_w(scenario, panel16)
     assert 10.0 * math.log10(continuous / quantized) == pytest.approx(loss, abs=0.1)

@@ -6,7 +6,6 @@ import pytest
 
 from rissim import (
     ArrayGeometry,
-    BeamSpec,
     MetricUndefinedError,
     Pose,
     RadiationPattern,
@@ -54,7 +53,7 @@ def fed(coefficients, geom):
 
 
 def broadside_tapered_cut(geom, plane="E", element_exponent=1.0, step_deg=0.25):
-    config = synthesize_codebook(BeamSpec(tx=FEED, rx=FAR), geom, CARRIER_HZ, 2)
+    config = synthesize_codebook(FEED, FAR, geom, CARRIER_HZ, 2)
     return principal_cut(
         fed(coefficients(config), geom), geom, CARRIER_HZ, plane=plane, step_deg=step_deg,
         element_exponent=element_exponent,
@@ -235,8 +234,7 @@ def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, 
 @pytest.mark.parametrize("mode", ["nominal", "realized"])
 def test_element_factor_of_array_factor_cut_is_exact(panel16, table, gamma, plane, steer_deg,
                                                      mode):
-    config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(steer_deg, plane)),
-                                 panel16, CARRIER_HZ, 2)
+    config = synthesize_codebook(FEED, steer_target(steer_deg, plane), panel16, CARRIER_HZ, 2)
     weights = fed(coefficients(config, mode, table), panel16)
     af = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=0.0)
     want = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=gamma)
@@ -272,8 +270,8 @@ def af_peak_deg(weights, geom):
 
 def test_continuous_codebook_points_exactly(panel16):
     for target_deg in (-60.0, -35.0, 20.0):
-        spec = BeamSpec(tx=FAR, rx=steer_target(target_deg))
-        peak = af_peak_deg(np.exp(1j * optimal_phases(spec, panel16, CARRIER_HZ)), panel16)
+        phases = optimal_phases(FAR, steer_target(target_deg), panel16, CARRIER_HZ)
+        peak = af_peak_deg(np.exp(1j * phases), panel16)
         assert abs(peak - target_deg) <= 0.25 + 1e-9
 
 
@@ -281,8 +279,7 @@ def test_quantized_feed_codebook_points_within_grid_cell(panel16):
     # 2-bit pointing holds for the spherical-feed codebooks the study uses;
     # a bare linear phase aliases to a squinted grating structure instead.
     for target_deg in (-60.0, -50.0, -40.0, -30.0, -20.0, -10.0):
-        spec = BeamSpec(tx=FEED, rx=steer_target(target_deg))
-        config = synthesize_codebook(spec, panel16, CARRIER_HZ, 2)
+        config = synthesize_codebook(FEED, steer_target(target_deg), panel16, CARRIER_HZ, 2)
         peak = af_peak_deg(fed(coefficients(config), panel16), panel16)
         assert abs(peak - target_deg) <= 0.25 + 1e-9
 
@@ -301,8 +298,7 @@ def test_scan_loss_rejects_mismatched_grids(panel16):
 
 def test_scan_loss_sixty_degrees_in_window(panel16):
     broadside = broadside_tapered_cut(panel16)
-    config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(-60.0)), panel16,
-                                 CARRIER_HZ, 2)
+    config = synthesize_codebook(FEED, steer_target(-60.0), panel16, CARRIER_HZ, 2)
     steered = principal_cut(fed(coefficients(config), panel16), panel16, CARRIER_HZ, plane="E",
                             step_deg=0.25, element_exponent=1.0)
     assert 2.5 <= scan_loss(broadside, steered) <= 6.0
@@ -313,8 +309,7 @@ def test_scan_loss_monotone_with_continuous_phases(panel16):
     losses = []
     reference = None
     for angle in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
-        spec = BeamSpec(tx=FEED, rx=steer_target(-angle))
-        phases = optimal_phases(spec, panel16, CARRIER_HZ)
+        phases = optimal_phases(FEED, steer_target(-angle), panel16, CARRIER_HZ)
         cut = radiation_pattern(
             fed(np.exp(1j * phases), panel16), panel16, CARRIER_HZ,
             element_exponent=1.0, theta=cut_grid(0.25), phi=np.array([0.0]),
@@ -418,8 +413,7 @@ def test_lag_kernel_is_converged_in_its_step(panel16, gamma, monkeypatch):
                                             ("nominal", 47.5), ("realized", -30.0)])
 def test_directivity_matches_a_fine_quadrature(panel16, table, mode, steer_deg):
     """The beams of the pinned pattern outputs, each at the peak of its 0.25-deg E cut."""
-    config = synthesize_codebook(BeamSpec(tx=FEED, rx=steer_target(steer_deg)), panel16,
-                                 CARRIER_HZ, 2)
+    config = synthesize_codebook(FEED, steer_target(steer_deg), panel16, CARRIER_HZ, 2)
     weights = fed(coefficients(config, mode, table), panel16)
     cut = principal_cut(weights, panel16, CARRIER_HZ, element_exponent=1.0)
     got = directivity_and_gain(weights, panel16, CARRIER_HZ, cut=cut, element_exponent=1.0)[0]
