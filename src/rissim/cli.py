@@ -255,6 +255,16 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- pattern
 
 
+@functools.lru_cache(maxsize=4)
+def _feed(range_m: float, exponent: float, geom: ArrayGeometry, carrier_hz: float):
+    """The path less the center path, and the illumination A, of a boresight feed; read-only."""
+    feed = Pose.from_spherical(range_m, 0.0, 0.0)
+    path = exact_distances(feed, geom) - feed.range
+    illumination = feed_illuminations(feed, geom, carrier_hz, exponent)
+    path.flags.writeable = illumination.flags.writeable = False
+    return path, illumination
+
+
 class _SteerStudy:
     """Beams steered from the feed horn into far-field directions, and their patterns.
 
@@ -262,17 +272,16 @@ class _SteerStudy:
     quantizes 2 pi / lambda times its feed path less the center path, plus the
     plane-wave path -(x sin(theta) cos(phi) + y sin(theta) sin(phi)) toward
     the direction. The feed path and illumination A are computed once per
-    study, and one study serves a whole command: each steer's codes, read
-    against the state table, become the weight grid W = Gamma exp(j phi) A its
-    patterns are sampled from. The codes have the table's bit depth.
+    process per feed, and one study serves a whole command: each steer's codes,
+    read against the state table, become the weight grid W = Gamma exp(j phi) A
+    its patterns are sampled from. The codes have the table's bit depth.
     """
 
     def __init__(self, cfg: RunConfig, geom: ArrayGeometry, carrier_hz: float,
                  table: ElementStateTable):
         self.geom, self.carrier_hz, self.table = geom, carrier_hz, table
-        feed = Pose.from_spherical(cfg.feed_range_m, 0.0, 0.0)
-        self.feed_path = exact_distances(feed, geom) - feed.range
-        self.illumination = feed_illuminations(feed, geom, carrier_hz, cfg.feed_exponent)
+        self.feed_path, self.illumination = _feed(cfg.feed_range_m, cfg.feed_exponent, geom,
+                                                  carrier_hz)
         self.cut_step_deg = cfg.grid_deg
 
     def weights(self, steer_deg: float, plane: str) -> np.ndarray:

@@ -21,8 +21,9 @@ sin rows of the first ceil(Nx/2) and ceil(Ny/2) steering columns remain. Each
 half row is filled by doubling from one exponential per direction per axis
 (Nx + Ny for per-element exponentials, Nx Ny for the direct sum). One real
 GEMM per x half and a weighted row sum give four terms per direction, whose
-sum is the field. Directions are evaluated in blocks of whole theta rows, so
-no temporary grows with the grid.
+sum is the field. Directions go in blocks of whole theta rows, so no temporary
+grows with the grid; the blocks' steering rows do not depend on W, so they are
+built once per (panel, carrier, grid) in a process and are read-only.
 
 The power radiated into the hemisphere is a quadratic form in W, not a
 sampled integral: |F|^2 = sum_l R(l) exp(j k l . u_hat), with R(l) the
@@ -111,24 +112,6 @@ class RadiationPattern:
         )
 
 
-def _direction_grids(theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """theta and phi as float arrays, checked as a pattern's direction grid."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if theta.ndim != 1 or phi.ndim != 1 or theta.size == 0 or phi.size == 0:
-        raise ValueError("theta and phi must be non-empty 1-D grids")
-    for name, grid in (("theta", theta), ("phi", phi)):
-        if not np.all(np.isfinite(grid)):
-            raise ValueError(f"{name} must be finite")
-    if np.any(np.diff(theta) <= 0) or (phi.size > 1 and np.any(np.diff(phi) <= 0)):
-        raise ValueError("direction grids must be strictly increasing")
-    if theta.min() < -math.pi / 2 - 1e-12 or theta.max() > math.pi / 2 + 1e-12:
-        raise ValueError("theta must lie in [-pi/2, pi/2]")
-    if phi.min() < 0 or phi.max() >= 2 * math.pi:
-        raise ValueError("phi must lie in [0, 2 pi)")
-    return theta, phi
-
-
 def _checked_exponent(element_exponent: float) -> float:
     """The single-element exponent gamma, which must be finite and >= 0."""
     if not (math.isfinite(element_exponent) and element_exponent >= 0):
@@ -203,27 +186,58 @@ def radiation_pattern(
     of y, and Q_ss, Q_sd, Q_ds, Q_dd the quadrant sums of W (:func:`_fold`
     along x, then along y), F(u, v) = T1 + j T2 + j T3 - T4 with
     T1 = c^T Q_ss c', T2 = c^T Q_sd s', T3 = s^T Q_ds c' and T4 = s^T Q_dd s'.
+    The steering rows are built once per (panel, carrier, grid) and are read-only.
     """
-    theta, phi = _direction_grids(theta, phi)
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.ndim != 1 or phi.ndim != 1:  # before tobytes() flattens the grid
+        raise ValueError("theta and phi must be non-empty 1-D grids")
+    theta, phi, blocks = _steering_rows(geom, carrier_hz, theta.tobytes(), phi.tobytes())
     element_factor = _element_factor(theta, element_exponent)
-    k = 2.0 * math.pi / wavelength(carrier_hz)
     x_sum, x_diff = _fold(_weight_grid(weights, geom))
     q = np.stack([*_fold(x_sum.T), *_fold(x_diff.T)]) * _QUADRANT_FACTORS  # (4, hy, hx)
     half_y, half_x = q.shape[1:]
     folded = np.stack([q.real, q.imag], axis=1).reshape(2, -1, half_x)  # rows: y half, re/im, n
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     field = np.empty((theta.size, phi.size), dtype=complex)
-    step = max(1, _CHUNK_DIRECTIONS // phi.size)
-    for start in range(0, theta.size, step):
-        rows = slice(start, min(start + step, theta.size))
-        s = np.sin(theta[rows])[:, None]
-        x = _half_steering((s * cos_phi).ravel(), k * geom.spacing_x, geom.num_x)
-        y = _half_steering((s * sin_phi).ravel(), k * geom.spacing_y, geom.num_y)
+    for rows, x, y in blocks:
         partial = (folded @ x).reshape(2, 2, 2, half_y, -1)  # [x half, y half, re/im, n, dir]
         terms = np.einsum("xyrnd,ynd->xydr", partial, y).reshape(4, -1)  # re/im interleaved
         field[rows] = terms.sum(0).view(complex).reshape(-1, phi.size)
     field *= element_factor
     return RadiationPattern(theta=theta, phi=phi, field=field)
+
+
+@lru_cache(maxsize=4)
+def _steering_rows(geom: ArrayGeometry, carrier_hz: float, theta: bytes, phi: bytes):
+    """The checked direction grid of the float64 bytes, and each block's (rows, x, y).
+
+    x and y are the :func:`_half_steering` rows of the block's directions. They
+    depend only on the panel, the carrier and the grid, so they are built once
+    for them and are read-only; a refused grid raises and caches nothing.
+    """
+    theta, phi = np.frombuffer(theta), np.frombuffer(phi)
+    if theta.size == 0 or phi.size == 0:
+        raise ValueError("theta and phi must be non-empty 1-D grids")
+    for name, grid in (("theta", theta), ("phi", phi)):
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(theta) <= 0) or (phi.size > 1 and np.any(np.diff(phi) <= 0)):
+        raise ValueError("direction grids must be strictly increasing")
+    if theta.min() < -math.pi / 2 - 1e-12 or theta.max() > math.pi / 2 + 1e-12:
+        raise ValueError("theta must lie in [-pi/2, pi/2]")
+    if phi.min() < 0 or phi.max() >= 2 * math.pi:
+        raise ValueError("phi must lie in [0, 2 pi)")
+    k = 2.0 * math.pi / wavelength(carrier_hz)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    step = max(1, _CHUNK_DIRECTIONS // phi.size)
+    blocks = []
+    for start in range(0, theta.size, step):
+        rows = slice(start, min(start + step, theta.size))
+        s = np.sin(theta[rows])[:, None]
+        x = _half_steering((s * cos_phi).ravel(), k * geom.spacing_x, geom.num_x)
+        y = _half_steering((s * sin_phi).ravel(), k * geom.spacing_y, geom.num_y)
+        x.flags.writeable = y.flags.writeable = False
+        blocks.append((rows, x, y))
+    return theta, phi, tuple(blocks)
 
 
 def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG) -> np.ndarray:
@@ -405,12 +419,15 @@ def aperture_efficiency(gain_dbi: float, aperture_area_m2: float, carrier_hz: fl
 
 
 @lru_cache(maxsize=4)
-def _axis_labels(grid: bytes) -> tuple[str, ...]:
-    """The "deg," CSV labels of one float64 direction grid, keyed by its bytes.
+def _row_template(theta: bytes, phi: bytes) -> str:
+    """The CSV of one float64 (theta, phi) grid, keyed by its bytes, with %.6f for each power.
 
-    Cached, so the E and H cuts of one ``rissim pattern`` run share their theta labels.
+    Cached, so every cut a process writes on one grid shares its labels.
     """
-    return tuple(f"{g:.4f}," for g in np.degrees(np.frombuffer(grid)).tolist())
+    phi_deg = [f"{g:.4f}" for g in np.degrees(np.frombuffer(phi)).tolist()]
+    return "theta_deg,phi_deg,power_db_normalized\r\n" + "".join(
+        [f"{th:.4f},{ph},%.6f\r\n" for th in np.degrees(np.frombuffer(theta)).tolist()
+         for ph in phi_deg])
 
 
 def pattern_to_csv(pattern: RadiationPattern, path: str | Path) -> None:
@@ -419,11 +436,9 @@ def pattern_to_csv(pattern: RadiationPattern, path: str | Path) -> None:
     peak = power.max()
     if peak <= 0:
         raise ValueError("pattern has no power")
-    phi_deg = _axis_labels(pattern.phi.tobytes())
-    leads = [th + ph for th in _axis_labels(pattern.theta.tobytes()) for ph in phi_deg]
     ratios = np.maximum(power / peak, 1e-30).ravel().tolist()
     # math.log10 per sample: numpy's vector log10 may differ in the last ulp.
-    rows = "".join([f"{lead}{10.0 * math.log10(ratio):.6f}\r\n"
-                    for lead, ratio in zip(leads, ratios)])
+    text = _row_template(pattern.theta.tobytes(), pattern.phi.tobytes()) % tuple(
+        [10.0 * math.log10(ratio) for ratio in ratios])
     with open(path, "w", newline="") as fh:  # the csv module's \r\n rows, in one write
-        fh.write("theta_deg,phi_deg,power_db_normalized\r\n" + rows)
+        fh.write(text)

@@ -237,6 +237,27 @@ def test_pattern_outputs_match_their_pinned_digests(tmp_path, capsys, mode, stee
     assert capsys.readouterr().out.splitlines()[-1] == line
 
 
+def test_repeated_pattern_runs_in_one_process_keep_their_bytes(tmp_path, capsys):
+    """The tables cached by one run (steering rows, CSV templates, feed) do not leak into the next."""
+    pinned = ["pattern", "--mode", "nominal", "--steer-deg", "-30", "--plane", "both"]
+    h_cut = ["pattern", "--mode", "realized", "--plane", "H", "--steer-deg", "60",
+             "--element-exponent", "0"]
+    near_feed, default_feed = tmp_path / "near_feed.yaml", tmp_path / "default_feed.yaml"
+    near_feed.write_text("feed: {range_m: 0.1}\ngrid_deg: 1.0\n")
+    default_feed.write_text("grid_deg: 1.0\n")
+    *digests, line = PINNED_PATTERN_OUTPUTS["nominal", "-30"]
+    names = ("pattern_cut_e.csv", "pattern_cut_h.csv", "pattern_metrics.csv")
+    for out, argv in [("first", pinned), ("near", [*h_cut, "--config", str(near_feed)]),
+                      ("third", pinned), ("default", [*h_cut, "--config", str(default_feed)])]:
+        assert run(*argv, "--out", str(tmp_path / out)) == 0
+        if argv is pinned:
+            assert [hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest()
+                    for name in names] == digests
+            assert capsys.readouterr().out.splitlines()[-1] == line
+    near, default = ((tmp_path / out / "pattern_cut_h.csv").read_bytes() for out in ("near", "default"))
+    assert near != default  # the feed study is keyed on the feed
+
+
 @pytest.mark.parametrize("grid_deg", ["0.25", "5", "10"])
 def test_directivity_does_not_depend_on_the_cut_step(tmp_path, capsys, grid_deg):
     assert run("pattern", "--steer-deg", "47.5", "--grid-deg", grid_deg,

@@ -490,6 +490,39 @@ def test_direction_grids_must_be_finite(panel16, name, bad):
         radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ, **grids)
 
 
+def test_a_warm_steering_cache_samples_the_same_field(panel16, rng):
+    weights = _random_field(rng, (16, 16))
+    hemisphere = hemisphere_directions(3.0)  # six blocks of theta rows
+    for theta, phi in [(cut_grid(), np.array([patterns.PLANE_AZIMUTHS["H"]])), hemisphere]:
+        radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)  # fills the cache
+        warm = radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)
+        patterns._steering_rows.cache_clear()
+        cold = radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)
+        assert warm.field.tobytes() == cold.field.tobytes()
+    *_, blocks = patterns._steering_rows(panel16, CARRIER_HZ, *(g.tobytes() for g in hemisphere))
+    assert len(blocks) == 6
+
+
+def test_cached_steering_rows_are_read_only(panel16):
+    theta, phi, blocks = patterns._steering_rows(panel16, CARRIER_HZ, cut_grid(1.0).tobytes(),
+                                                 np.array([0.0]).tobytes())
+    for array in (theta, phi, *(row for _, x, y in blocks for row in (x, y))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("theta,message", [
+    (np.array([0.0, math.nan]), "theta must be finite"),
+    (np.array([0.2, 0.1]), "direction grids must be strictly increasing"),
+    (np.array([[0.0, 0.1], [0.2, 0.3]]), "theta and phi must be non-empty 1-D grids"),
+], ids=["nan", "decreasing", "2-d"])
+def test_a_refused_grid_caches_nothing(panel16, theta, message):
+    patterns._steering_rows.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        radiation_pattern(np.ones((16, 16)), panel16, CARRIER_HZ, theta=theta, phi=np.array([0.0]))
+    assert patterns._steering_rows.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("step_deg", [0.0, -1.0, math.nan, math.inf, 0.7, 100.0])
 def test_grids_reject_bad_steps(step_deg):
     with pytest.raises(ValueError, match=f"grid step .*got {step_deg} deg"):
@@ -560,8 +593,8 @@ def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
     h_plane = np.array([patterns.PLANE_AZIMUTHS["H"]])
     if kind == "hemisphere":
         grids = [hemisphere_directions(10.0)]
-    elif kind == "grid_sequence":  # one process, so the labels cached for an axis serve it again
-        patterns._axis_labels.cache_clear()
+    elif kind == "grid_sequence":  # one process, so the template cached for a grid serves it again
+        patterns._row_template.cache_clear()
         grids = [(cut_grid(1.0), h_plane), (cut_grid(1.0), np.array([0.0])), (cut_grid(0.5), h_plane),
                  (cut_grid(1.0), h_plane), hemisphere_directions(10.0)]
     else:
@@ -578,8 +611,9 @@ def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
     if kind == "cut_with_zeros":
         assert "-300.000000" in got.read_text()
     if kind == "grid_sequence":
-        # The E cut's theta, the 0.5-degree cut's phi, and both axes of the repeated cut.
-        assert patterns._axis_labels.cache_info().hits == 4
+        distinct = {(theta.tobytes(), phi.tobytes()) for theta, phi in grids}
+        assert len(distinct) <= patterns._row_template.cache_info().maxsize  # none evicted
+        assert patterns._row_template.cache_info().hits == len(grids) - len(distinct)
 
 
 def test_power_is_computed_once_and_read_only(rng):
