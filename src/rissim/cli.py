@@ -378,7 +378,8 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"--step-deg must be positive, got {args.step_deg}")
     if not 0 <= args.max_deg <= 90:  # beyond 90 deg the target lies behind the panel
         raise ConfigError(f"--max-deg must lie in [0, 90], got {args.max_deg}")
-    angles = [args.step_deg * i for i in range(int(args.max_deg / args.step_deg) + 1)]
+    count = math.floor(args.max_deg / args.step_deg + 1e-9)  # 0.7 / 0.1 is 6.999...
+    angles = [args.step_deg * i for i in range(count + 1)]
     table = code_table(bits, cfg.mode, cfg.element_table)
     for line in cfg.header_lines("panel", "bits", "mode", "grid", table=table):
         print(line)

@@ -13,17 +13,9 @@ element weights W_mn = A_mn Gamma_mn exp(j phi_mn), formed by the caller.
 
 On the uniform grid x_mn = delta_m dx, y_mn = delta_n dy the phase term
 factors, exp(j k (x_m u + y_n v)) = a_m(u) b_n(v), so the array sum is the
-bilinear form a(u)^T W b(v). The element offsets are symmetric about the
-panel centre, so a_{Nx-1-m}(u) = conj(a_m(u)), as in centro-symmetric array
-processing (Haardt and Nossek, Unitary ESPRIT, 1995): W is folded once into
-the sums and differences of its mirrored quadrants, and only the real cos and
-sin rows of the first ceil(Nx/2) and ceil(Ny/2) steering columns remain. Each
-half row is filled by doubling from one exponential per direction per axis
-(Nx + Ny for per-element exponentials, Nx Ny for the direct sum). One real
-GEMM per x half and a weighted row sum give four terms per direction, whose
-sum is the field. Directions go in blocks of whole theta rows, so no temporary
-grows with the grid; the blocks' steering rows do not depend on W, so they are
-built once per (panel, carrier, grid) in a process and are read-only.
+bilinear form a(u)^T W b(v), one (Nx + Ny)-term pair of steering rows per
+direction in place of Nx Ny exponentials. The rows do not depend on W, so
+they are built once per (panel, carrier, grid) in a process and are read-only.
 
 The power radiated into the hemisphere is a quadratic form in W, not a
 sampled integral: |F|^2 = sum_l R(l) exp(j k l . u_hat), with R(l) the
@@ -51,11 +43,6 @@ from .geometry import ArrayGeometry, _weight_grid
 from .units import db_to_linear, wavelength
 
 DEFAULT_CUT_STEP_DEG = 0.25
-
-# Directions per block of the separable sum, in whole theta rows. A 0.25-degree
-# cut (721 directions) fits in one block. The largest temporary, the GEMM output,
-# holds 4 ceil(Ny/2) reals per direction and x half: 384 KiB on a 16x16 panel.
-_CHUNK_DIRECTIONS = 768
 
 # The lag kernel's tanh-sinh rule in mu: nodes t = i h with |t| <= 4, beyond which
 # the weights fall below 1e-35. h = 1/16 (129 nodes) resolves J0's oscillation up
@@ -124,52 +111,6 @@ def _element_factor(theta: np.ndarray, element_exponent: float) -> np.ndarray:
     return np.cos(theta)[:, None] ** _checked_exponent(element_exponent)
 
 
-def _half_steering(proj: np.ndarray, k_spacing: float, n: int) -> np.ndarray:
-    """[cos; sin] of the first ceil(n/2) steering columns of one axis, centre outward.
-
-    Column i is exp(j k x_m proj) at offset x_m = -(i + 1/2) d (even n) or -i d
-    (odd n); the mirrored element's column is its conjugate. One exponential per
-    direction, h = exp(-j k d proj / 2), gives column 0 (h, or exactly 1 for odd
-    n), and columns [w, 2w) are columns [0, w) times h^(2w). Directions are last,
-    so each doubling step multiplies contiguous rows.
-    """
-    half = (n + 1) // 2
-    cols = np.empty((half, proj.size), dtype=complex)
-    phase = -0.5 * k_spacing * proj
-    cols[0].real, cols[0].imag = np.cos(phase), np.sin(phase)  # h, as one exponential
-    factor = cols[0] * cols[0]
-    if n % 2:
-        cols[0] = 1.0
-    width = 1
-    while width < half:
-        stop = min(2 * width, half)
-        np.multiply(cols[: stop - width], factor, out=cols[width:stop])
-        width *= 2
-        if width < half:
-            factor = factor * factor
-    rows = np.empty((2, half, proj.size))
-    rows[0], rows[1] = cols.real, cols.imag
-    return rows
-
-
-def _fold(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and differences of W's mirrored rows, in :func:`_half_steering`'s order.
-
-    An odd count's centre row pairs with itself, so its sum is halved back to the row.
-    """
-    n = weights.shape[0]
-    half = (n + 1) // 2
-    inner, outer = weights[half - 1 :: -1], weights[n - half :]
-    total = inner + outer
-    if n % 2:
-        total[0] *= 0.5
-    return total, inner - outer
-
-
-# The factors 1, j, j, -1 of T1..T4 in F(u, v), folded into Q_ss, Q_sd, Q_ds, Q_dd.
-_QUADRANT_FACTORS = np.array([1.0, 1.0j, 1.0j, -1.0])[:, None, None]
-
-
 def radiation_pattern(
     weights: np.ndarray,
     geom: ArrayGeometry,
@@ -182,37 +123,27 @@ def radiation_pattern(
     """Sample the array-theory field of the (Nx, Ny) weight grid W on a direction grid.
 
     ``element_exponent`` (gamma) is the single-element field factor
-    cos^gamma(theta). With [c; s] the half steering rows of x, [c'; s'] those
-    of y, and Q_ss, Q_sd, Q_ds, Q_dd the quadrant sums of W (:func:`_fold`
-    along x, then along y), F(u, v) = T1 + j T2 + j T3 - T4 with
-    T1 = c^T Q_ss c', T2 = c^T Q_sd s', T3 = s^T Q_ds c' and T4 = s^T Q_dd s'.
-    The steering rows are built once per (panel, carrier, grid) and are read-only.
+    cos^gamma(theta). The field is the bilinear form a(u)^T W b(v) times that
+    factor; the steering rows a and b are built once per (panel, carrier,
+    grid) and are read-only.
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 1 or phi.ndim != 1:  # before tobytes() flattens the grid
         raise ValueError("theta and phi must be non-empty 1-D grids")
-    theta, phi, blocks = _steering_rows(geom, carrier_hz, theta.tobytes(), phi.tobytes())
-    element_factor = _element_factor(theta, element_exponent)
-    x_sum, x_diff = _fold(_weight_grid(weights, geom))
-    q = np.stack([*_fold(x_sum.T), *_fold(x_diff.T)]) * _QUADRANT_FACTORS  # (4, hy, hx)
-    half_y, half_x = q.shape[1:]
-    folded = np.stack([q.real, q.imag], axis=1).reshape(2, -1, half_x)  # rows: y half, re/im, n
-    field = np.empty((theta.size, phi.size), dtype=complex)
-    for rows, x, y in blocks:
-        partial = (folded @ x).reshape(2, 2, 2, half_y, -1)  # [x half, y half, re/im, n, dir]
-        terms = np.einsum("xyrnd,ynd->xydr", partial, y).reshape(4, -1)  # re/im interleaved
-        field[rows] = terms.sum(0).view(complex).reshape(-1, phi.size)
-    field *= element_factor
+    theta, phi, x, y = _steering_rows(geom, carrier_hz, theta.tobytes(), phi.tobytes())
+    field = ((x @ _weight_grid(weights, geom)) * y).sum(1).reshape(theta.size, phi.size)
+    field *= _element_factor(theta, element_exponent)
     return RadiationPattern(theta=theta, phi=phi, field=field)
 
 
 @lru_cache(maxsize=4)
 def _steering_rows(geom: ArrayGeometry, carrier_hz: float, theta: bytes, phi: bytes):
-    """The checked direction grid of the float64 bytes, and each block's (rows, x, y).
+    """The checked direction grid of the float64 bytes, and its steering rows x and y.
 
-    x and y are the :func:`_half_steering` rows of the block's directions. They
-    depend only on the panel, the carrier and the grid, so they are built once
-    for them and are read-only; a refused grid raises and caches nothing.
+    x[i, m] = exp(j k x_m u_i) and y[i, n] = exp(j k y_n v_i), directions in
+    theta-major order. They depend only on the panel, the carrier and the grid,
+    so they are built once for them and are read-only; a refused grid raises and
+    caches nothing.
     """
     theta, phi = np.frombuffer(theta), np.frombuffer(phi)
     if theta.size == 0 or phi.size == 0:
@@ -227,17 +158,12 @@ def _steering_rows(geom: ArrayGeometry, carrier_hz: float, theta: bytes, phi: by
     if phi.min() < 0 or phi.max() >= 2 * math.pi:
         raise ValueError("phi must lie in [0, 2 pi)")
     k = 2.0 * math.pi / wavelength(carrier_hz)
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    step = max(1, _CHUNK_DIRECTIONS // phi.size)
-    blocks = []
-    for start in range(0, theta.size, step):
-        rows = slice(start, min(start + step, theta.size))
-        s = np.sin(theta[rows])[:, None]
-        x = _half_steering((s * cos_phi).ravel(), k * geom.spacing_x, geom.num_x)
-        y = _half_steering((s * sin_phi).ravel(), k * geom.spacing_y, geom.num_y)
-        x.flags.writeable = y.flags.writeable = False
-        blocks.append((rows, x, y))
-    return theta, phi, tuple(blocks)
+    s = np.sin(theta)[:, None]
+    u, v = (s * np.cos(phi)).ravel(), (s * np.sin(phi)).ravel()
+    x = np.exp(1j * np.multiply.outer(u, k * geom.spacing_x * geom.offsets_x()))
+    y = np.exp(1j * np.multiply.outer(v, k * geom.spacing_y * geom.offsets_y()))
+    x.flags.writeable = y.flags.writeable = False
+    return theta, phi, x, y
 
 
 def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG) -> np.ndarray:

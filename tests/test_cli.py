@@ -102,6 +102,12 @@ def test_scan_subcommand(tmp_path):
     assert 2.5 <= float(rows[-1]["e_plane_loss_db"]) <= 6.0
 
 
+def test_scan_keeps_a_last_angle_the_step_does_not_divide_exactly(tmp_path):
+    assert run("scan", "--out", str(tmp_path), "--max-deg", "0.7", "--step-deg", "0.1") == 0
+    rows = read_csv(tmp_path / "scan_loss.csv")
+    assert [r["steer_deg"] for r in rows] == [f"{0.1 * i:.1f}" for i in range(8)]
+
+
 def test_reproduce_small(tmp_path):
     assert run("reproduce", "--out", str(tmp_path), "--oracle-trials", "3", "--seed", "7") == 0
     for name in ("link_report.csv", "quantization_loss.csv", "pattern_metrics.csv",
@@ -201,8 +207,7 @@ def test_pattern_steered(tmp_path):
 
 # sha256 of pattern_cut_e.csv, pattern_cut_h.csv and pattern_metrics.csv, and the last
 # stdout line, of `rissim pattern --plane both`, keyed by (mode, steer angle). Recorded
-# from the complex-arithmetic pattern engine that the real-GEMM kernel replaced, which
-# must reproduce them byte for byte.
+# from an earlier pattern engine; every engine since has reproduced them byte for byte.
 PINNED_PATTERN_OUTPUTS = {
     ("nominal", "-30"): (
         "f2063a0d831b58a0813df2cdc9949960725d874c018831be2bc704ccecc1897d",

@@ -142,14 +142,15 @@ def direct_array_sum(weights, geom, carrier_hz, theta, phi, element_exponent):
 def test_steering_rows_match_per_element_exponentials(n, spacing):
     k = 2.0 * math.pi / wavelength(CARRIER_HZ)
     k_offsets = k * ((np.arange(n) - (n - 1) / 2.0) * spacing)
-    half = (n + 1) // 2
-    u = np.linspace(-1.0, 1.0, 2001)
-    got = patterns._half_steering(u, k * spacing, n)
-    assert got.shape == (2, half, u.size)
-    want = np.exp(1j * np.outer(k_offsets[half - 1 :: -1], u))  # columns from the centre out
-    assert np.abs(got[0] + 1j * got[1] - want).max() <= 1e-12
-    if n % 2:  # the centre element's column is exactly 1
-        assert np.all(got[0, 0] == 1.0) and np.all(got[1, 0] == 0.0)
+    theta, phi = np.linspace(-math.pi / 2, math.pi / 2, 1001), np.array([0.0, math.pi / 2])
+    _, _, x, y = patterns._steering_rows(ArrayGeometry(n, n, spacing, spacing), CARRIER_HZ,
+                                         theta.tobytes(), phi.tobytes())
+    s = np.sin(theta)[:, None]
+    for rows, proj in ((x, s * np.cos(phi)), (y, s * np.sin(phi))):  # theta-major directions
+        assert rows.shape == (theta.size * phi.size, n)
+        assert np.abs(rows - np.exp(1j * np.outer(proj.ravel(), k_offsets))).max() <= 1e-12
+        if n % 2:  # the centre element's column is exactly 1
+            assert np.all(rows[:, n // 2] == 1.0)
 
 
 @pytest.mark.parametrize("nx,ny,dx,dy", [(3, 5, 3.1e-3, 4.9e-3), (1, 7, 4.9e-3, 2.7e-3),
@@ -159,8 +160,6 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
     geom = ArrayGeometry(nx, ny, dx, dy)
     theta = np.linspace(-math.pi / 2, math.pi / 2, 46)
     phi = np.arange(67) * (2.0 * math.pi / 67)
-    rows = patterns._CHUNK_DIRECTIONS // phi.size  # theta rows per block
-    assert theta.size > rows and theta.size % rows  # several blocks, the last one partial
     if excitation == "phases":
         phases = rng.uniform(0.0, 2.0 * math.pi, (nx, ny))
         gamma = 0.0
@@ -492,21 +491,19 @@ def test_direction_grids_must_be_finite(panel16, name, bad):
 
 def test_a_warm_steering_cache_samples_the_same_field(panel16, rng):
     weights = _random_field(rng, (16, 16))
-    hemisphere = hemisphere_directions(3.0)  # six blocks of theta rows
+    hemisphere = hemisphere_directions(3.0)
     for theta, phi in [(cut_grid(), np.array([patterns.PLANE_AZIMUTHS["H"]])), hemisphere]:
         radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)  # fills the cache
         warm = radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)
         patterns._steering_rows.cache_clear()
         cold = radiation_pattern(weights, panel16, CARRIER_HZ, theta=theta, phi=phi)
         assert warm.field.tobytes() == cold.field.tobytes()
-    *_, blocks = patterns._steering_rows(panel16, CARRIER_HZ, *(g.tobytes() for g in hemisphere))
-    assert len(blocks) == 6
 
 
 def test_cached_steering_rows_are_read_only(panel16):
-    theta, phi, blocks = patterns._steering_rows(panel16, CARRIER_HZ, cut_grid(1.0).tobytes(),
-                                                 np.array([0.0]).tobytes())
-    for array in (theta, phi, *(row for _, x, y in blocks for row in (x, y))):
+    theta, phi, x, y = patterns._steering_rows(panel16, CARRIER_HZ, cut_grid(1.0).tobytes(),
+                                               np.array([0.0]).tobytes())
+    for array in (theta, phi, x, y):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
