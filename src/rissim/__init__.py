@@ -21,12 +21,7 @@ from .channel import (
     feed_illuminations,
     received_power,
 )
-from .codebook import (
-    RISConfiguration,
-    encode_bias_bitstream,
-    pack_bitstream,
-    quantize_phases,
-)
+from .codebook import encode_bias_bitstream, pack_bitstream, quantize_phases
 from .elements import (
     ElementStateTable,
     code_table,

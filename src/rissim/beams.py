@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .channel import _path_vector
-from .codebook import TWO_PI, RISConfiguration, quantize_phases
+from .codebook import TWO_PI, quantize_phases
 from .elements import ElementStateTable, nominal_phase_step, state_coefficients
 from .errors import SearchSpaceError
 from .geometry import ArrayGeometry, Pose, exact_distances
@@ -33,10 +33,9 @@ def optimal_phases(tx: Pose, rx: Pose, geom: ArrayGeometry, carrier_hz: float) -
 
 def synthesize_codebook(
     tx: Pose, rx: Pose, geom: ArrayGeometry, carrier_hz: float, bits: int
-) -> RISConfiguration:
-    """Quantize the continuous-optimal phase grid onto the b-bit code grid."""
-    codes = quantize_phases(optimal_phases(tx, rx, geom, carrier_hz), bits)
-    return RISConfiguration(geom=geom, bits=bits, codes=codes)
+) -> np.ndarray:
+    """(Nx, Ny) int64 grid of b-bit codes: the continuous-optimal phases, quantized."""
+    return quantize_phases(optimal_phases(tx, rx, geom, carrier_hz), bits)
 
 
 def _hull_codes(lut: np.ndarray) -> np.ndarray:
@@ -67,10 +66,11 @@ def optimal_codebook(
     geom: ArrayGeometry,
     carrier_hz: float,
     table: ElementStateTable,
-) -> tuple[RISConfiguration, float]:
+) -> tuple[np.ndarray, float]:
     """Exact argmax of received power over all code grids, and the squared sum it maximizes.
 
-    Maximizes |sum_i a_i lut[c_i]|^2 (m^-4) with a_i the cascade path term
+    The grid is an (Nx, Ny) int64 array of ``table``'s codes. Maximizes
+    |sum_i a_i lut[c_i]|^2 (m^-4) with a_i the cascade path term
     of element i and lut the coefficients of ``table``'s states, as
     :func:`exhaustive_oracle` does, in O(N H log NH) for H convex-hull
     vertices of the state table (Sanchez, Bjornson and Larsson, ICASSP 2022;
@@ -99,9 +99,7 @@ def optimal_codebook(
         element, edge = np.divmod(order[: best + 1], hull.size)
         vertex[element] = (edge + 1) % hull.size  # in event order, so the last event wins
     codes = hull[vertex]
-    config = RISConfiguration(geom=geom, bits=table.bits,
-                              codes=codes.reshape(geom.num_x, geom.num_y))
-    return config, float(abs(np.sum(lut[codes] * path))) ** 2
+    return codes.reshape(geom.num_x, geom.num_y), float(abs(np.sum(lut[codes] * path))) ** 2
 
 
 def exhaustive_oracle(
@@ -110,13 +108,13 @@ def exhaustive_oracle(
     geom: ArrayGeometry,
     carrier_hz: float,
     table: ElementStateTable,
-) -> tuple[RISConfiguration, float]:
+) -> tuple[np.ndarray, float]:
     """Brute-force argmax of received power over all code grids, and the squared sum it maximizes.
 
     Maximizes |sum_i a_i lut[c_i]|^2 as :func:`optimal_codebook` does, reading
-    codes against ``table``. Enumerates lexicographically with element
-    (0, 0) as the most significant digit, so argmax ties resolve to the
-    lexicographically smallest grid.
+    codes against ``table``, and returns its grid the same way. Enumerates
+    lexicographically with element (0, 0) as the most significant digit, so
+    argmax ties resolve to the lexicographically smallest grid.
     """
     n = geom.num_elements
     n_states = 1 << table.bits
@@ -137,8 +135,7 @@ def exhaustive_oracle(
     codes = np.array(
         [(best // (n_states ** (n - 1 - i))) % n_states for i in range(n)]
     ).reshape(geom.num_x, geom.num_y)
-    config = RISConfiguration(geom=geom, bits=table.bits, codes=codes)
-    return config, float(np.abs(field[best])) ** 2
+    return codes, float(np.abs(field[best])) ** 2
 
 
 def quantization_loss(geom: ArrayGeometry, tx: Pose, rx: Pose, carrier_hz: float,

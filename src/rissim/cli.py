@@ -218,7 +218,7 @@ def _beam_poses(beam: dict, args: argparse.Namespace) -> tuple[Pose, Pose]:
     return tuple(poses)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -231,12 +231,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
     bits = cfg.single_bits()
     tx, rx = _beam_poses(cfg.beam, args)
-    config = synthesize_codebook(tx, rx, cfg.geometry, cfg.carrier_hz, bits)
+    codes = synthesize_codebook(tx, rx, cfg.geometry, cfg.carrier_hz, bits)
     codes_path = cfg.output_path("codes.csv")
-    config.to_csv(codes_path)
+    _write_csv(codes_path, [f"code_n{n}" for n in range(cfg.geometry.num_y)], codes.tolist())
     outputs = [str(codes_path)]
     if bits == 2:
-        packed = pack_bitstream(encode_bias_bitstream(config))
+        packed = pack_bitstream(encode_bias_bitstream(codes, bits))
         bin_path = cfg.output_path("bias_bitstream.bin")
         bin_path.write_bytes(packed)
         hex_path = cfg.output_path("bias_bitstream.hex")
@@ -246,7 +246,7 @@ def cmd_codebook(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(line)
     print(f"tx: d={tx.range} m polar={math.degrees(tx.polar):.2f} deg; "
           f"rx: d={rx.range} m polar={math.degrees(rx.polar):.2f} deg")
-    hist = np.bincount(config.codes.reshape(-1), minlength=1 << bits)
+    hist = np.bincount(codes.reshape(-1), minlength=1 << bits)
     print("code histogram: " + " ".join(f"{c}:{n}" for c, n in enumerate(hist)))
     print("wrote: " + ", ".join(outputs))
     return 0
@@ -376,6 +376,9 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     bits = cfg.single_bits()  # reject bit ranges before any work
     if not (math.isfinite(args.step_deg) and args.step_deg > 0):
         raise ConfigError(f"--step-deg must be positive, got {args.step_deg}")
+    tenths = args.step_deg * 10  # the steer_deg column carries one decimal
+    if round(tenths) < 1 or abs(tenths - round(tenths)) > 1e-9:
+        raise ConfigError(f"--step-deg must be a multiple of 0.1 deg, got {args.step_deg}")
     if not 0 <= args.max_deg <= 90:  # beyond 90 deg the target lies behind the panel
         raise ConfigError(f"--max-deg must lie in [0, 90], got {args.max_deg}")
     count = math.floor(args.max_deg / args.step_deg + 1e-9)  # 0.7 / 0.1 is 6.999...
@@ -412,6 +415,9 @@ def _quantloss_row(bits: int, loss_db: float) -> list[str]:
 
 
 def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
+    for flag, range_m in (("--tx-range", args.tx_range), ("--rx-range", args.rx_range)):
+        if range_m <= 0:  # range 0 sits on the panel
+            raise ConfigError(f"{flag} must be positive, got {range_m}")
     tx = Pose.from_spherical(args.tx_range, 0.0, 0.0)
     rx = Pose.from_spherical(args.rx_range, 0.0, 0.0)
     for line in cfg.header_lines("panel", "bits"):

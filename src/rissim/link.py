@@ -189,14 +189,14 @@ def evaluate_scenario(
     """
     table = code_table(bits, "realized", table)
     if scenario.ris_present:
-        codebook = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, geom,
-                                       scenario.carrier_hz, bits)
+        codes = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, geom,
+                                    scenario.carrier_hz, bits)
         p_w = received_power(
             dbm_to_watts(scenario.transmit_power_dbm),
             scenario.carrier_hz,
             scenario.gains,
             geom,
-            state_coefficients(table, codebook.codes),
+            state_coefficients(table, codes),
             scenario.tx_pose,
             scenario.rx_pose,
         )

@@ -132,13 +132,16 @@ def _parse_gains(raw: dict, context: str) -> GainProfile:
 
 
 def _parse_pose(raw: dict, context: str) -> Pose:
-    """A face-local pose: the polar angle lies in [0, 90) deg, in front of the face."""
+    """A face-local pose in front of the face: positive range, polar angle in [0, 90) deg."""
     _check_keys(raw, _POSE_KEYS, context)
+    range_m = _number(raw, "range_m", context)
+    if range_m <= 0:  # range 0 sits on the panel; NaN is refused as not finite
+        raise ConfigError(f"{context}: key 'range_m' must be positive, got {range_m}")
     polar_deg = _number(raw, "polar_deg", context, 0.0)
     if not 0.0 <= polar_deg < 90.0:
         raise ConfigError(f"{context}: key 'polar_deg' must lie in [0, 90) deg, got {polar_deg}")
     return Pose.from_spherical(
-        range_m=_number(raw, "range_m", context),
+        range_m=range_m,
         polar=math.radians(polar_deg),
         azimuth=math.radians(_number(raw, "azimuth_deg", context, 0.0)),
     )

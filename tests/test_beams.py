@@ -9,7 +9,6 @@ from rissim import (
     ArrayGeometry,
     ElementStateTable,
     Pose,
-    RISConfiguration,
     SearchSpaceError,
     bundled_scenario_path,
     code_table,
@@ -65,15 +64,14 @@ def test_offset_shifts_phase_map_and_preserves_power(panel16, rx_near, desk_gain
 
 
 def test_synthesize_broadside_all_zero(panel16):
-    config = synthesize_codebook(FAR, FAR, panel16, CARRIER_HZ, 2)
-    assert not config.codes.any()
+    codes = synthesize_codebook(FAR, FAR, panel16, CARRIER_HZ, 2)
+    assert not codes.any()
 
 
 def test_synthesize_near_focus_has_ring_structure(panel16, rx_near):
-    config = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, 2)
+    codes = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, 2)
     xe, ye = panel16.element_grid()
     radius = np.round((xe**2 + ye**2) * 1e9).astype(np.int64)  # ring id
-    codes = config.codes
     for ring in np.unique(radius):
         ring_codes = codes[radius == ring]
         assert np.all(ring_codes == ring_codes.reshape(-1)[0])
@@ -87,9 +85,9 @@ def test_quantized_never_beats_continuous(panel16, rx_near, desk_gains):
     )
     last = 0.0
     for bits in (1, 2, 3, 4, 5, 6):
-        config = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, bits)
+        codes = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, bits)
         p = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
-                           state_coefficients(ElementStateTable.ideal(bits), config.codes),
+                           state_coefficients(ElementStateTable.ideal(bits), codes),
                            FAR, rx_near)
         assert p <= continuous * (1 + 1e-12)
         assert p >= last  # finer phasing cannot hurt at matched offsets
@@ -97,14 +95,13 @@ def test_quantized_never_beats_continuous(panel16, rx_near, desk_gains):
 
 
 def test_uniform_code_shift_invariance(panel16, rx_near, desk_gains):
-    config = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, 2)
+    codes = synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ, 2)
     table = ElementStateTable.ideal(2)
     base = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
-                          state_coefficients(table, config.codes), FAR, rx_near)
+                          state_coefficients(table, codes), FAR, rx_near)
     for shift in (1, 2, 3):
-        shifted = RISConfiguration(geom=panel16, bits=2, codes=(config.codes + shift) % 4)
         p = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
-                           state_coefficients(table, shifted.codes), FAR, rx_near)
+                           state_coefficients(table, (codes + shift) % 4), FAR, rx_near)
         assert p == pytest.approx(base, rel=1e-12)
 
 
@@ -112,12 +109,12 @@ def test_oracle_single_element(table):
     geom = ArrayGeometry(1, 1)
     tx, rx = Pose.from_spherical(1.0, 0.1, 0.0), Pose.from_spherical(0.06, 0, 0)
     ideal = ElementStateTable.ideal(2)
-    config, power = exhaustive_oracle(tx, rx, geom, CARRIER_HZ, ideal)
+    codes, power = exhaustive_oracle(tx, rx, geom, CARRIER_HZ, ideal)
     for code in range(4):
         steered = quantize_phases(optimal_phases(tx, rx, geom, CARRIER_HZ) + code * math.pi / 2, 2)
         p = cascade_sum_squared(geom, state_coefficients(ideal, steered), tx, rx)
         assert power == pytest.approx(p, rel=1e-12)
-    assert config.codes.shape == (1, 1)
+    assert codes.shape == (1, 1)
 
 
 def test_oracle_dominates_and_solver_closes_gap(rng):
@@ -135,8 +132,8 @@ def test_oracle_dominates_and_solver_closes_gap(rng):
 def test_oracle_tie_break_lexicographic():
     # broadside far-far 1x2: optimum is any uniform grid; first enumerated wins
     geom = ArrayGeometry(1, 2)
-    config, _ = exhaustive_oracle(FAR, FAR, geom, CARRIER_HZ, ElementStateTable.ideal(1))
-    assert config.codes.tolist() == [[0, 0]]
+    codes, _ = exhaustive_oracle(FAR, FAR, geom, CARRIER_HZ, ElementStateTable.ideal(1))
+    assert codes.tolist() == [[0, 0]]
 
 
 def test_oracle_capacity_error():
@@ -175,12 +172,12 @@ def test_uniform_phase_loss_closed_form():
 
 def test_solver_returns_the_power_of_its_codebook(panel16, rx_near):
     table = ElementStateTable.ideal(2)
-    config, power = optimal_codebook(FAR, rx_near, panel16, CARRIER_HZ, table)
+    codes, power = optimal_codebook(FAR, rx_near, panel16, CARRIER_HZ, table)
     assert power == pytest.approx(cascade_sum_squared(
-        panel16, state_coefficients(table, config.codes), FAR, rx_near), rel=1e-12)
+        panel16, state_coefficients(table, codes), FAR, rx_near), rel=1e-12)
     assert power >= cascade_sum_squared(
         panel16, state_coefficients(table, synthesize_codebook(FAR, rx_near, panel16, CARRIER_HZ,
-                                                        2).codes),
+                                                        2)),
         FAR, rx_near,
     ) * (1 - 1e-12)
 
@@ -203,10 +200,10 @@ def test_solver_matches_the_exhaustive_oracle(shape, bits, mode, tx, rx):
     geom = ArrayGeometry(*shape)
     table = code_table(bits, mode)
     _, p_oracle = exhaustive_oracle(tx, rx, geom, CARRIER_HZ, table)
-    config, p_solver = optimal_codebook(tx, rx, geom, CARRIER_HZ, table)
+    codes, p_solver = optimal_codebook(tx, rx, geom, CARRIER_HZ, table)
     assert p_solver == pytest.approx(p_oracle, rel=1e-12)
     assert p_solver == pytest.approx(cascade_sum_squared(
-        geom, state_coefficients(table, config.codes), tx, rx), rel=1e-12)
+        geom, state_coefficients(table, codes), tx, rx), rel=1e-12)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
@@ -234,10 +231,10 @@ def test_solver_fires_tied_events_together(panel16, rx_near):
 def test_solver_on_a_degenerate_state_table(panel16, rx_near):
     # every state the same coefficient: one hull vertex, the lowest code everywhere
     flat = ElementStateTable.from_states([(10.0, 1.0)] * 4)
-    config, power = optimal_codebook(FAR, rx_near, panel16, CARRIER_HZ, flat)
-    assert not config.codes.any()
+    codes, power = optimal_codebook(FAR, rx_near, panel16, CARRIER_HZ, flat)
+    assert not codes.any()
     assert power == pytest.approx(cascade_sum_squared(
-        panel16, state_coefficients(flat, config.codes), FAR, rx_near), rel=1e-12)
+        panel16, state_coefficients(flat, codes), FAR, rx_near), rel=1e-12)
 
 
 @pytest.mark.parametrize("optimiser", [exhaustive_oracle, optimal_codebook])
@@ -246,13 +243,13 @@ def test_optimisers_read_codes_as_received_power_does(optimiser, table):
     tx, rx = Pose.from_spherical(1.0, 0.3, 0.2), Pose.from_spherical(0.1, 0.2, 1.0)
     # the ideal 1-bit table gives 1-bit codes, read at their own phases
     ideal = ElementStateTable.ideal(1)
-    config, power = optimiser(tx, rx, geom, CARRIER_HZ, ideal)
-    assert config.bits == 1
+    codes, power = optimiser(tx, rx, geom, CARRIER_HZ, ideal)
+    assert codes.shape == (2, 2) and codes.max() <= 1
     assert power == pytest.approx(cascade_sum_squared(
-        geom, state_coefficients(ideal, config.codes), tx, rx), rel=1e-12)
+        geom, state_coefficients(ideal, codes), tx, rx), rel=1e-12)
     # a table of another bit depth is refused where codes meet a table
     with pytest.raises(ValueError, match="1-bit codes"):
-        code_table(config.bits, "realized", table)
+        code_table(1, "realized", table)
     panel_link = next(s for s in load_scenario_bundle(bundled_scenario_path()).scenarios
                       if s.ris_present)
     with pytest.raises(ValueError, match="3-bit codes"):

@@ -10,7 +10,6 @@ from rissim import (
     ElementStateTable,
     GainProfile,
     Pose,
-    RISConfiguration,
     coherent_power_bound,
     cos_power_pattern,
     exponent_from_gain,
@@ -100,10 +99,10 @@ def test_channel_coefficient_phase():
 def test_received_power_single_element_hand_value(desk_gains):
     geom = ArrayGeometry(1, 1)
     lam = wavelength(CARRIER_HZ)
-    config = RISConfiguration.uniform(geom, 2)
+    codes = np.full((geom.num_x, geom.num_y), 0)
     p = received_power(
         1.0, CARRIER_HZ, desk_gains, geom,
-        state_coefficients(ElementStateTable.ideal(2), config.codes),
+        state_coefficients(ElementStateTable.ideal(2), codes),
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
     )
     # both endpoints on the normal, so F = 1 and G = 10^((22.7 + 9.2 + 5 + 5) / 10)
@@ -119,7 +118,7 @@ def test_received_power_single_element_phase_irrelevant(table, desk_gains):
     powers = {
         received_power(1.0, CARRIER_HZ, desk_gains, geom,
                        state_coefficients(ElementStateTable.ideal(2),
-                                          RISConfiguration.uniform(geom, 2, code=c).codes),
+                                          np.full((geom.num_x, geom.num_y), c)),
                        tx, rx)
         for c in range(4)
     }
@@ -132,7 +131,7 @@ def test_received_power_opaque_panel(panel16, desk_gains):
     )
     p = received_power(
         1.0, CARRIER_HZ, desk_gains, panel16,
-        state_coefficients(opaque, RISConfiguration.uniform(panel16, 2).codes),
+        state_coefficients(opaque, np.full((panel16.num_x, panel16.num_y), 0)),
         Pose.from_spherical(2.6, 0.0, 0.0), Pose.from_spherical(0.05, 0.0, 0.0),
     )
     assert p == 0.0
@@ -173,17 +172,17 @@ def test_magnitude_scaling_quadratic(panel16, tx_far, rx_near, desk_gains):
     damped = ElementStateTable.from_states(
         [(0.0, 6.0206), (90.0, 6.0206), (180.0, 6.0206), (270.0, 6.0206)]
     )
-    config = RISConfiguration.uniform(panel16, 2)
+    codes = np.full((panel16.num_x, panel16.num_y), 0)
     nominal = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
-                             state_coefficients(ElementStateTable.ideal(2), config.codes),
+                             state_coefficients(ElementStateTable.ideal(2), codes),
                              tx_far, rx_near)
     realized = received_power(1.0, CARRIER_HZ, desk_gains, panel16,
-                              state_coefficients(damped, config.codes), tx_far, rx_near)
+                              state_coefficients(damped, codes), tx_far, rx_near)
     assert realized == pytest.approx(0.25 * nominal, rel=1e-4)
 
 
 def test_transmit_power_linearity(panel16, desk_gains, tx_far, rx_near, table):
-    weights = state_coefficients(table, RISConfiguration.uniform(panel16, 2).codes)
+    weights = state_coefficients(table, np.full((panel16.num_x, panel16.num_y), 0))
     p1 = received_power(1.0, CARRIER_HZ, desk_gains, panel16, weights, tx_far, rx_near)
     p3 = received_power(3.0, CARRIER_HZ, desk_gains, panel16, weights, tx_far, rx_near)
     assert p3 == pytest.approx(3 * p1, rel=1e-12)
@@ -191,11 +190,11 @@ def test_transmit_power_linearity(panel16, desk_gains, tx_far, rx_near, table):
 
 def test_received_power_dimension_mismatch(panel16, table, desk_gains):
     other = ArrayGeometry(8, 8)
-    config = RISConfiguration.uniform(other, 2)
+    codes = np.full((other.num_x, other.num_y), 0)
     poses = (Pose.from_spherical(1, 0, 0), Pose.from_spherical(0.05, 0, 0))
     with pytest.raises(ValueError):
         received_power(1.0, CARRIER_HZ, desk_gains, panel16,
-                       state_coefficients(table, config.codes), *poses)
+                       state_coefficients(table, codes), *poses)
     with pytest.raises(ValueError):
         received_power(1.0, CARRIER_HZ, desk_gains, panel16,
                        np.exp(1j * np.zeros((8, 8))), *poses)
@@ -235,7 +234,7 @@ def test_feed_illumination_validation(panel16):
 
 
 def test_received_power_rejects_negative_power(panel16, table, tx_far, rx_near, desk_gains):
-    weights = state_coefficients(table, RISConfiguration.uniform(panel16, 2).codes)
+    weights = state_coefficients(table, np.full((panel16.num_x, panel16.num_y), 0))
     with pytest.raises(ValueError):
         received_power(-1.0, CARRIER_HZ, desk_gains, panel16, weights,
                        tx_far, rx_near)

@@ -242,6 +242,30 @@ def test_pattern_outputs_match_their_pinned_digests(tmp_path, capsys, mode, stee
     assert capsys.readouterr().out.splitlines()[-1] == line
 
 
+PINNED_CODEBOOK_OUTPUTS = {
+    "2-bit broadside": (
+        ["--rx-range", "0.05"],
+        {"codes.csv": "0a647f355b925845bb27b8be08f6401d55078a963aabb6dbfe43ca7a59e0ecd5",
+         "bias_bitstream.bin": "099cbd503856bc50cea1a8a1a41fc8c314e834a59f9cc8fea93354ec0fe42d88",
+         "bias_bitstream.hex": "78231f53942ec2d411515bc80f577174b8654dc90047f5fc4407acd9dbedad0b"},
+        "code histogram: 0:60 1:80 2:64 3:52"),
+    "3-bit off-axis": (  # no bitstream: it is defined for 2-bit panels only
+        ["--bits", "3", "--tx-range", "2", "--tx-polar-deg", "30", "--rx-range", "0.07",
+         "--rx-polar-deg", "20"],
+        {"codes.csv": "63e5b55a44514594f62a2d73ae6e6f4597e615ae1a7ea22b13b8b4e11a34ef0c"},
+        "code histogram: 0:34 1:30 2:34 3:26 4:40 5:42 6:22 7:28"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CODEBOOK_OUTPUTS))
+def test_codebook_outputs_match_their_pinned_digests(tmp_path, capsys, case):
+    flags, digests, line = PINNED_CODEBOOK_OUTPUTS[case]
+    assert run("codebook", *flags, "--out", str(tmp_path)) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == digests
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_repeated_pattern_runs_in_one_process_keep_their_bytes(tmp_path, capsys):
     """The tables cached by one run (steering rows, CSV templates, feed) do not leak into the next."""
     pinned = ["pattern", "--mode", "nominal", "--steer-deg", "-30", "--plane", "both"]
@@ -358,6 +382,10 @@ def test_realized_scan_rejects_table_of_other_bit_depth(tmp_path, capsys):
     (["--max-deg", "-10"], "--max-deg"),
     (["--max-deg", "inf"], "--max-deg"),
     (["--max-deg", "100", "--step-deg", "50"], "--max-deg"),  # steers behind the panel
+    # the steer_deg column carries one decimal, so the step is a multiple of 0.1 deg
+    (["--max-deg", "0.3", "--step-deg", "0.05", "--grid-deg", "0.05"], "--step-deg"),
+    (["--step-deg", "0.25"], "--step-deg"),
+    (["--max-deg", "0", "--step-deg", "1e-12"], "--step-deg"),
 ])
 def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
     assert run("scan", "--out", str(tmp_path), *flags) == 1
@@ -426,6 +454,33 @@ def test_a_pose_behind_its_face_is_rejected(tmp_path, capsys, source):
         argv = ["link", "--scenario", str(bundle)]
     assert run(*argv, "--out", str(out)) == 1
     assert "'polar_deg' must lie in [0, 90) deg, got 120.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source,name", [
+    ("codebook flag", "beam.rx_pose: key 'range_m'"), ("run config", "beam.tx_pose: key 'range_m'"),
+    ("bundle", "rx_pose: key 'range_m'"), ("quantloss flag", "--tx-range"),
+], ids=["codebook-flag", "run-config", "bundle", "quantloss-flag"])
+def test_an_endpoint_at_range_zero_is_rejected(tmp_path, capsys, source, name):
+    """Range 0 puts the endpoint on the panel surface."""
+    out = tmp_path / "out"
+    if source == "codebook flag":
+        argv = ["codebook", "--rx-range", "0"]
+    elif source == "run config":
+        config = tmp_path / "run.yaml"
+        config.write_text("beam: {tx_pose: {range_m: 0, polar_deg: 30}}\n")
+        argv = ["codebook", "--config", str(config)]
+    elif source == "bundle":
+        from rissim import bundled_scenario_path
+
+        bundle = tmp_path / "on_panel.scenario"
+        bundle.write_text(bundled_scenario_path().read_text().replace(
+            "range_m: 0.05", "range_m: 0", 1))
+        argv = ["link", "--scenario", str(bundle)]
+    else:
+        argv = ["quantloss", "--tx-range", "0"]
+    assert run(*argv, "--out", str(out)) == 1
+    assert f"{name} must be positive, got 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,12 +8,21 @@ from hypothesis import strategies as st
 
 from rissim import (
     ArrayGeometry,
-    RISConfiguration,
+    ElementStateTable,
+    Pose,
     UnsupportedConfigurationError,
+    directivity_and_gain,
     encode_bias_bitstream,
     pack_bitstream,
     quantize_phases,
+    radiation_pattern,
+    received_power,
+    state_coefficients,
+    synthesize_codebook,
 )
+from rissim.cli import main
+
+from conftest import CARRIER_HZ
 
 TWO_PI = 2 * math.pi
 
@@ -74,34 +83,51 @@ def test_quantize_vector_matches_scalar(bits):
     assert vec.tolist() == [nearest_code(p, bits) for p in phases]
 
 
-def test_configuration_validation():
+def test_configuration_validation(desk_gains, tx_far, rx_near):
+    """A code grid is a plain array; each reader of its codes refuses what it cannot read."""
     geom = ArrayGeometry(2, 3)
-    with pytest.raises(ValueError):
-        RISConfiguration(geom=geom, bits=2, codes=np.zeros((3, 2), dtype=int))
-    with pytest.raises(ValueError):
-        RISConfiguration(geom=geom, bits=2, codes=np.full((2, 3), 4))
-    with pytest.raises(ValueError):
-        RISConfiguration(geom=geom, bits=0, codes=np.zeros((2, 3), dtype=int))
-    config = RISConfiguration.uniform(geom, 2, code=3)
-    assert config.codes.shape == (2, 3)
-    with pytest.raises(ValueError):
-        config.codes[0, 0] = 1  # frozen grid
+    ideal = ElementStateTable.ideal(2)
+    misshapen = state_coefficients(ideal, np.zeros((3, 2), dtype=int))
+    grid = dict(theta=np.array([0.0]), phi=np.array([0.0]))
+    cut = radiation_pattern(np.ones((2, 3)), geom, CARRIER_HZ, **grid)
+    for read in (
+        lambda: received_power(1.0, CARRIER_HZ, desk_gains, geom, misshapen, tx_far, rx_near),
+        lambda: radiation_pattern(misshapen, geom, CARRIER_HZ, **grid),
+        lambda: directivity_and_gain(misshapen, geom, CARRIER_HZ, cut=cut, element_exponent=1.0),
+    ):
+        with pytest.raises(ValueError, match=r"shape \(3, 2\) does not match panel \(2, 3\)"):
+            read()
+    with pytest.raises(ValueError, match=r"codes outside \[0, 4\)"):
+        state_coefficients(ideal, np.full((2, 3), 4))
+    with pytest.raises(ValueError, match=r"codes outside \[0, 4\)"):
+        encode_bias_bitstream(np.full((2, 3), 4), 2)
+    with pytest.raises(ValueError, match="bits must be >= 1"):
+        synthesize_codebook(tx_far, rx_near, geom, CARRIER_HZ, 0)
+    codes = synthesize_codebook(tx_far, rx_near, geom, CARRIER_HZ, 2)
+    assert codes.shape == (2, 3) and codes.dtype == np.int64
+    want = codes.tolist()
+    codes[...] = 3  # each call returns a fresh array: writing one changes no later grid
+    assert synthesize_codebook(tx_far, rx_near, geom, CARRIER_HZ, 2).tolist() == want
 
 
 def test_configuration_csv_round_trip(tmp_path):
-    geom = ArrayGeometry(4, 5)
-    rng = np.random.default_rng(7)
-    config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, size=(4, 5)))
-    path = tmp_path / "codes.csv"
-    config.to_csv(path)
-    with open(path, newline="") as fh:
+    """`rissim codebook` writes its code grid one panel row (fixed m) per line."""
+    config = tmp_path / "run.yaml"
+    config.write_text("geometry: {num_x: 4, num_y: 5}\n"
+                      "beam: {tx_pose: {range_m: 2.0, polar_deg: 30}, rx_pose: {range_m: 0.07}}\n")
+    assert main(["codebook", "--config", str(config), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "codes.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == [f"code_n{n}" for n in range(5)]
-    assert [[int(v) for v in row] for row in rows] == config.codes.tolist()
+    tx = Pose.from_spherical(2.0, math.radians(30), 0.0)
+    codes = synthesize_codebook(tx, Pose.from_spherical(0.07, 0.0, 0.0), ArrayGeometry(4, 5),
+                                CARRIER_HZ, 2)  # the command's default carrier
+    assert [[int(v) for v in row] for row in rows] == codes.tolist()
+    assert len(np.unique(codes)) > 1  # a constant grid would not show the row order
 
 
 def test_bitstream_all_zero(panel16):
-    bits = encode_bias_bitstream(RISConfiguration.uniform(panel16, 2))
+    bits = encode_bias_bitstream(np.zeros((16, 16), dtype=int), 2)
     assert bits.size == 512
     assert not bits.any()
     assert pack_bitstream(bits) == b"\x00" * 64
@@ -111,7 +137,7 @@ def test_bitstream_all_zero(panel16):
 def test_bitstream_single_element(panel16):
     codes = np.zeros((16, 16), dtype=int)
     codes[0, 0] = 3
-    bits = encode_bias_bitstream(RISConfiguration(geom=panel16, bits=2, codes=codes))
+    bits = encode_bias_bitstream(codes, 2)
     assert bits[0] == 1 and bits[1] == 1
     assert not bits[2:].any()
 
@@ -119,14 +145,14 @@ def test_bitstream_single_element(panel16):
 def test_bitstream_bit_assignment(panel16):
     codes = np.zeros((16, 16), dtype=int)
     codes[0, 0] = 2  # current-reversal line only (code bit 1)
-    bits = encode_bias_bitstream(RISConfiguration(geom=panel16, bits=2, codes=codes))
+    bits = encode_bias_bitstream(codes, 2)
     assert bits[0] == 1 and bits[1] == 0
     codes[0, 0] = 1  # 90-degree shifter line only (code bit 0)
-    bits = encode_bias_bitstream(RISConfiguration(geom=panel16, bits=2, codes=codes))
+    bits = encode_bias_bitstream(codes, 2)
     assert bits[0] == 0 and bits[1] == 1
 
 
-def decode_bias_bitstream(bits: np.ndarray, geom: ArrayGeometry) -> RISConfiguration:
+def decode_bias_bitstream(bits: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """Inverse of encode_bias_bitstream: two bias lines per element back to its code."""
     bits = np.asarray(bits, dtype=np.uint8)
     expected = 2 * geom.num_elements
@@ -135,7 +161,7 @@ def decode_bias_bitstream(bits: np.ndarray, geom: ArrayGeometry) -> RISConfigura
     if bits.size and bits.max() > 1:
         raise ValueError("bitstream values must be 0 or 1")
     codes = (bits[0::2].astype(np.int64) << 1) | bits[1::2]
-    return RISConfiguration(geom=geom, bits=2, codes=codes.reshape(geom.num_x, geom.num_y))
+    return codes.reshape(geom.num_x, geom.num_y)
 
 
 def unpack_bitstream(data: bytes, num_bits: int) -> np.ndarray:
@@ -149,17 +175,16 @@ def unpack_bitstream(data: bytes, num_bits: int) -> np.ndarray:
 def test_bitstream_round_trip(rng):
     geom = ArrayGeometry(5, 7)
     for _ in range(20):
-        config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, size=(5, 7)))
-        bits = encode_bias_bitstream(config)
-        assert decode_bias_bitstream(bits, geom).codes.tolist() == config.codes.tolist()
+        codes = rng.integers(0, 4, size=(5, 7))
+        bits = encode_bias_bitstream(codes, 2)
+        assert decode_bias_bitstream(bits, geom).tolist() == codes.tolist()
         packed = pack_bitstream(bits)
         np.testing.assert_array_equal(unpack_bitstream(packed, bits.size), bits)
 
 
 def test_bitstream_requires_two_bits():
-    geom = ArrayGeometry(2, 2)
     with pytest.raises(UnsupportedConfigurationError):
-        encode_bias_bitstream(RISConfiguration.uniform(geom, 3))
+        encode_bias_bitstream(np.zeros((2, 2), dtype=int), 3)
 
 
 def test_bitstream_decode_validation(panel16):

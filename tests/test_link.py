@@ -342,9 +342,9 @@ def test_array_gain_single_element_reference_is_zero():
     # one element has no phase to get wrong: its 2-bit codebook reaches the coherent bound
     geom = ArrayGeometry(1, 1)
     scenario = make_scenario()
-    config = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, geom, CARRIER_HZ, 2)
+    codes = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, geom, CARRIER_HZ, 2)
     quantized = panel_power_w(scenario, geom,
-                              state_coefficients(ElementStateTable.ideal(2), config.codes))
+                              state_coefficients(ElementStateTable.ideal(2), codes))
     assert quantized == pytest.approx(panel_power_w(scenario, geom), rel=1e-12)
 
 
@@ -358,9 +358,9 @@ def test_array_gain_regression_16x16(panel16):
 def test_array_gain_direct_reference_positive(panel16):
     # the per-element cascade model strongly favors the panel link
     scenario = make_scenario()
-    config = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, panel16, CARRIER_HZ, 2)
+    codes = synthesize_codebook(scenario.tx_pose, scenario.rx_pose, panel16, CARRIER_HZ, 2)
     panel = panel_power_w(scenario, panel16,
-                          state_coefficients(default_element_table(), config.codes))
+                          state_coefficients(default_element_table(), codes))
     assert 10.0 * math.log10(panel / direct_received_power_w(scenario)) > 40.0
 
 

@@ -9,7 +9,6 @@ from rissim import (
     MetricUndefinedError,
     Pose,
     RadiationPattern,
-    RISConfiguration,
     aperture_efficiency,
     code_table,
     cut_grid,
@@ -42,9 +41,10 @@ def steer_target(theta_deg: float, plane: str = "E") -> Pose:
     return Pose.from_spherical(100.0, math.radians(abs(theta_deg)), azimuth)
 
 
-def coefficients(config, mode="nominal", table=None):
-    """Gamma exp(j phi) of a code grid, read against the state table its element mode gives."""
-    return state_coefficients(code_table(config.bits, mode, table), config.codes)
+def coefficients(codes, bits, mode="nominal", table=None):
+    """Gamma exp(j phi) of a b-bit code grid, read against the state table its element mode
+    gives."""
+    return state_coefficients(code_table(bits, mode, table), codes)
 
 
 def fed(coefficients, geom):
@@ -53,9 +53,9 @@ def fed(coefficients, geom):
 
 
 def broadside_tapered_cut(geom, plane="E", element_exponent=1.0, step_deg=0.25):
-    config = synthesize_codebook(FEED, FAR, geom, CARRIER_HZ, 2)
+    codes = synthesize_codebook(FEED, FAR, geom, CARRIER_HZ, 2)
     return principal_cut(
-        fed(coefficients(config), geom), geom, CARRIER_HZ, plane=plane, step_deg=step_deg,
+        fed(coefficients(codes, 2), geom), geom, CARRIER_HZ, plane=plane, step_deg=step_deg,
         element_exponent=element_exponent,
     )
 
@@ -166,9 +166,9 @@ def test_separable_engine_matches_direct_array_sum(nx, ny, dx, dy, excitation, r
         weights = np.exp(1j * phases)
     else:
         table = default_element_table()
-        config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
+        codes = rng.integers(0, 4, (nx, ny))
         gamma = 1.0
-        weights = (state_coefficients(table, config.codes)
+        weights = (state_coefficients(table, codes)
                    * feed_illuminations(FEED, geom, CARRIER_HZ, FEED_Q))
     got = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
                             theta=theta, phi=phi)
@@ -218,8 +218,7 @@ def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, 
     if excitation == "phases":
         weights = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (nx, ny)))
     else:
-        config = RISConfiguration(geom=geom, bits=2, codes=rng.integers(0, 4, (nx, ny)))
-        weights = fed(coefficients(config, "realized"), geom)
+        weights = fed(coefficients(rng.integers(0, 4, (nx, ny)), 2, "realized"), geom)
     theta, phi = hemisphere_directions(step_deg)
     grid = radiation_pattern(weights, geom, CARRIER_HZ, element_exponent=gamma,
                              theta=theta, phi=phi)
@@ -233,8 +232,8 @@ def test_hemisphere_pattern_matches_radiation_pattern(nx, ny, dx, dy, step_deg, 
 @pytest.mark.parametrize("mode", ["nominal", "realized"])
 def test_element_factor_of_array_factor_cut_is_exact(panel16, table, gamma, plane, steer_deg,
                                                      mode):
-    config = synthesize_codebook(FEED, steer_target(steer_deg, plane), panel16, CARRIER_HZ, 2)
-    weights = fed(coefficients(config, mode, table), panel16)
+    codes = synthesize_codebook(FEED, steer_target(steer_deg, plane), panel16, CARRIER_HZ, 2)
+    weights = fed(coefficients(codes, 2, mode, table), panel16)
     af = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=0.0)
     want = principal_cut(weights, panel16, CARRIER_HZ, plane=plane, element_exponent=gamma)
     got = af.with_element_factor(gamma)
@@ -247,13 +246,12 @@ def test_element_factor_of_array_factor_cut_is_exact(panel16, table, gamma, plan
 def test_code_grid_bit_depth_against_state_table(panel16, table):
     """Nominal mode reads codes at their own 2^b phases; a realized table needs their bit depth."""
     codes = np.arange(16 * 16).reshape(16, 16) % 2
-    one_bit = RISConfiguration(geom=panel16, bits=1, codes=codes)
     grid = dict(theta=cut_grid(1.0), phi=np.array([0.0]), element_exponent=0.0)
-    got = radiation_pattern(coefficients(one_bit), panel16, CARRIER_HZ, **grid)
+    got = radiation_pattern(coefficients(codes, 1), panel16, CARRIER_HZ, **grid)
     want = radiation_pattern(np.exp(1j * np.pi * codes), panel16, CARRIER_HZ, **grid)
     np.testing.assert_allclose(got.field, want.field, rtol=0.0, atol=1e-12 * panel16.num_elements)
     with pytest.raises(ValueError, match="1-bit codes .* 2-bit state table"):
-        coefficients(one_bit, "realized", table)
+        coefficients(codes, 1, "realized", table)
 
 
 # ------------------------------------------------------------ steering
@@ -278,8 +276,8 @@ def test_quantized_feed_codebook_points_within_grid_cell(panel16):
     # 2-bit pointing holds for the spherical-feed codebooks the study uses;
     # a bare linear phase aliases to a squinted grating structure instead.
     for target_deg in (-60.0, -50.0, -40.0, -30.0, -20.0, -10.0):
-        config = synthesize_codebook(FEED, steer_target(target_deg), panel16, CARRIER_HZ, 2)
-        peak = af_peak_deg(fed(coefficients(config), panel16), panel16)
+        codes = synthesize_codebook(FEED, steer_target(target_deg), panel16, CARRIER_HZ, 2)
+        peak = af_peak_deg(fed(coefficients(codes, 2), panel16), panel16)
         assert abs(peak - target_deg) <= 0.25 + 1e-9
 
 
@@ -297,8 +295,8 @@ def test_scan_loss_rejects_mismatched_grids(panel16):
 
 def test_scan_loss_sixty_degrees_in_window(panel16):
     broadside = broadside_tapered_cut(panel16)
-    config = synthesize_codebook(FEED, steer_target(-60.0), panel16, CARRIER_HZ, 2)
-    steered = principal_cut(fed(coefficients(config), panel16), panel16, CARRIER_HZ, plane="E",
+    codes = synthesize_codebook(FEED, steer_target(-60.0), panel16, CARRIER_HZ, 2)
+    steered = principal_cut(fed(coefficients(codes, 2), panel16), panel16, CARRIER_HZ, plane="E",
                             step_deg=0.25, element_exponent=1.0)
     assert 2.5 <= scan_loss(broadside, steered) <= 6.0
 
@@ -412,8 +410,8 @@ def test_lag_kernel_is_converged_in_its_step(panel16, gamma, monkeypatch):
                                             ("nominal", 47.5), ("realized", -30.0)])
 def test_directivity_matches_a_fine_quadrature(panel16, table, mode, steer_deg):
     """The beams of the pinned pattern outputs, each at the peak of its 0.25-deg E cut."""
-    config = synthesize_codebook(FEED, steer_target(steer_deg), panel16, CARRIER_HZ, 2)
-    weights = fed(coefficients(config, mode, table), panel16)
+    codes = synthesize_codebook(FEED, steer_target(steer_deg), panel16, CARRIER_HZ, 2)
+    weights = fed(coefficients(codes, 2, mode, table), panel16)
     cut = principal_cut(weights, panel16, CARRIER_HZ, element_exponent=1.0)
     got = directivity_and_gain(weights, panel16, CARRIER_HZ, cut=cut, element_exponent=1.0)[0]
     assert got == pytest.approx(reference_directivity(weights, panel16, 0.125, 1.0)[0], abs=0.005)
