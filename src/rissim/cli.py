@@ -64,7 +64,7 @@ class RunConfig:
     """Resolved run options shared by the subcommands."""
 
     output_dir: Path
-    geometry: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(16, 16))
+    geometry: ArrayGeometry = ArrayGeometry(16, 16)  # frozen, so one shared default
     element_table: ElementStateTable = field(default_factory=default_element_table)
     element_table_path: str = "(built-in)"
     carrier_hz: float = 27.0e9

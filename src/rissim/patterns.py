@@ -24,9 +24,10 @@ autocorrelation of W at the element lag l = (i dx, j dy), so
     P_rad = sum_l R(l) K(l),  K(l) = 2 pi int_0^1 mu^(2 gamma) J0(k |l| sqrt(1 - mu^2)) dmu
 
 with mu = cos(theta); the azimuth integral of exp(j k l . u_hat) is 2 pi J0.
-K depends only on the panel, the carrier and gamma, and is built once for
-them; K = 2 pi sin(k rho) / (k rho) at gamma = 0 and 2 pi j1(k rho) / (k rho)
-at gamma = 1 (Watson, A Treatise on the Theory of Bessel Functions, 12.11).
+Over element pairs it is w^H K w, w the flattened W and K the real symmetric
+matrix of K at each pair's lag (Van Trees, Optimum Array Processing, 2.6),
+built once per panel, carrier and gamma; K = 2 pi sin(k rho) / (k rho) at
+gamma = 0, 2 pi j1(k rho) / (k rho) at gamma = 1 (Watson, Bessel Functions, 12.11).
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def radiation_pattern(
     if theta.ndim != 1 or phi.ndim != 1:  # before tobytes() flattens the grid
         raise ValueError("theta and phi must be non-empty 1-D grids")
     theta, phi, x, y = _steering_rows(geom, carrier_hz, theta.tobytes(), phi.tobytes())
-    field = ((x @ _weight_grid(weights, geom)) * y).sum(1).reshape(theta.size, phi.size)
+    field = np.einsum("ij,ij->i", x @ _weight_grid(weights, geom), y).reshape(theta.size, phi.size)
     field *= _element_factor(theta, element_exponent)
     return RadiationPattern(theta=theta, phi=phi, field=field)
 
@@ -166,6 +167,7 @@ def _steering_rows(geom: ArrayGeometry, carrier_hz: float, theta: bytes, phi: by
     return theta, phi, x, y
 
 
+@lru_cache(maxsize=8)  # read-only; a refused step caches nothing
 def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG) -> np.ndarray:
     """Signed theta grid of a principal cut over [-90, 90] deg; the step must divide 180 deg."""
     if not (math.isfinite(step_deg) and step_deg > 0):
@@ -173,7 +175,9 @@ def cut_grid(step_deg: float = DEFAULT_CUT_STEP_DEG) -> np.ndarray:
     n = round(180.0 / step_deg)
     if n < 1 or not math.isclose(n * step_deg, 180.0, rel_tol=1e-9):
         raise ValueError(f"cut grid step must divide 180 deg, got {step_deg} deg")
-    return np.radians(np.linspace(-90.0, 90.0, n + 1))
+    theta = np.radians(np.linspace(-90.0, 90.0, n + 1))
+    theta.flags.writeable = False
+    return theta
 
 
 def principal_cut(
@@ -196,7 +200,8 @@ def principal_cut(
 
 @lru_cache(maxsize=8)
 def _lag_kernel(geom: ArrayGeometry, carrier_hz: float, element_exponent: float) -> np.ndarray:
-    """K at the (Nx, Ny) lags (i dx, j dy), i, j >= 0; K is even in each lag.
+    """The (Nx Ny, Nx Ny) matrix K[mn, m'n'] = K(|m - m'| dx, |n - n'| dy), read-only; its
+    row 0, reshaped to (Nx, Ny), is the table of K at the lags (i dx, j dy), i, j >= 0.
 
     mu = cos(theta) is integrated by the tanh-sinh rule, mu = (1 + tanh(pi/2
     sinh t)) / 2. The azimuth mean of exp(j k l . u_hat) is the midpoint rule
@@ -225,8 +230,19 @@ def _lag_kernel(geom: ArrayGeometry, carrier_hz: float, element_exponent: float)
         x_rows = np.cos(np.multiply.outer(x_lags, k_sin_theta * math.cos(phi))) * mu_weights
         kernel += x_rows @ np.cos(np.multiply.outer(k_sin_theta * math.sin(phi), y_lags))
     kernel *= 2.0 * math.pi / azimuths
+    m, n = (np.abs(np.subtract.outer(np.arange(size), np.arange(size))) for size in kernel.shape)
+    kernel = kernel[m[:, None, :, None], n[None, :, None, :]].reshape(kernel.size, kernel.size)
     kernel.flags.writeable = False
     return kernel
+
+
+def _peak_power(pattern: RadiationPattern) -> float:
+    """The largest sample of |F|^2, which must be finite and positive."""
+    peak = float(pattern.power.max())
+    if not 0 < peak < math.inf:  # NaN too
+        raise ValueError("pattern has no power" if peak == 0 else
+                         f"weight grid must be finite: its pattern peaks at {peak}")
+    return peak
 
 
 def directivity_and_gain(
@@ -242,22 +258,17 @@ def directivity_and_gain(
 
     ``cut`` is W's pattern sampled through its beam with the same element
     exponent; its largest sample is the peak power. The radiated power is the
-    lag-kernel form sum_l R(l) K(l), summed one x lag i at a time: the
-    products W[m + i, n] W*[m, n'] summed over m hold R at the lags (i, n - n'),
-    and those at -i are their conjugates.
+    quadratic form w^H K w = re(w)^T K re(w) + im(w)^T K im(w), K real and
+    symmetric: one product of K with the (re, im) column pairs of w.
     """
     if not math.isfinite(loss_budget_db):
         raise ValueError(f"loss_budget_db must be finite, got {loss_budget_db}")
-    peak = float(cut.power.max())
-    if peak <= 0:
-        raise ValueError("pattern has no power")
+    peak = _peak_power(cut)
     kernel = _lag_kernel(geom, carrier_hz, element_exponent)
-    grid = _weight_grid(weights, geom)
-    y_lags = np.abs(np.subtract.outer(np.arange(geom.num_y), np.arange(geom.num_y)))
-    radiated = 0.0
-    for i in range(geom.num_x):
-        products = grid[i:].T @ grid[: geom.num_x - i].conj()
-        radiated += (2.0 if i else 1.0) * float(np.vdot(kernel[i][y_lags], products.real))
+    pairs = _weight_grid(weights, geom).ravel().view(np.float64).reshape(-1, 2)
+    radiated = float(np.vdot(pairs, kernel @ pairs))
+    if not math.isfinite(radiated):
+        raise ValueError(f"weight grid must be finite: its radiated power is {radiated}")
     directivity_dbi = 10.0 * math.log10(4.0 * math.pi * peak / radiated)
     return directivity_dbi, directivity_dbi - loss_budget_db
 
@@ -293,24 +304,21 @@ def pattern_metrics(pattern: RadiationPattern) -> PatternMetrics:
     peak = power[i_peak]
 
     half = peak / 2.0
-    i_left = i_peak
-    while i_left > 0 and power[i_left] > half:
-        i_left -= 1
-    i_right = i_peak
-    while i_right < power.size - 1 and power[i_right] > half:
-        i_right += 1
-    if power[i_left] > half or power[i_right] > half:
+    low = np.flatnonzero(power <= half)  # the half-power edges are the nearest each side
+    k = int(np.searchsorted(low, i_peak))
+    if k == 0 or k == low.size:
         raise MetricUndefinedError("main lobe does not fall to half power inside the grid")
+    i_left, i_right = low[k - 1], low[k]
     hpbw = _crossing(theta_deg, power, i_right - 1, i_right, half) - _crossing(
         theta_deg, power, i_left + 1, i_left, half
     )
 
-    j_left = i_peak
-    while j_left > 0 and power[j_left - 1] < power[j_left]:
-        j_left -= 1
-    j_right = i_peak
-    while j_right < power.size - 1 and power[j_right + 1] < power[j_right]:
-        j_right += 1
+    # the nulls: the nearest samples each side beyond which power no longer falls
+    slope = np.diff(power)
+    left_stops = np.flatnonzero(slope[:i_peak] <= 0)
+    right_stops = np.flatnonzero(slope[i_peak:] >= 0)
+    j_left = left_stops[-1] + 1 if left_stops.size else 0
+    j_right = i_peak + right_stops[0] if right_stops.size else power.size - 1
     if j_left == 0 and j_right == power.size - 1:
         raise MetricUndefinedError("no nulls bracket the main lobe inside the grid")
     outside = np.concatenate([power[: j_left + 1], power[j_right:]])
@@ -345,26 +353,22 @@ def aperture_efficiency(gain_dbi: float, aperture_area_m2: float, carrier_hz: fl
 
 
 @lru_cache(maxsize=4)
-def _row_template(theta: bytes, phi: bytes) -> str:
-    """The CSV of one float64 (theta, phi) grid, keyed by its bytes, with %.6f for each power.
+def _row_template(theta: bytes, phi: bytes) -> bytes:
+    """The ASCII CSV of one float64 (theta, phi) grid, keyed by its bytes, with %.6f for each power.
 
     Cached, so every cut a process writes on one grid shares its labels.
     """
     phi_deg = [f"{g:.4f}" for g in np.degrees(np.frombuffer(phi)).tolist()]
-    return "theta_deg,phi_deg,power_db_normalized\r\n" + "".join(
+    return ("theta_deg,phi_deg,power_db_normalized\r\n" + "".join(
         [f"{th:.4f},{ph},%.6f\r\n" for th in np.degrees(np.frombuffer(theta)).tolist()
-         for ph in phi_deg])
+         for ph in phi_deg])).encode("ascii")
 
 
 def pattern_to_csv(pattern: RadiationPattern, path: str | Path) -> None:
     """Write (theta_deg, phi_deg, power_db_normalized) rows, theta-major."""
-    power = pattern.power
-    peak = power.max()
-    if peak <= 0:
-        raise ValueError("pattern has no power")
-    ratios = np.maximum(power / peak, 1e-30).ravel().tolist()
+    ratios = np.maximum(pattern.power / _peak_power(pattern), 1e-30).ravel().tolist()
     # math.log10 per sample: numpy's vector log10 may differ in the last ulp.
     text = _row_template(pattern.theta.tobytes(), pattern.phi.tobytes()) % tuple(
         [10.0 * math.log10(ratio) for ratio in ratios])
-    with open(path, "w", newline="") as fh:  # the csv module's \r\n rows, in one write
+    with open(path, "wb") as fh:  # the csv module's \r\n rows, in one write
         fh.write(text)

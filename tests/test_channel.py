@@ -233,6 +233,14 @@ def test_feed_illumination_validation(panel16):
         feed_illuminations(Pose.from_spherical(0.05, 0, 0), panel16, CARRIER_HZ, exponent=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_received_power_refuses_non_finite_weights(panel16, tx_far, rx_near, desk_gains, bad):
+    weights = np.ones((16, 16), dtype=complex)
+    weights[7, 2] = bad
+    with pytest.raises(ValueError, match="weight grid must be finite: its field sum has magnitude"):
+        received_power(1.0, CARRIER_HZ, desk_gains, panel16, weights, tx_far, rx_near)
+
+
 def test_received_power_rejects_negative_power(panel16, table, tx_far, rx_near, desk_gains):
     weights = state_coefficients(table, np.full((panel16.num_x, panel16.num_y), 0))
     with pytest.raises(ValueError):

@@ -60,6 +60,28 @@ def broadside_tapered_cut(geom, plane="E", element_exponent=1.0, step_deg=0.25):
     )
 
 
+SEEDED_PANELS = [(16, 16), (15, 17), (1, 9), (8, 3), (2, 2)]
+SEEDED_GAMMAS = [0.0, 1.0, 2.5]
+
+
+def seeded_cuts(nx, ny, gamma, count=20):
+    """``count`` weight grids of an nx x ny panel with the E and H cut of each: even ones a
+    2-bit codebook steered to a random angle under the test feed, odd ones random complex."""
+    geom = ArrayGeometry(nx, ny)
+    rng = np.random.default_rng([nx, ny, round(10 * gamma)])
+    for i in range(count):
+        if i % 2:
+            weights = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        else:
+            target = steer_target(rng.uniform(-60.0, 60.0), rng.choice(["E", "H"]))
+            weights = fed(coefficients(synthesize_codebook(FEED, target, geom, CARRIER_HZ, 2), 2),
+                          geom)
+        step_deg = rng.choice([0.25, 0.5, 1.0])
+        for plane in ("E", "H"):
+            yield geom, weights, principal_cut(weights, geom, CARRIER_HZ, plane=plane,
+                                               step_deg=step_deg, element_exponent=gamma)
+
+
 # --------------------------------------------------------- basic field sums
 
 
@@ -374,10 +396,11 @@ def test_lag_kernel_matches_its_closed_forms(geom, gamma):
     """To 1e-12 of K(0); the 64x2 panel reaches k |l| = 175, three times the 16x16 panel's 59."""
     x = 2.0 * math.pi / wavelength(CARRIER_HZ) * np.hypot(
         np.arange(geom.num_x)[:, None] * geom.spacing_x, np.arange(geom.num_y) * geom.spacing_y)
-    got = patterns._lag_kernel(geom, CARRIER_HZ, gamma)
-    assert got.shape == (geom.num_x, geom.num_y)  # the lags (i dx, j dy), i, j >= 0
+    matrix = patterns._lag_kernel(geom, CARRIER_HZ, gamma)
+    assert matrix.shape == (geom.num_elements, geom.num_elements)
+    got = matrix[0].reshape(geom.num_x, geom.num_y)  # the lags (i dx, j dy), i, j >= 0
     assert np.abs(got - closed_form_kernel(x, gamma)).max() <= 1e-12 * got[0, 0]
-    assert not got.flags.writeable
+    assert not matrix.flags.writeable
 
 
 @pytest.mark.parametrize("nx,ny,dx,dy", [(3, 5, 3.1e-3, 4.9e-3), (16, 16, 4.9e-3, 4.9e-3)])
@@ -425,6 +448,63 @@ def test_directivity_refuses_a_bad_element_exponent(panel16, bad):
                              element_exponent=bad)
 
 
+def reference_radiated_power(weights, geom, gamma):
+    """The per-x-lag sum that the quadratic form w^H K w replaced, kept as its reference: the
+    products W[m + i, n] W*[m, n'] summed over m hold the autocorrelation at the lags
+    (i, n - n'), and those at -i are their conjugates."""
+    table = patterns._lag_kernel(geom, CARRIER_HZ, gamma)[0].reshape(geom.num_x, geom.num_y)
+    y_lags = np.abs(np.subtract.outer(np.arange(geom.num_y), np.arange(geom.num_y)))
+    radiated = 0.0
+    for i in range(geom.num_x):
+        products = weights[i:].T @ weights[: geom.num_x - i].conj()
+        radiated += (2.0 if i else 1.0) * float(np.vdot(table[i][y_lags], products.real))
+    return radiated
+
+
+@pytest.mark.parametrize("nx,ny", SEEDED_PANELS, ids=lambda n: str(n))
+@pytest.mark.parametrize("gamma", SEEDED_GAMMAS)
+def test_radiated_power_matches_the_per_lag_sum(nx, ny, gamma):
+    for geom, weights, cut in seeded_cuts(nx, ny, gamma, count=6):
+        directivity_dbi, _ = directivity_and_gain(weights, geom, CARRIER_HZ, cut=cut,
+                                                  element_exponent=gamma)
+        got = 4.0 * math.pi * cut.power.max() / 10.0 ** (directivity_dbi / 10.0)
+        want = reference_radiated_power(weights, geom, gamma)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_cached_kernel_is_the_read_only_symmetric_lag_matrix():
+    geom = ArrayGeometry(3, 5, 3.1e-3, 4.9e-3)
+    matrix = patterns._lag_kernel(geom, CARRIER_HZ, 1.0)
+    assert patterns._lag_kernel(geom, CARRIER_HZ, 1.0) is matrix
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 0.0
+    np.testing.assert_array_equal(matrix, matrix.T)
+    table = matrix[0].reshape(3, 5)  # K at the lags (i dx, j dy), i, j >= 0
+    for m, n, m2, n2 in np.ndindex(3, 5, 3, 5):
+        assert matrix[5 * m + n, 5 * m2 + n2] == table[abs(m - m2), abs(n - n2)]
+
+
+def test_a_refused_exponent_caches_no_kernel(panel16):
+    patterns._lag_kernel.cache_clear()
+    with pytest.raises(ValueError, match="element exponent must be finite and >= 0"):
+        patterns._lag_kernel(panel16, CARRIER_HZ, -1.0)
+    assert patterns._lag_kernel.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_directivity_refuses_non_finite_weights(panel16, bad):
+    weights = np.ones((16, 16), dtype=complex)
+    weights[3, 5] = bad
+    finite_cut = broadside_tapered_cut(panel16)  # a cut not sampled from these weights
+    with np.errstate(invalid="ignore"):  # inf times zero inside the complex products
+        cut = principal_cut(weights, panel16, CARRIER_HZ)
+        with pytest.raises(ValueError, match="weight grid must be finite: its pattern peaks at"):
+            directivity_and_gain(weights, panel16, CARRIER_HZ, cut=cut, element_exponent=1.0)
+        with pytest.raises(ValueError, match="weight grid must be finite: its radiated power is"):
+            directivity_and_gain(weights, panel16, CARRIER_HZ, cut=finite_cut,
+                                 element_exponent=1.0)
+
+
 # ----------------------------------------------------------------- metrics
 
 
@@ -458,6 +538,88 @@ def test_metrics_reject_2d_patterns(panel16):
                                 element_exponent=0.0, theta=theta, phi=phi)
     with pytest.raises(ValueError):
         pattern_metrics(pattern)
+
+
+def reference_pattern_metrics(pattern):
+    """The while-loop lobe search that pattern_metrics replaced, kept as its reference."""
+    power = pattern.power[:, 0]
+    theta_deg = np.degrees(pattern.theta)
+    i_peak = int(np.argmax(power))
+    if i_peak in (0, power.size - 1):
+        raise MetricUndefinedError("pattern peak sits on the grid boundary")
+    peak = power[i_peak]
+
+    half = peak / 2.0
+    i_left = i_peak
+    while i_left > 0 and power[i_left] > half:
+        i_left -= 1
+    i_right = i_peak
+    while i_right < power.size - 1 and power[i_right] > half:
+        i_right += 1
+    if power[i_left] > half or power[i_right] > half:
+        raise MetricUndefinedError("main lobe does not fall to half power inside the grid")
+    hpbw = patterns._crossing(theta_deg, power, i_right - 1, i_right, half) - patterns._crossing(
+        theta_deg, power, i_left + 1, i_left, half
+    )
+
+    j_left = i_peak
+    while j_left > 0 and power[j_left - 1] < power[j_left]:
+        j_left -= 1
+    j_right = i_peak
+    while j_right < power.size - 1 and power[j_right + 1] < power[j_right]:
+        j_right += 1
+    if j_left == 0 and j_right == power.size - 1:
+        raise MetricUndefinedError("no nulls bracket the main lobe inside the grid")
+    outside = np.concatenate([power[: j_left + 1], power[j_right:]])
+    if outside.max() == 0.0:
+        raise MetricUndefinedError("sidelobe level undefined: every sample outside the main "
+                                   "lobe is zero")
+    sll_db = 10.0 * math.log10(outside.max() / peak)
+    return patterns.PatternMetrics(
+        peak_direction_deg=float(theta_deg[i_peak]),
+        sidelobe_level_db=float(sll_db),
+        hpbw_deg=float(hpbw),
+    )
+
+
+def metrics_or_refusal(metrics, pattern):
+    try:
+        return metrics(pattern)
+    except MetricUndefinedError as err:
+        return f"refused: {err}"
+
+
+def test_lobe_search_matches_the_while_loops_on_seeded_cuts():
+    outcomes = []
+    for nx, ny in SEEDED_PANELS:
+        for gamma in SEEDED_GAMMAS:
+            for _, _, cut in seeded_cuts(nx, ny, gamma):
+                got = metrics_or_refusal(pattern_metrics, cut)
+                assert got == metrics_or_refusal(reference_pattern_metrics, cut)
+                outcomes.append(got)
+    refusals = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    assert len(outcomes) == 600 and len(outcomes) - len(refusals) >= 300
+    assert len(set(refusals)) >= 2  # the refusals are exercised as well
+
+
+@pytest.mark.parametrize("field", [  # equal fields are equal powers
+    [0, 1, 1, 2, 2, 1, 1, 0, .5, .5, 0],  # a flat top, flat shoulders and a flat sidelobe
+    [0, 0, 3, 3, 0, 0],
+    [.5, .5, 0, 1, 4, 4, 4, 1, 0, 0, .5],
+    [0, .2, 1, 1, 4, 1, 0, .1, 0],  # a flat shoulder left of the peak only
+    [0, 1, 0, 7, math.sqrt(98), 7],  # falls to exactly half power (49 of 98) at the last sample
+    [.3, .3, 1, 4, 1, .3, .3],  # flat past the shoulders: no nulls, but sidelobes
+    [0, 0, 1, 2, 1, 0, 0],  # every sample outside the lobe is zero
+    [0, 3, 3, 3, 2.5, 2.5, 2.5],  # never falls to half power on the right
+    [2, 2, 1, 0, 1, 2],  # the peak sits on the boundary
+    [1, 2, 3, 2, 1],  # no nulls inside the grid
+], ids=lambda f: "-".join(map(str, f)))
+def test_lobe_search_matches_the_while_loops_on_plateaus(field):
+    theta = np.radians(np.linspace(-50.0, 50.0, len(field)))
+    cut = RadiationPattern(theta=theta, phi=np.array([0.0]),
+                           field=np.array(field, dtype=complex).reshape(-1, 1))
+    got = metrics_or_refusal(pattern_metrics, cut)
+    assert got == metrics_or_refusal(reference_pattern_metrics, cut)
 
 
 def test_radiation_pattern_validation(panel16):
@@ -530,6 +692,18 @@ def test_cut_grid_keeps_its_step():
     np.testing.assert_allclose(np.diff(theta_deg), 0.25, rtol=1e-12)
     with pytest.raises(ValueError, match="cut grid step must divide 180 deg, got 0.7 deg"):
         cut_grid(0.7)  # 258 samples 0.70039 deg apart, if it were accepted
+
+
+def test_cut_grid_is_built_once_per_step_and_read_only():
+    cut_grid.cache_clear()
+    grid = cut_grid(0.5)
+    assert cut_grid(0.5) is grid
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^cut grid step must divide 180 deg, got 0.7 deg$"):
+            cut_grid(0.7)
+    assert cut_grid.cache_info().currsize == 1
 
 
 # -------------------------------------------------------------- efficiency
@@ -609,6 +783,17 @@ def test_pattern_csv_bytes_match_reference_writer(tmp_path, rng, kind):
         distinct = {(theta.tobytes(), phi.tobytes()) for theta, phi in grids}
         assert len(distinct) <= patterns._row_template.cache_info().maxsize  # none evicted
         assert patterns._row_template.cache_info().hits == len(grids) - len(distinct)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pattern_csv_refuses_a_non_finite_pattern(tmp_path, panel16, bad):
+    weights = np.ones((16, 16), dtype=complex)
+    weights[3, 5] = bad
+    with np.errstate(invalid="ignore"):  # inf times zero inside the complex products
+        cut = principal_cut(weights, panel16, CARRIER_HZ)
+    with pytest.raises(ValueError, match="weight grid must be finite: its pattern peaks at"):
+        pattern_to_csv(cut, tmp_path / "cut.csv")
+    assert not (tmp_path / "cut.csv").exists()
 
 
 def test_power_is_computed_once_and_read_only(rng):
