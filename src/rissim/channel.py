@@ -143,7 +143,8 @@ def received_power(
     """
     if tx_power_w < 0:
         raise ValueError(f"transmit power must be >= 0, got {tx_power_w}")
-    total = abs(np.sum(_weight_grid(weights, geom) * _path_vector(carrier_hz, geom, tx, rx)))
+    with np.errstate(invalid="ignore"):  # a non-finite W is refused below, naming its field sum
+        total = abs(np.sum(_weight_grid(weights, geom) * _path_vector(carrier_hz, geom, tx, rx)))
     if not math.isfinite(total):
         raise ValueError(f"weight grid must be finite: its field sum has magnitude {total}")
     return _cascade_prefactor(tx_power_w, carrier_hz, profile, tx, rx) * total ** 2

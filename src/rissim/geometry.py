@@ -73,16 +73,8 @@ class ArrayGeometry:
         return self._grid
 
     @property
-    def aperture_width(self) -> float:
-        return self.num_x * self.spacing_x
-
-    @property
-    def aperture_height(self) -> float:
-        return self.num_y * self.spacing_y
-
-    @property
     def aperture_area(self) -> float:
-        return self.aperture_width * self.aperture_height
+        return (self.num_x * self.spacing_x) * (self.num_y * self.spacing_y)
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,10 @@ def radiation_pattern(
     if theta.ndim != 1 or phi.ndim != 1:  # before tobytes() flattens the grid
         raise ValueError("theta and phi must be non-empty 1-D grids")
     theta, phi, x, y = _steering_rows(geom, carrier_hz, theta.tobytes(), phi.tobytes())
-    field = np.einsum("ij,ij->i", x @ _weight_grid(weights, geom), y).reshape(theta.size, phi.size)
-    field *= _element_factor(theta, element_exponent)
+    weights = _weight_grid(weights, geom)
+    with np.errstate(invalid="ignore"):  # a non-finite W: a non-finite field, refused when read
+        field = np.einsum("ij,ij->i", x @ weights, y).reshape(theta.size, phi.size)
+        field *= _element_factor(theta, element_exponent)
     return RadiationPattern(theta=theta, phi=phi, field=field)
 
 
@@ -266,7 +268,8 @@ def directivity_and_gain(
     peak = _peak_power(cut)
     kernel = _lag_kernel(geom, carrier_hz, element_exponent)
     pairs = _weight_grid(weights, geom).ravel().view(np.float64).reshape(-1, 2)
-    radiated = float(np.vdot(pairs, kernel @ pairs))
+    with np.errstate(invalid="ignore"):  # a non-finite W is refused below, naming its power
+        radiated = float(np.vdot(pairs, kernel @ pairs))
     if not math.isfinite(radiated):
         raise ValueError(f"weight grid must be finite: its radiated power is {radiated}")
     directivity_dbi = 10.0 * math.log10(4.0 * math.pi * peak / radiated)

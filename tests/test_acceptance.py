@@ -1,7 +1,7 @@
 """Acceptance suite: every release criterion, judged by the one registry.
 
 The criteria, their windows and their measurement live in
-``rissim.cli`` (``RELEASE_CRITERIA`` and ``measure_campaign``), which
+``rissim.campaign`` (``RELEASE_CRITERIA`` and ``measure_campaign``), which
 ``rissim reproduce`` runs too. Here the campaign is measured once, with
 100 oracle trials at a fixed seed, and each test asserts the verdicts of
 one criterion. ``WINDOWS`` pins every window, so loosening one in the
@@ -22,12 +22,15 @@ from rissim import (
     Pose,
     cartesian_to_spherical,
     coherent_power_bound,
+    default_element_table,
     optimal_phases,
     quantize_phases,
     received_power,
     spherical_to_cartesian,
 )
-from rissim.cli import RELEASE_CRITERIA, RunConfig, build_parser, measure_campaign
+from rissim.campaign import (DEFAULT_FEED_EXPONENT, DEFAULT_FEED_RANGE_M, RELEASE_CRITERIA,
+                             measure_campaign)
+from rissim.cli import build_parser
 
 CARRIER_HZ = 27.0e9
 PANEL = ArrayGeometry(16, 16)
@@ -58,9 +61,10 @@ WINDOWS = {
 
 
 @pytest.fixture(scope="module")
-def verdicts(tmp_path_factory):
-    cfg = RunConfig(output_dir=tmp_path_factory.mktemp("campaign"), seed=SEED)
-    return {v.name: v for v in measure_campaign(cfg, ORACLE_TRIALS).verdicts}
+def verdicts():
+    campaign = measure_campaign(None, default_element_table(), DEFAULT_FEED_RANGE_M,
+                                DEFAULT_FEED_EXPONENT, 0.25, SEED, ORACLE_TRIALS)
+    return {v.name: v for v in campaign.verdicts}
 
 
 def report(verdicts, *names: str) -> None:

@@ -233,7 +233,8 @@ def test_feed_illumination_validation(panel16):
         feed_illuminations(Pose.from_spherical(0.05, 0, 0), panel16, CARRIER_HZ, exponent=-1.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf),
+                                 complex(math.inf, math.inf)])
 def test_received_power_refuses_non_finite_weights(panel16, tx_far, rx_near, desk_gains, bad):
     weights = np.ones((16, 16), dtype=complex)
     weights[7, 2] = bad

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rissim.cli import Verdict, build_parser, main, parse_bits
+from rissim.campaign import judge
+from rissim.cli import build_parser, main, parse_bits
 from rissim.errors import ConfigError
 
 
@@ -80,6 +81,19 @@ def test_link_mismatch_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "doctored.scenario"
     path.write_text(doctored)
     assert run("link", "--scenario", str(path), "--out", str(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("row", ["array_gain_without_panel", "array_gain_with_panel"])
+def test_reproduce_refuses_a_bundle_without_a_power_pair_row(tmp_path, capsys, row):
+    from rissim import bundled_scenario_path
+
+    doctored = bundled_scenario_path().read_text().replace(f"name: {row}\n", "name: renamed\n")
+    path, config, out = tmp_path / "doctored.scenario", tmp_path / "run.yaml", tmp_path / "out"
+    path.write_text(doctored)
+    config.write_text(f"scenario: {path}\n")
+    assert run("reproduce", "--config", str(config), "--out", str(out)) == 1
+    assert f"{path}: scenario bundle has no '{row}' row" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_link_missing_file_is_domain_error(tmp_path):
@@ -178,21 +192,21 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3])
-def test_steer_codes_quantize_the_feed_path_plus_a_plane_wave(tmp_path, bits):
-    from rissim import ElementStateTable, state_coefficients, wavelength
-    from rissim.cli import RunConfig, _SteerStudy
+def test_steer_codes_quantize_the_feed_path_plus_a_plane_wave(bits):
+    from rissim import ArrayGeometry, ElementStateTable, state_coefficients, wavelength
+    from rissim.campaign import DEFAULT_FEED_EXPONENT, SteerStudy
 
-    cfg = RunConfig(output_dir=tmp_path)
+    panel, carrier_hz = ArrayGeometry(16, 16), 27.0e9
     table = ElementStateTable.ideal(bits)
-    study = _SteerStudy(cfg, cfg.geometry, cfg.carrier_hz, table)
-    xe, ye = cfg.geometry.element_grid()
+    study = SteerStudy(panel, carrier_hz, table, 0.05, DEFAULT_FEED_EXPONENT, 0.25)
+    xe, ye = panel.element_grid()
     feed_path = np.sqrt(xe**2 + ye**2 + 0.05**2) - 0.05  # the 5 cm feed on the axis
     step = 2 * math.pi / (1 << bits)
     for plane, (ux, uy) in {"E": (1.0, 0.0), "H": (0.0, 1.0)}.items():
         for steer_deg in (-60.0, -23.4, -0.5, 0.0, 17.3, 47.5, 60.0):
             s = math.sin(math.radians(steer_deg))  # signed: a negative angle turns the azimuth
             phase = 2 * math.pi * (feed_path - (xe * s * ux + ye * s * uy)) / wavelength(
-                cfg.carrier_hz)
+                carrier_hz)
             codes = np.ceil(np.mod(phase, 2 * math.pi) / step - 0.5).astype(int) % (1 << bits)
             expected = state_coefficients(table, codes) * study.illumination
             assert np.array_equal(study.weights(steer_deg, plane), expected), (plane, steer_deg)
@@ -594,18 +608,55 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys):
     assert "'seed' must be an integer" in capsys.readouterr().err
 
 
-def test_oracle_verdict_fails_when_solver_beats_the_oracle(tmp_path, monkeypatch):
-    import rissim.cli as cli
+def test_oracle_verdict_fails_when_solver_beats_the_oracle(monkeypatch):
+    import rissim.beams as beams
+    from rissim import default_element_table
+    from rissim.campaign import DEFAULT_FEED_EXPONENT, measure_campaign
 
     def weak_oracle(*args, **kwargs):
-        config, power = cli.optimal_codebook(*args, **kwargs)
+        config, power = beams.optimal_codebook(*args, **kwargs)
         return config, power / 2.0  # the solver beats it by 3 dB
 
-    monkeypatch.setattr(cli, "exhaustive_oracle", weak_oracle)
-    campaign = cli.measure_campaign(cli.RunConfig(output_dir=tmp_path), oracle_trials=2)
+    monkeypatch.setattr(beams, "exhaustive_oracle", weak_oracle)
+    campaign = measure_campaign(None, default_element_table(), 0.05, DEFAULT_FEED_EXPONENT, 0.25,
+                                seed=0, oracle_trials=2)
     verdict = {v.name: v for v in campaign.verdicts}["codebook-vs-oracle gap"]
     low, high = verdict.window
     assert low <= verdict.value <= high and not verdict.passed
+
+
+# The namespaces a per-layer tracer patches: the package, its layer modules and the CLI, not
+# the campaign module. So the campaign calls each layer function through its module.
+TRACED_NAMESPACES = ("rissim", "rissim.geometry", "rissim.elements", "rissim.codebook",
+                     "rissim.channel", "rissim.beams", "rissim.patterns", "rissim.link",
+                     "rissim.scenario_io", "rissim.cli")
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["reproduce"], {"principal_cut": 15, "evaluate_scenario": 12, "quantize_phases": 21}),
+    (["pattern", "--plane", "both"],
+     {"principal_cut": 2, "evaluate_scenario": 0, "quantize_phases": 2}),
+], ids=["reproduce", "pattern"])
+def test_layer_calls_are_seen_on_the_traced_namespaces(tmp_path, monkeypatch, argv, calls):
+    import importlib
+
+    import rissim
+
+    counts = dict.fromkeys(calls, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    originals = {name: getattr(rissim, name) for name in calls}
+    for module in map(importlib.import_module, TRACED_NAMESPACES):
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    assert counts == calls
 
 
 @pytest.mark.parametrize("entry", [
@@ -659,8 +710,8 @@ def test_reproduce_needs_an_oracle_trial(tmp_path, capsys, trials):
 
 
 def test_a_verdict_over_no_values_fails():
-    assert not Verdict.judged("60-deg scan loss", (), "no planes").passed
-    assert Verdict.judged("60-deg scan loss", (5.5, 5.5), "both planes").passed
+    assert not judge("60-deg scan loss", (), "no planes").passed
+    assert judge("60-deg scan loss", (5.5, 5.5), "both planes").passed
 
 
 @pytest.mark.parametrize("argv", [
