@@ -304,6 +304,8 @@ def _quantloss_row(bits: int, loss_db: float) -> list[str]:
 
 def cmd_quantloss(cfg: RunConfig, args: argparse.Namespace) -> int:
     for flag, range_m in (("--tx-range", args.tx_range), ("--rx-range", args.rx_range)):
+        if not math.isfinite(range_m):
+            raise ConfigError(f"{flag} must be finite, got {range_m}")
         if range_m <= 0:  # range 0 sits on the panel
             raise ConfigError(f"{flag} must be positive, got {range_m}")
     tx = Pose.from_spherical(args.tx_range, 0.0, 0.0)

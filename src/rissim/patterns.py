@@ -28,6 +28,9 @@ Over element pairs it is w^H K w, w the flattened W and K the real symmetric
 matrix of K at each pair's lag (Van Trees, Optimum Array Processing, 2.6),
 built once per panel, carrier and gamma; K = 2 pi sin(k rho) / (k rho) at
 gamma = 0, 2 pi j1(k rho) / (k rho) at gamma = 1 (Watson, Bessel Functions, 12.11).
+For any gamma, Poisson's integral for J_(gamma + 1/2) makes K one mean,
+K = 2 pi / (2 gamma + 1) E[cos(k rho t)] under the weight (1 - t^2)^gamma on
+[-1, 1], which the Gauss-Gegenbauer rule of that weight evaluates.
 """
 
 from __future__ import annotations
@@ -45,11 +48,11 @@ from .units import db_to_linear, wavelength
 
 DEFAULT_CUT_STEP_DEG = 0.25
 
-# The lag kernel's tanh-sinh rule in mu: nodes t = i h with |t| <= 4, beyond which
-# the weights fall below 1e-35. h = 1/16 (129 nodes) resolves J0's oscillation up
-# to k rho = 60 to within 2e-14 of K(0), and is halved until h k rho <= 3.75.
-_KERNEL_STEP = 1.0 / 16.0
-_KERNEL_SPAN = 4.0
+# The lag kernel's Gauss-Gegenbauer rule takes k rho / 2 nodes, rho the largest lag, plus this
+# many times (k rho + 1)^(1/3). The n-node rule is exact to degree 2 n - 1, and the Chebyshev
+# terms J_m(k rho) of cos(k rho t) die out within a few (k rho)^(1/3) past m = k rho: about
+# five reach rounding level, and eight keep K within 2e-14 of K(0) for k rho from 0 to 5,600.
+_KERNEL_MARGIN = 8.0
 
 PLANE_AZIMUTHS = {"E": 0.0, "H": math.pi / 2.0}
 
@@ -205,33 +208,22 @@ def _lag_kernel(geom: ArrayGeometry, carrier_hz: float, element_exponent: float)
     """The (Nx Ny, Nx Ny) matrix K[mn, m'n'] = K(|m - m'| dx, |n - n'| dy), read-only; its
     row 0, reshaped to (Nx, Ny), is the table of K at the lags (i dx, j dy), i, j >= 0.
 
-    mu = cos(theta) is integrated by the tanh-sinh rule, mu = (1 + tanh(pi/2
-    sinh t)) / 2. The azimuth mean of exp(j k l . u_hat) is the midpoint rule
-    on phi in [0, pi/2], where by the panel's mirror symmetry it is
-    cos(k i dx u) cos(k j dy v): so each azimuth's cosines are one row per
-    axis, and the lags are one (Nx, nodes) x (nodes, Ny) product. Its n points
-    act as 4 n round the circle, whose error J_4n(k rho) falls below 1e-17
-    once 4 n >= k rho + 12 (k rho)^(1/3) + 16.
+    By Poisson's integral for J_(gamma + 1/2), K(rho) = 2 pi / (2 gamma + 1) E[cos(k rho t)],
+    the mean under the weight (1 - t^2)^gamma on [-1, 1]. The mean is the weight's n-node
+    Gauss-Gegenbauer rule (Golub and Welsch, Math. Comp. 23, 1969): the nodes are the
+    eigenvalues of its tridiagonal Jacobi matrix, and each node's weight is the square of the
+    first component of its eigenvector. The weights sum to 1, so K(0) = 2 pi / (2 gamma + 1).
     """
     gamma = _checked_exponent(element_exponent)
     k = 2.0 * math.pi / wavelength(carrier_hz)
-    x_lags, y_lags = np.arange(geom.num_x) * geom.spacing_x, np.arange(geom.num_y) * geom.spacing_y
-    z = k * math.hypot(x_lags[-1], y_lags[-1])
-    step = _KERNEL_STEP
-    while step * z > 3.75:
-        step /= 2.0
-    t = np.arange(-round(_KERNEL_SPAN / step), round(_KERNEL_SPAN / step) + 1) * step
-    s = 0.5 * math.pi * np.sinh(t)
-    mu, one_minus_mu = 1.0 / (1.0 + np.exp(-2.0 * s)), 1.0 / (1.0 + np.exp(2.0 * s))
-    k_sin_theta = k * np.sqrt(one_minus_mu * (1.0 + mu))
-    mu_weights = 0.25 * math.pi * step * np.cosh(t) / np.cosh(s) ** 2 * mu ** (2.0 * gamma)
-    azimuths = 4 + math.ceil(z / 4.0 + 3.0 * z ** (1.0 / 3.0))
-    kernel = np.zeros((geom.num_x, geom.num_y))
-    for i in range(azimuths):
-        phi = (i + 0.5) * 0.5 * math.pi / azimuths
-        x_rows = np.cos(np.multiply.outer(x_lags, k_sin_theta * math.cos(phi))) * mu_weights
-        kernel += x_rows @ np.cos(np.multiply.outer(k_sin_theta * math.sin(phi), y_lags))
-    kernel *= 2.0 * math.pi / azimuths
+    rho = np.hypot.outer(np.arange(geom.num_x) * geom.spacing_x,
+                         np.arange(geom.num_y) * geom.spacing_y)
+    z = k * rho[-1, -1]
+    i = np.arange(1, math.ceil(z / 2.0 + _KERNEL_MARGIN * (z + 1.0) ** (1.0 / 3.0)))
+    jacobi = np.diag(np.sqrt(i * (i + 2.0 * gamma) / ((2.0 * i + 2.0 * gamma) ** 2 - 1.0)), -1)
+    t, v = np.linalg.eigh(jacobi)
+    kernel = np.cos(np.multiply.outer(k * rho, t)) @ v[0] ** 2
+    kernel *= 2.0 * math.pi / (2.0 * gamma + 1.0)
     m, n = (np.abs(np.subtract.outer(np.arange(size), np.arange(size))) for size in kernel.shape)
     kernel = kernel[m[:, None, :, None], n[None, :, None, :]].reshape(kernel.size, kernel.size)
     kernel.flags.writeable = False

@@ -132,19 +132,20 @@ def _parse_gains(raw: dict, context: str) -> GainProfile:
 
 
 def _parse_pose(raw: dict, context: str) -> Pose:
-    """A face-local pose in front of the face: positive range, polar angle in [0, 90) deg."""
+    """A face-local pose in front of the face: finite positive range, polar angle in [0, 90)
+    deg and finite azimuth."""
     _check_keys(raw, _POSE_KEYS, context)
     range_m = _number(raw, "range_m", context)
-    if range_m <= 0:  # range 0 sits on the panel; NaN is refused as not finite
+    azimuth_deg = _number(raw, "azimuth_deg", context, 0.0)
+    for key, value in (("range_m", range_m), ("azimuth_deg", azimuth_deg)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{context}: key '{key}' must be finite, got {value}")
+    if range_m <= 0:  # range 0 sits on the panel
         raise ConfigError(f"{context}: key 'range_m' must be positive, got {range_m}")
     polar_deg = _number(raw, "polar_deg", context, 0.0)
-    if not 0.0 <= polar_deg < 90.0:
+    if not 0.0 <= polar_deg < 90.0:  # NaN too
         raise ConfigError(f"{context}: key 'polar_deg' must lie in [0, 90) deg, got {polar_deg}")
-    return Pose.from_spherical(
-        range_m=range_m,
-        polar=math.radians(polar_deg),
-        azimuth=math.radians(_number(raw, "azimuth_deg", context, 0.0)),
-    )
+    return Pose.from_spherical(range_m, math.radians(polar_deg), math.radians(azimuth_deg))
 
 
 def _parse_obstacle(raw, context: str) -> Obstacle | None:

@@ -432,18 +432,38 @@ def test_scan_rejects_bad_step_or_range(tmp_path, capsys, flags, name):
      "beam: unknown key(s) ['tx_model']"),
     (["codebook", "--config", "beam: {offset_deg: 10}"],  # no free phase constant
      "beam: unknown key(s) ['offset_deg']"),
+    (["link", "--scenario", ("rx_pose: {range_m: 0.05", "rx_pose: {range_m: .nan")],
+     "scenarios[0]: rx_pose: key 'range_m' must be finite, got nan"),
+    (["link", "--scenario", ("azimuth_deg: 0.0", "azimuth_deg: .inf")],
+     "scenarios[0]: tx_pose: key 'azimuth_deg' must be finite, got inf"),
+    (["codebook", "--config", "beam: {tx_pose: {range_m: .inf}}"],
+     "beam.tx_pose: key 'range_m' must be finite, got inf"),
+    (["codebook", "--tx-range", "nan"], "beam.tx_pose: key 'range_m' must be finite, got nan"),
+    (["codebook", "--tx-azimuth-deg", "inf"],
+     "beam.tx_pose: key 'azimuth_deg' must be finite, got inf"),
+    (["quantloss", "--tx-range", "nan"], "--tx-range must be finite, got nan"),
+    (["quantloss", "--rx-range", "inf"], "--rx-range must be finite, got inf"),
 ], ids=["carrier-nan", "carrier-inf", "element-exponent-inf",
         "loss-budget-inf", "steer-95", "feed-gain-nan", "feed-gain-inf",
         "feed-range-nan", "reproduce-feed-gain-nan", "reproduce-feed-range-nan",
         "feed-range-negative", "feed-range-zero", "feed-gain-2", "reproduce-feed-range-negative",
         "reproduce-feed-range-zero", "reproduce-feed-gain-2", "element-exponent-400",
-        "beam-tx-model", "beam-offset-deg"])
+        "beam-tx-model", "beam-offset-deg", "bundle-rx-range-nan", "bundle-tx-azimuth-inf",
+        "beam-tx-range-inf", "codebook-tx-range-nan", "codebook-tx-azimuth-inf",
+        "quantloss-tx-range-nan", "quantloss-rx-range-inf"])
 def test_bad_numbers_are_rejected_naming_the_field(tmp_path, capsys, argv, message):
     if "--config" in argv:  # the entry after --config is the run config's text
         i = argv.index("--config") + 1
         config = tmp_path / "run.yaml"
         config.write_text(argv[i] + "\n")
         argv = [*argv[:i], str(config), *argv[i + 1:]]
+    if "--scenario" in argv:  # the entry after --scenario is an (old, new) edit of the bundle
+        from rissim import bundled_scenario_path
+
+        i = argv.index("--scenario") + 1
+        bundle = tmp_path / "edited.scenario"
+        bundle.write_text(bundled_scenario_path().read_text().replace(*argv[i], 1))
+        argv = [*argv[:i], str(bundle), *argv[i + 1:]]
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 1
     assert message in capsys.readouterr().err

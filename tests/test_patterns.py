@@ -382,24 +382,30 @@ def test_gain_subtracts_loss_budget(panel16):
 
 
 def closed_form_kernel(x, gamma):
-    """2 pi sin(x) / x at gamma = 0 and 2 pi j1(x) / x at gamma = 1, with x = k |l|."""
+    """2 pi sin(x) / x at gamma = 0, 2 pi j1(x) / x at gamma = 1 and 6 pi j2(x) / x^2 at
+    gamma = 2, with x = k |l|."""
     z = np.where(x == 0, 1.0, x)
     if gamma == 0:
         return 2.0 * math.pi * np.where(x == 0, 1.0, np.sin(z) / z)
-    return 2.0 * math.pi * np.where(x == 0, 1.0 / 3.0, (np.sin(z) / z**2 - np.cos(z) / z) / z)
+    if gamma == 1:
+        return 2.0 * math.pi * np.where(x == 0, 1.0 / 3.0, (np.sin(z) / z**2 - np.cos(z) / z) / z)
+    j2 = (3.0 / z**3 - 1.0 / z) * np.sin(z) - 3.0 * np.cos(z) / z**2
+    return 6.0 * math.pi * np.where(x == 0, 1.0 / 15.0, j2 / z**2)
 
 
-@pytest.mark.parametrize("geom", [ArrayGeometry(16, 16), ArrayGeometry(64, 2, 4.9e-3, 11e-3)],
-                         ids=["16x16", "64x2"])
-@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("geom", [ArrayGeometry(16, 16), ArrayGeometry(64, 2, 4.9e-3, 11e-3),
+                                  ArrayGeometry(32, 1, 0.05, 4.9e-3)],
+                         ids=["16x16", "64x2", "32x1-sparse"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
 def test_lag_kernel_matches_its_closed_forms(geom, gamma):
-    """To 1e-12 of K(0); the 64x2 panel reaches k |l| = 175, three times the 16x16 panel's 59."""
+    """To 1e-14 of K(0); the 64x2 panel reaches k |l| = 175, three times the 16x16 panel's 59,
+    and the row of 32 elements 5 cm apart reaches 877."""
     x = 2.0 * math.pi / wavelength(CARRIER_HZ) * np.hypot(
         np.arange(geom.num_x)[:, None] * geom.spacing_x, np.arange(geom.num_y) * geom.spacing_y)
     matrix = patterns._lag_kernel(geom, CARRIER_HZ, gamma)
     assert matrix.shape == (geom.num_elements, geom.num_elements)
     got = matrix[0].reshape(geom.num_x, geom.num_y)  # the lags (i dx, j dy), i, j >= 0
-    assert np.abs(got - closed_form_kernel(x, gamma)).max() <= 1e-12 * got[0, 0]
+    assert np.abs(got - closed_form_kernel(x, gamma)).max() <= 1e-14 * got[0, 0]
     assert not matrix.flags.writeable
 
 
@@ -420,24 +426,34 @@ def test_radiated_power_is_the_double_sum_over_element_pairs(nx, ny, dx, dy, gam
 
 
 @pytest.mark.parametrize("gamma", [0.3, 400.0])
-def test_lag_kernel_is_converged_in_its_step(panel16, gamma, monkeypatch):
-    """Halving the tanh-sinh step moves K by less than 1e-9 of K(0), also where mu^(2 gamma)
-    has an infinite slope at mu = 0 or is a spike of width 1/800 at mu = 1."""
+def test_lag_kernel_is_converged_in_its_node_count(panel16, gamma, monkeypatch):
+    """Doubling the Gauss-Gegenbauer rule's node margin moves K by less than 1e-9 of K(0), also
+    where the weight (1 - t^2)^gamma has an infinite slope at t = +-1 or is the spike
+    ~exp(-400 t^2) at t = 0."""
     kernel = patterns._lag_kernel(panel16, CARRIER_HZ, gamma)
-    monkeypatch.setattr(patterns, "_KERNEL_STEP", patterns._KERNEL_STEP / 2.0)
-    halved = patterns._lag_kernel.__wrapped__(panel16, CARRIER_HZ, gamma)  # past the cache
-    assert np.abs(halved - kernel).max() <= 1e-9 * kernel[0, 0]
+    monkeypatch.setattr(patterns, "_KERNEL_MARGIN", 2.0 * patterns._KERNEL_MARGIN)
+    doubled = patterns._lag_kernel.__wrapped__(panel16, CARRIER_HZ, gamma)  # past the cache
+    assert np.abs(doubled - kernel).max() <= 1e-9 * kernel[0, 0]
 
 
 @pytest.mark.parametrize("mode,steer_deg", [("nominal", -30.0), ("nominal", 0.0),
                                             ("nominal", 47.5), ("realized", -30.0)])
 def test_directivity_matches_a_fine_quadrature(panel16, table, mode, steer_deg):
-    """The beams of the pinned pattern outputs, each at the peak of its 0.25-deg E cut."""
+    """The beams of the pinned pattern outputs, each at the peak of its 0.25-deg E cut. The
+    reference integrates the sampled |F|^2 sin(theta) by the 64-node Gauss-Legendre rule in
+    theta over [0, pi/2] and the 192-point periodic trapezoid rule in phi."""
     codes = synthesize_codebook(FEED, steer_target(steer_deg), panel16, CARRIER_HZ, 2)
     weights = fed(coefficients(codes, 2, mode, table), panel16)
     cut = principal_cut(weights, panel16, CARRIER_HZ, element_exponent=1.0)
     got = directivity_and_gain(weights, panel16, CARRIER_HZ, cut=cut, element_exponent=1.0)[0]
-    assert got == pytest.approx(reference_directivity(weights, panel16, 0.125, 1.0)[0], abs=0.005)
+    nodes, node_weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.25 * math.pi * (nodes + 1.0)
+    phi = np.arange(192) * (2.0 * math.pi / 192)
+    power = radiation_pattern(weights, panel16, CARRIER_HZ, element_exponent=1.0,
+                              theta=theta, phi=phi).power
+    radiated = 0.25 * math.pi * (node_weights * np.sin(theta)) @ power.sum(axis=1) * phi[1]
+    assert got == pytest.approx(10.0 * math.log10(4.0 * math.pi * cut.power.max() / radiated),
+                                abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
